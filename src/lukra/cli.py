@@ -21,7 +21,7 @@ from . import laws
 from . import logic as lg
 from .algebra import AlgebraError, FiniteAlgebra, InternalConsistencyError, SizeGuardError
 from .fo import FOError, FOStructure, fo_eval, fo_parse
-from .formulas import FormulaError, parse as parse_formula, to_text
+from .formulas import TOO_DEEP, FormulaError, parse as parse_formula, to_text
 from .proofs import ProofSyntaxError, check_proof, parse_proof
 
 OK, PROPERTY_FALSE, USAGE, INTERNAL = 0, 1, 2, 3
@@ -375,6 +375,11 @@ def main(argv=None) -> int:
     except (AlgebraError, FormulaError, FOError, ProofSyntaxError,
             OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         _say(f"error: {exc}")
+        return USAGE
+    except RecursionError:
+        # sugar such as `a | b` or `a ->[k] b` builds terms deeper than the
+        # parser recursed, and every walker over terms is recursive
+        _say(f"error: {TOO_DEEP}")
         return USAGE
 
 

@@ -233,17 +233,13 @@ class ProofBuilder:
         return self.mp(l7, l8)
 
 
-def _fresh(name: str) -> Formula:
-    return Var(name)
-
-
 def classic_delta_derivations(n: int) -> dict[str, Proof]:
     """The six classic delta derivations as checkable proofs at level n.
 
     Theorems 20/21/24/27 are hypothesis-free; rules 25/26 carry their
     premise as a hypothesis line.
     """
-    p, q = _fresh("p"), _fresh("q")
+    p, q = Var("p"), Var("q")
     out = {}
 
     b = ProofBuilder(n)

@@ -400,8 +400,8 @@ def classify_simple(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = F
 # Moisil possibility-operator families
 # ---------------------------------------------------------------------------
 
-def _moisil_violation(A: FiniteAlgebra, deltas, n: int, derived: bool):
-    """First violation of the family axioms ML1-ML5b (+ ML7-ML18 if derived).
+def _moisil_violation(A: FiniteAlgebra, deltas, n: int):
+    """First violation of the family axioms ML1-ML5b and ML7-ML18.
 
     `deltas[i-1]` is the i-th operator, i = 1..n.  The duplicated axiom
     label in the source axiom list is split into ML5a / ML5b.
@@ -460,8 +460,6 @@ def _moisil_violation(A: FiniteAlgebra, deltas, n: int, derived: bool):
                     for y in size_range:
                         if A.imp[d(i, A.imp[x][y])][A.imp[d(k, x)][d(j, y)]] != A.top:
                             return (f"ML5b[i={i},j={j},k={k}]", (x, y))
-    if not derived:
-        return None
     # ML7: d_j top == top
     for j in J:
         if d(j, A.top) != A.top:
@@ -546,7 +544,7 @@ def moisil_check(A: FiniteAlgebra, deltas, n: int | None = None) -> CheckReport:
     deltas = [tuple(t) for t in deltas]
     if any(len(t) != A.size for t in deltas):
         raise ConfigurationError("operator table has wrong length")
-    bad = _moisil_violation(A, deltas, n, derived=True)
+    bad = _moisil_violation(A, deltas, n)
     return CheckReport.from_violations([bad] if bad else [])
 
 
@@ -582,7 +580,7 @@ def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
 
     def rec(i: int):
         if i > n:
-            if _moisil_violation(A, chosen, n, derived=True) is None:
+            if _moisil_violation(A, chosen, n) is None:
                 return list(chosen)
             return None
         for t in candidates:

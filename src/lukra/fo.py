@@ -4,23 +4,40 @@ Structures interpret predicates into a finite chain with delta; the
 universal and existential quantifiers evaluate as minimum and maximum
 over the (finite) domain, which the chain's completeness makes total.
 Equality between terms is crisp: top when the values coincide, otherwise
-the chain's least element.  Only evaluation ships; there is no
-first-order proof checking.
+the chain's least element, which is also the value of F.  Only evaluation
+ships; there is no first-order proof checking.
 
-Formula grammar extends the propositional one with:
+Formulas use the propositional grammar of `formulas` (so ``->[k]`` and the
+Unicode aliases work here too), with atoms and quantifiers added:
 
     forall x <formula> | exists x <formula>
     P(t1, ..., tk)           predicate atoms
     t1 = t2                  crisp equality
     terms: variables, constants, f(t1, ..., tk)
+
+``D(...)`` is the delta of a parenthesised formula, not a predicate.
+Connectives and constants are the propositional nodes (FImp, FDelta, FTop
+and FBot are aliases of them), and `fo_eval` compiles formulas with
+`formulas.compile_term`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraError, FiniteAlgebra
+from .formulas import (
+    TOO_DEEP,
+    Bot,
+    Delta,
+    Formula,
+    FormulaError,
+    Imp,
+    Top,
+    _NAME_RE,
+    _Parser,
+    compile_term,
+)
 
 
 class FOError(ValueError):
@@ -43,54 +60,32 @@ class TermApp:
 
 # -- formulas ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FOFormula:
-    pass
+FOFormula = Formula
+FTop, FBot, FImp, FDelta = Top, Bot, Imp, Delta
 
 
 @dataclass(frozen=True)
-class FPred(FOFormula):
+class FPred(Formula):
     name: str
     args: tuple
 
 
 @dataclass(frozen=True)
-class FEq(FOFormula):
+class FEq(Formula):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class FTop(FOFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class FBot(FOFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class FImp(FOFormula):
-    left: FOFormula
-    right: FOFormula
-
-
-@dataclass(frozen=True)
-class FDelta(FOFormula):
-    child: FOFormula
-
-
-@dataclass(frozen=True)
-class FForall(FOFormula):
+class FForall(Formula):
     var: str
-    body: FOFormula
+    body: Formula
 
 
 @dataclass(frozen=True)
-class FExists(FOFormula):
+class FExists(Formula):
     var: str
-    body: FOFormula
+    body: Formula
 
 
 @dataclass(frozen=True)
@@ -147,61 +142,73 @@ class FOStructure:
         )
 
 
-def eval_term(t, S: FOStructure, env: dict[str, int]) -> int:
+def _table(symbols: dict, name: str, kind: str, arity: int) -> dict:
+    spec = symbols.get(name)
+    if spec is None:
+        raise FOError(f"unknown {kind} symbol {name!r}")
+    if arity != spec["arity"]:
+        raise FOError(f"arity mismatch for {name!r}")
+    return spec["table"]
+
+
+def _term(t, S: FOStructure, scope: dict[str, int]):
+    """Compile a term into a closure over value tuples of domain indices;
+    `scope` maps each variable in scope to its position in the tuple."""
     if isinstance(t, TermName):
-        if t.name in env:
-            return env[t.name]
+        i = scope.get(t.name)
+        if i is not None:
+            return lambda e: e[i]
         if t.name in S.constants:
-            return S.constants[t.name]
+            c = S.constants[t.name]
+            return lambda e: c
         raise FOError(f"unbound name {t.name!r}")
     if isinstance(t, TermApp):
-        spec = S.functions.get(t.func)
-        if spec is None:
-            raise FOError(f"unknown function symbol {t.func!r}")
-        if len(t.args) != spec["arity"]:
-            raise FOError(f"arity mismatch for {t.func!r}")
-        args = tuple(eval_term(a, S, env) for a in t.args)
-        return spec["table"][args]
+        table = _table(S.functions, t.func, "function", len(t.args))
+        args = [_term(a, S, scope) for a in t.args]
+        return lambda e: table[tuple([a(e) for a in args])]
     raise FOError(f"not a term: {t!r}")
+
+
+def eval_term(t, S: FOStructure, env: dict[str, int]) -> int:
+    return _term(t, S, {name: i for i, name in enumerate(env)})(tuple(env.values()))
 
 
 def fo_eval(f: FOFormula, S: FOStructure, assignment: dict[str, int] | None = None) -> int:
     """Truth value (carrier index) of f under the assignment."""
     env = dict(assignment or {})
     A = S.algebra
-    rank = S.order_rank
-    least = min(range(A.size), key=lambda x: rank[x])
+    rank = S.order_rank.__getitem__
+    least = min(range(A.size), key=rank)
+    scope = {name: i for i, name in enumerate(env)}
 
-    def go(g: FOFormula, env: dict[str, int]) -> int:
+    def node(g, comp):
         if isinstance(g, FPred):
-            spec = S.predicates.get(g.name)
-            if spec is None:
-                raise FOError(f"unknown predicate symbol {g.name!r}")
-            if len(g.args) != spec["arity"]:
-                raise FOError(f"arity mismatch for {g.name!r}")
-            args = tuple(eval_term(a, S, env) for a in g.args)
-            return spec["table"][args]
+            table = _table(S.predicates, g.name, "predicate", len(g.args))
+            args = [_term(a, S, scope) for a in g.args]
+            return lambda e: table[tuple([a(e) for a in args])]
         if isinstance(g, FEq):
-            return A.top if eval_term(g.left, S, env) == eval_term(g.right, S, env) else least
-        if isinstance(g, FTop):
-            return A.top
-        if isinstance(g, FBot):
-            return least
-        if isinstance(g, FImp):
-            return A.imp[go(g.left, env)][go(g.right, env)]
-        if isinstance(g, FDelta):
-            return A.delta[go(g.child, env)]
+            left, right, top = _term(g.left, S, scope), _term(g.right, S, scope), A.top
+            return lambda e: top if left(e) == right(e) else least
+        if isinstance(g, Bot):
+            return lambda e: least
         if isinstance(g, (FForall, FExists)):
+            # a quantifier rebinds its variable's slot, or opens the next one
+            outer = scope.get(g.var)
+            i = scope[g.var] = len(scope) if outer is None else outer
+            body = comp(g.body)
+            if outer is None:
+                del scope[g.var]
             agg = max if isinstance(g, FExists) else min
-            values = []
-            for d in range(S.domain_size):
-                env2 = dict(env)
-                env2[g.var] = d
-                values.append(go(g.body, env2))
-            return agg(values, key=lambda x: rank[x])
-        raise FOError(f"not a formula node: {g!r}")
+            domain = range(S.domain_size)
+            return lambda e: agg([body(e[:i] + (d,) + e[i + 1:]) for d in domain], key=rank)
+        return None
 
-    return go(f, env)
+    try:
+        return compile_term(f, A, (), node)(tuple(env.values()))
+    except RecursionError:
+        raise FOError(TOO_DEEP) from None
+    except FormulaError as exc:
+        raise FOError(str(exc)) from None
 
 
 def substitute_term(f: FOFormula, var: str, t) -> FOFormula:
@@ -230,88 +237,21 @@ def substitute_term(f: FOFormula, var: str, t) -> FOFormula:
 # Parser
 # ---------------------------------------------------------------------------
 
-_FO_TOKEN = re.compile(r"\s*(->|\||&|~|=|\(|\)|,|[A-Za-z_][A-Za-z0-9_]*|\S)")
+class _FirstOrder(_Parser):
+    """The propositional grammar plus quantifiers, predicate atoms and equality."""
 
+    error = FOError
 
-class _FOParser:
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _FO_TOKEN.match(text, pos)
-            if m is None:
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise FOError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise FOError(f"expected {tok!r}, got {got!r}")
-
-    def formula(self) -> FOFormula:
+    def formula(self) -> Formula:
         tok = self.peek()
         if tok in ("forall", "exists"):
             self.next()
             var = self.next()
             body = self.formula()
             return (FForall if tok == "forall" else FExists)(var, body)
-        left = self.or_level()
-        if self.peek() == "->":
-            self.next()
-            return FImp(left, self.formula())
-        return left
+        return super().formula()
 
-    def or_level(self):
-        out = self.and_level()
-        while self.peek() == "|":
-            self.next()
-            rhs = self.and_level()
-            out = FImp(FImp(out, rhs), rhs)
-        return out
-
-    def and_level(self):
-        out = self.unary()
-        while self.peek() == "&":
-            self.next()
-            rhs = self.unary()
-            na, nb = FImp(out, FBot()), FImp(rhs, FBot())
-            out = FImp(FImp(FImp(na, nb), nb), FBot())
-        return out
-
-    def unary(self):
-        tok = self.peek()
-        if tok == "D":
-            self.next()
-            return FDelta(self.unary())
-        if tok == "~":
-            self.next()
-            return FImp(self.unary(), FBot())
-        return self.atom()
-
-    def atom(self):
-        tok = self.next()
-        if tok == "(":
-            out = self.formula()
-            self.expect(")")
-            return out
-        if tok == "T":
-            return FTop()
-        if tok == "F":
-            return FBot()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise FOError(f"unexpected token {tok!r}")
+    def name(self, tok: str) -> Formula:
         # predicate, or a term followed by '='
         if self.peek() == "(" and tok[0].isupper():
             args = self.term_args()
@@ -332,8 +272,9 @@ class _FOParser:
 
     def term(self):
         tok = self.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise FOError(f"bad term {tok!r}")
+        if not _NAME_RE.fullmatch(tok):
+            where = self.tokens[self.pos - 1][1]
+            raise FOError(f"bad term {tok!r} at position {where}")
         return self.term_from(tok)
 
     def term_from(self, tok):
@@ -349,8 +290,4 @@ def fo_parse(text: str) -> FOFormula:
     else is a term (variable, constant, or function application), and a
     bare term must take part in an equality atom.
     """
-    p = _FOParser(text)
-    out = p.formula()
-    if p.peek() is not None:
-        raise FOError(f"trailing input {p.peek()!r}")
-    return out
+    return _FirstOrder(text).run()

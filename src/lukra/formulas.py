@@ -7,10 +7,13 @@ algebras and as the formula language of the Hilbert calculi.  Connectives:
 * ``D a``     delta (crisp truth) operator, binds tightest
 * ``T`` / ``F``  top / bottom constants
 * sugar: ``a | b`` = ``(a -> b) -> b``; ``~a`` = ``a -> F``;
-  ``a & b`` = ``~(~a | ~b)``; ``a ->[k] b`` = k-fold iterated implication.
+  ``a & b`` = ``~(~a | ~b)``; ``a ->[k] b`` = k-fold iterated implication,
+  for k <= IMP_K_LIMIT.
 
 Sugar is eliminated at parse time; the core AST has exactly Var, Top, Bot,
-Imp and Delta nodes.
+Imp and Delta nodes.  This module is the one term engine: the parser (which
+`fo` extends with first-order atoms and quantifiers), the compiler from
+terms to evaluation closures (`compile_term`) and the schema matcher.
 """
 
 from __future__ import annotations
@@ -140,25 +143,32 @@ def match(pattern: Formula, target: Formula, subst: dict[str, Formula] | None = 
     """
     if subst is None:
         subst = {}
+    return None if mismatch(pattern, target, subst) else subst
+
+
+def mismatch(pattern: Formula, target: Formula, subst: dict[str, Formula]) -> str:
+    """Match like `match`, extending `subst` in place.
+
+    Returns "" on a match, else the reason the first subterm (left to
+    right) where the match breaks down gives.
+    """
     if isinstance(pattern, Var):
         bound = subst.get(pattern.name)
         if bound is None:
             subst[pattern.name] = target
-            return subst
-        return subst if bound == target else None
+            return ""
+        if bound == target:
+            return ""
+        return (f"metavariable {pattern.name} bound to "
+                f"{to_text(bound)!r} but found {to_text(target)!r}")
+    if type(pattern) is not type(target):
+        return f"expected {to_text(pattern)!r}, found {to_text(target)!r}"
     if isinstance(pattern, Imp):
-        if not isinstance(target, Imp):
-            return None
-        subst = match(pattern.left, target.left, subst)
-        if subst is None:
-            return None
-        return match(pattern.right, target.right, subst)
+        return (mismatch(pattern.left, target.left, subst)
+                or mismatch(pattern.right, target.right, subst))
     if isinstance(pattern, Delta):
-        if not isinstance(target, Delta):
-            return None
-        return match(pattern.child, target.child, subst)
-    # Top / Bot
-    return subst if pattern == target else None
+        return mismatch(pattern.child, target.child, subst)
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +178,13 @@ def match(pattern: Formula, target: Formula, subst: dict[str, Formula] | None = 
 _TOKEN_RE = re.compile(
     r"\s*(->\[\s*\d+\s*\]|->|\||&|~|\(|\)|[A-Za-z_][A-Za-z0-9_]*|\S)"
 )
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Largest k accepted in `a ->[k] b`: the sugar expands to k nested
+# implications at parse time, so k bounds the size of the parsed term.
+IMP_K_LIMIT = 1000
+
+TOO_DEEP = "formula nested too deeply for the Python recursion limit"
 
 _UNICODE_ALIASES = {
     "→": "->",   # arrow
@@ -182,6 +199,10 @@ _UNICODE_ALIASES = {
 
 
 class _Parser:
+    """Tokenizer and precedence parser; subclasses extend the atoms."""
+
+    error = FormulaError
+
     def __init__(self, text: str):
         for uni, ascii_ in _UNICODE_ALIASES.items():
             text = text.replace(uni, ascii_)
@@ -193,9 +214,25 @@ class _Parser:
             if m is None:
                 break
             tok = m.group(1)
+            if tok.startswith("->["):
+                k = tok[3:-1].strip().lstrip("0") or "0"
+                if len(k) > len(str(IMP_K_LIMIT)) or int(k) > IMP_K_LIMIT:
+                    raise self.error(f"iterated implication ->[{k}] at position "
+                                     f"{m.start(1)} exceeds the limit k <= {IMP_K_LIMIT}")
             self.tokens.append((tok, m.start(1)))
             pos = m.end()
         self.pos = 0
+
+    def run(self) -> Formula:
+        """Parse the whole input as one formula."""
+        try:
+            out = self.formula()
+        except RecursionError:
+            raise self.error(TOO_DEEP) from None
+        if self.peek() is not None:
+            tok, where = self.tokens[self.pos]
+            raise self.error(f"trailing input {tok!r} at position {where}")
+        return out
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -203,7 +240,7 @@ class _Parser:
     def next(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise FormulaError(f"unexpected end of input in {self.text!r}")
+            raise self.error(f"unexpected end of input in {self.text!r}")
         self.pos += 1
         return tok
 
@@ -211,7 +248,7 @@ class _Parser:
         got = self.next()
         if got != tok:
             where = self.tokens[self.pos - 1][1]
-            raise FormulaError(f"expected {tok!r} at position {where}, got {got!r}")
+            raise self.error(f"expected {tok!r} at position {where}, got {got!r}")
 
     def formula(self) -> Formula:
         left = self.or_level()
@@ -258,20 +295,19 @@ class _Parser:
             return TOP
         if tok == "F":
             return BOT
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            return Var(tok)
+        if _NAME_RE.fullmatch(tok):
+            return self.name(tok)
         where = self.tokens[self.pos - 1][1]
-        raise FormulaError(f"unexpected token {tok!r} at position {where}")
+        raise self.error(f"unexpected token {tok!r} at position {where}")
+
+    def name(self, tok: str) -> Formula:
+        """The atom that starts with the name `tok`."""
+        return Var(tok)
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into the core AST (sugar eliminated)."""
-    p = _Parser(text)
-    out = p.formula()
-    if p.peek() is not None:
-        tok, where = p.tokens[p.pos]
-        raise FormulaError(f"trailing input {tok!r} at position {where}")
-    return out
+    return _Parser(text).run()
 
 
 def to_text(f: Formula) -> str:
@@ -299,28 +335,60 @@ def to_text(f: Formula) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def compile_term(f: Formula, A, names, node=None):
+    """Compile a term into a closure over value tuples (the hot path).
+
+    The closure maps a tuple e, where e[i] is the carrier index of the
+    variable names[i], to the value of f in the algebra A.  Each node
+    becomes one closure with A's tables captured as locals.  When given,
+    `node(g, compile)` is tried first on every subterm g and may return its
+    closure, which is how first-order atoms and quantifiers compile.
+
+    Raises FormulaError, at the first offending node in pre-order, for a
+    variable not in `names`, F without a bottom or D without a delta, and
+    for a term nested beyond the recursion limit.
+    """
+    pos = {name: i for i, name in enumerate(names)}
+    imp, delta, top, bottom = A.imp, A.delta, A.top, A.bottom
+
+    def comp(g):
+        if node is not None:
+            out = node(g, comp)
+            if out is not None:
+                return out
+        if isinstance(g, Var):
+            i = pos.get(g.name)
+            if i is None:
+                raise FormulaError(f"unassigned variable {g.name!r}")
+            return lambda e: e[i]
+        if isinstance(g, Imp):
+            left, right = comp(g.left), comp(g.right)
+            return lambda e: imp[left(e)][right(e)]
+        if isinstance(g, Delta):
+            if delta is None:
+                raise FormulaError("formula uses D but the algebra has no delta")
+            child = comp(g.child)
+            return lambda e: delta[child(e)]
+        if isinstance(g, Top):
+            return lambda e: top
+        if isinstance(g, Bot):
+            if bottom is None:
+                raise FormulaError("formula uses F but the algebra has no bottom")
+            return lambda e: bottom
+        raise FormulaError(f"not a formula node: {g!r}")
+
+    try:
+        return comp(f)
+    except RecursionError:
+        raise FormulaError(TOO_DEEP) from None
+
+
 def eval_formula(f: Formula, algebra, valuation: dict[str, int]) -> int:
     """Evaluate over a FiniteAlgebra; valuation maps variable names to indices."""
-    if isinstance(f, Var):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise FormulaError(f"unassigned variable {f.name!r}") from None
-    if isinstance(f, Top):
-        return algebra.top
-    if isinstance(f, Bot):
-        if algebra.bottom is None:
-            raise FormulaError("formula uses F but the algebra has no bottom")
-        return algebra.bottom
-    if isinstance(f, Imp):
-        return algebra.imp[eval_formula(f.left, algebra, valuation)][
-            eval_formula(f.right, algebra, valuation)
-        ]
-    if isinstance(f, Delta):
-        if algebra.delta is None:
-            raise FormulaError("formula uses D but the algebra has no delta")
-        return algebra.delta[eval_formula(f.child, algebra, valuation)]
-    raise FormulaError(f"not a formula node: {f!r}")
+    try:
+        return compile_term(f, algebra, list(valuation))(tuple(valuation.values()))
+    except RecursionError:
+        raise FormulaError(TOO_DEEP) from None
 
 
 ONE = Fraction(1)

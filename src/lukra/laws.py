@@ -14,14 +14,13 @@ from itertools import product as iter_product
 
 from .algebra import ConfigurationError, FiniteAlgebra, tarskian_elements
 from .formulas import (
-    BOT,
     TOP,
-    Bot,
     Delta,
     Formula,
+    FormulaError,
     Imp,
-    Top,
     Var,
+    compile_term,
     imp_k,
     or_,
     variables,
@@ -62,38 +61,17 @@ class Law:
     premises: tuple[tuple[Formula, Formula], ...] = ()
 
 
-def _compile(f: Formula, pos: dict[str, int], A: FiniteAlgebra):
-    """Compile a term to a closure over assignment tuples (hot path)."""
-    if isinstance(f, Var):
-        i = pos[f.name]
-        return lambda e: e[i]
-    if isinstance(f, Top):
-        t = A.top
-        return lambda e: t
-    if isinstance(f, Bot):
-        if A.bottom is None:
-            raise ConfigurationError("law uses bottom but the algebra has none")
-        b = A.bottom
-        return lambda e: b
-    if isinstance(f, Imp):
-        left = _compile(f.left, pos, A)
-        right = _compile(f.right, pos, A)
-        imp = A.imp
-        return lambda e: imp[left(e)][right(e)]
-    if isinstance(f, Delta):
-        if A.delta is None:
-            raise ConfigurationError("law uses delta but the algebra has none")
-        child = _compile(f.child, pos, A)
-        d = A.delta
-        return lambda e: d[child(e)]
-    raise TypeError(f"not a term: {f!r}")
+def _compiled(A: FiniteAlgebra, names, terms):
+    """Compile law terms; a missing delta or bottom is a configuration error."""
+    try:
+        return [compile_term(t, A, names) for t in terms]
+    except FormulaError as exc:
+        raise ConfigurationError(f"law: {exc}") from None
 
 
 def _first_violation(A: FiniteAlgebra, law: Law) -> tuple[int, ...] | None:
-    pos = {v: i for i, v in enumerate(law.vars)}
-    lhs = _compile(law.lhs, pos, A)
-    rhs = _compile(law.rhs, pos, A)
-    prems = [(_compile(a, pos, A), _compile(b, pos, A)) for a, b in law.premises]
+    lhs, rhs = _compiled(A, law.vars, [law.lhs, law.rhs])
+    prems = [_compiled(A, law.vars, pair) for pair in law.premises]
     for e in iter_product(range(A.size), repeat=len(law.vars)):
         if all(pa(e) == pb(e) for pa, pb in prems) and lhs(e) != rhs(e):
             return e
@@ -114,9 +92,7 @@ def check_identity(A: FiniteAlgebra, lhs: Formula, rhs: Formula) -> CheckReport:
     names = sorted(variables(lhs) | variables(rhs))
     if len(names) > 4:
         raise ConfigurationError("identity checking supports at most 4 variables")
-    pos = {v: i for i, v in enumerate(names)}
-    lf = _compile(lhs, pos, A)
-    rf = _compile(rhs, pos, A)
+    lf, rf = _compiled(A, names, [lhs, rhs])
     violations = [
         ("identity", e)
         for e in iter_product(range(A.size), repeat=len(names))

@@ -24,7 +24,7 @@ from .formulas import (
     Formula,
     Imp,
     Var,
-    eval_formula,
+    compile_term,
     imp_k,
     or_,
     rational_eval,
@@ -89,21 +89,34 @@ def _chains(n: int) -> list[FiniteAlgebra]:
     return [make_chain(k, with_delta=True, with_bottom=True) for k in range(2, n + 1)]
 
 
+def _names(formulas) -> list[str]:
+    return sorted(set().union(*map(variables, formulas)))
+
+
 def _sweep(formulas, n: int):
-    """Yield (chain size, valuation dict) over all chains up to n."""
-    names = sorted(set().union(*[variables(f) for f in formulas]) if formulas else set())
+    """Yield (chain, compiled formulas, value tuple) over all chains up to n.
+
+    Value tuples follow the sorted variable names and come in lexicographic
+    order on each chain.
+    """
+    names = _names(formulas)
     for A in _chains(n):
+        fs = [compile_term(f, A, names) for f in formulas]
         for values in iter_product(range(A.size), repeat=len(names)):
-            yield A, dict(zip(names, values))
+            yield A, fs, values
+
+
+def _refuted(formulas, A: FiniteAlgebra, values) -> Verdict:
+    return Verdict(False, (A.size, dict(zip(_names(formulas), values))))
 
 
 def is_tautology(f: Formula, n: int) -> Verdict:
     """Valid on every chain with delta of size 2..n?"""
     if n < 2:
         raise AlgebraError("level must be >= 2")
-    for A, v in _sweep([f], n):
-        if eval_formula(f, A, v) != A.top:
-            return Verdict(False, (A.size, v))
+    for A, (g,), v in _sweep([f], n):
+        if g(v) != A.top:
+            return _refuted([f], A, v)
     return Verdict(True)
 
 
@@ -112,17 +125,17 @@ def consequence(hypotheses, f: Formula, n: int) -> Verdict:
     if n < 2:
         raise AlgebraError("level must be >= 2")
     hyps = list(hypotheses)
-    for A, v in _sweep(hyps + [f], n):
-        if all(eval_formula(h, A, v) == A.top for h in hyps) and eval_formula(f, A, v) != A.top:
-            return Verdict(False, (A.size, v))
+    for A, (*hs, g), v in _sweep(hyps + [f], n):
+        if all(h(v) == A.top for h in hs) and g(v) != A.top:
+            return _refuted(hyps + [f], A, v)
     return Verdict(True)
 
 
 def equivalent(f: Formula, g: Formula, n: int) -> Verdict:
     """Same value under every valuation into every chain up to n."""
-    for A, v in _sweep([f, g], n):
-        if eval_formula(f, A, v) != eval_formula(g, A, v):
-            return Verdict(False, (A.size, v))
+    for A, (cf, cg), v in _sweep([f, g], n):
+        if cf(v) != cg(v):
+            return _refuted([f, g], A, v)
     return Verdict(True)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .formulas import Formula, Imp, Delta, match, parse, substitute, to_text, uses_bot
+from .formulas import Formula, Imp, Delta, mismatch, parse, substitute, to_text, uses_bot
 from .logic import axiom_schemas_bot, axiom_schemas_n
 
 SYSTEM_N = "n"
@@ -93,29 +93,6 @@ class ProofReport:
         }
 
 
-def _first_mismatch(pattern: Formula, target: Formula, subst: dict) -> str:
-    """Locate the first subterm where a schema match breaks down."""
-    from .formulas import Var
-
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            subst[pattern.name] = target
-            return ""
-        if bound == target:
-            return ""
-        return (f"metavariable {pattern.name} bound to "
-                f"{to_text(bound)!r} but found {to_text(target)!r}")
-    if type(pattern) is not type(target):
-        return f"expected {to_text(pattern)!r}, found {to_text(target)!r}"
-    if isinstance(pattern, Imp):
-        return (_first_mismatch(pattern.left, target.left, subst)
-                or _first_mismatch(pattern.right, target.right, subst))
-    if isinstance(pattern, Delta):
-        return _first_mismatch(pattern.child, target.child, subst)
-    return ""
-
-
 def check_proof(P: Proof, qgen_reading: str = "paired") -> ProofReport:
     """Verify every line; reports (line, reason) for each failure.
 
@@ -176,9 +153,9 @@ def _check_axiom(f: Formula, just: ByAxiom, schemas, P: Proof) -> str | None:
         return f"no axiom named {just.name} in this system"
     if just.level is not None and P.system == SYSTEM_N and just.level != P.n:
         return f"axiom cited at level {just.level} inside the level-{P.n} system"
-    got = match(schema, f)
-    if got is None:
-        return f"not an instance of {just.name}: " + _first_mismatch(schema, f, {})
+    reason = mismatch(schema, f, {})
+    if reason:
+        return f"not an instance of {just.name}: " + reason
     if just.substitution is not None:
         expected = substitute(schema, just.substitution)
         if expected != f:

@@ -165,6 +165,27 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb, formula", [
+    ("taut", "p ->[99999999] q"),           # refused before any expansion
+    ("taut", "D " * 3000 + "p"),
+    ("taut", "(" * 1200 + "p" + ")" * 1200),
+    ("taut", "p" + " | p" * 600),          # sugar nests deeper than the parser
+    ("fo-eval", "forall x " * 3000 + "P(x)"),
+], ids=["k-limit", "deep-delta", "deep-parens", "deep-sugar", "fo-deep-quantifiers"])
+def test_oversized_formulas_are_usage_errors(capsys, tmp_path, verb, formula):
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps({
+        "domain_size": 2,
+        "algebra": make_chain(3, with_delta=True, with_bottom=True).to_dict(),
+        "predicates": {"P": {"arity": 1, "table": {"0": 1, "1": 2}}},
+    }))
+    where = ["--n", "3"] if verb == "taut" else ["--structure", str(s)]
+    code = main(["logic", verb, *where, "--formula", formula])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.startswith("error:")
+
+
 def test_guard_env_override(capsys, tmp_path, monkeypatch):
     from lukra.algebra import product
 

@@ -5,12 +5,14 @@ import pytest
 from lukra.algebra import AlgebraError, make_chain
 from lukra.catalog import five_element_non_admissible
 from lukra.fo import (
+    FDelta,
     FEq,
     FExists,
     FForall,
     FImp,
     FOError,
     FOStructure,
+    FPred,
     TermApp,
     TermName,
     eval_term,
@@ -46,6 +48,18 @@ def test_parser():
         fo_parse("P(x")
     with pytest.raises(FOError):
         fo_parse("x")          # a bare term is not a formula
+
+
+def test_parser_shares_the_propositional_grammar():
+    assert fo_parse("P(x) ->[2] R(x, c)") == fo_parse("P(x) -> (P(x) -> R(x, c))")
+    assert fo_parse("P(x) ->[0] R(x, c)") == fo_parse("R(x, c)")
+    assert fo_parse("forall x (P(x) → Δ P(x))") == fo_parse("forall x (P(x) -> D P(x))")
+    assert fo_parse("¬P(x) ∧ ⊤ ∨ ⊥") == fo_parse("~P(x) & T | F")
+    assert fo_parse("D(P(x))") == FDelta(FPred("P", (TermName("x"),)))
+    with pytest.raises(FOError):
+        fo_parse("P(x) ->[99999999] P(x)")
+    with pytest.raises(FOError):
+        fo_parse("D " * 3000 + "P(x)")
 
 
 def test_basic_evaluation():

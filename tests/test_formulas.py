@@ -1,15 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lukra.formulas import (
     BOT,
+    IMP_K_LIMIT,
     TOP,
+    Bot,
     Delta,
     FormulaError,
     Imp,
+    Top,
     Var,
+    compile_term,
     eval_formula,
     imp_k,
     match,
@@ -19,7 +23,8 @@ from lukra.formulas import (
     to_text,
     variables,
 )
-from lukra.algebra import make_chain
+from lukra.algebra import make_chain, product
+from lukra.freealg import build_free
 
 
 def test_precedence_and_associativity():
@@ -55,6 +60,33 @@ def test_parse_errors_carry_position():
         parse("(p -> q")
 
 
+def test_iterated_implication_is_bounded_before_expansion():
+    f, depth = parse(f"p ->[{IMP_K_LIMIT}] q"), 0
+    while isinstance(f, Imp):
+        f, depth = f.right, depth + 1
+    assert (f, depth) == (Var("q"), IMP_K_LIMIT)
+    assert parse("p ->[0012] q") == imp_k(Var("p"), Var("q"), 12)
+    for k in (IMP_K_LIMIT + 1, 99999999, "9" * 5000):
+        with pytest.raises(FormulaError) as exc:
+            parse(f"p ->[{k}] q")
+        assert str(k) in str(exc.value) and str(IMP_K_LIMIT) in str(exc.value)
+
+
+def test_deep_nesting_is_a_formula_error():
+    with pytest.raises(FormulaError):
+        parse("D " * 3000 + "p")
+    with pytest.raises(FormulaError):
+        parse("(" * 1200 + "p" + ")" * 1200)
+    deep = Var("p")
+    for _ in range(3000):
+        deep = Delta(deep)
+    A = make_chain(3, with_delta=True)
+    with pytest.raises(FormulaError):
+        compile_term(deep, A, ["p"])
+    with pytest.raises(FormulaError):
+        eval_formula(deep, A, {"p": 0})
+
+
 formulas = st.recursive(
     st.sampled_from([Var("p"), Var("q"), Var("r"), TOP, BOT]),
     lambda inner: st.one_of(
@@ -77,6 +109,60 @@ def test_rational_eval_matches_chain_eval(f):
     idx = {"p": 1, "q": 2, "r": 3}
     rat = {k: Fraction(v, 3) for k, v in idx.items()}
     assert rational_eval(f, rat) == Fraction(eval_formula(f, A, idx), 3)
+
+
+def walk(f, algebra, valuation: dict[str, int]) -> int:
+    """The recursive evaluator that eval_formula was before terms were
+    compiled; the oracle for compile_term."""
+    if isinstance(f, Var):
+        try:
+            return valuation[f.name]
+        except KeyError:
+            raise FormulaError(f"unassigned variable {f.name!r}") from None
+    if isinstance(f, Top):
+        return algebra.top
+    if isinstance(f, Bot):
+        if algebra.bottom is None:
+            raise FormulaError("formula uses F but the algebra has no bottom")
+        return algebra.bottom
+    if isinstance(f, Imp):
+        return algebra.imp[walk(f.left, algebra, valuation)][
+            walk(f.right, algebra, valuation)
+        ]
+    if isinstance(f, Delta):
+        if algebra.delta is None:
+            raise FormulaError("formula uses D but the algebra has no delta")
+        return algebra.delta[walk(f.child, algebra, valuation)]
+    raise FormulaError(f"not a formula node: {f!r}")
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except FormulaError as exc:
+        return str(exc)
+
+
+ALGEBRAS = [
+    make_chain(4, with_delta=True, with_bottom=True),
+    make_chain(3),
+    make_chain(3, with_delta=True),
+    make_chain(3, with_bottom=True),
+    product([make_chain(2, with_delta=True, with_bottom=True),
+             make_chain(3, with_delta=True, with_bottom=True)]),
+    build_free(2, 2).algebra,
+]
+
+
+@settings(max_examples=300)
+@given(formulas, st.sampled_from(ALGEBRAS), st.data())
+def test_compiled_terms_match_the_walker(f, A, data):
+    v = {x: data.draw(st.integers(0, A.size - 1)) for x in "pqr"}
+    # a variable left out must make both sides raise alike
+    v.pop(data.draw(st.sampled_from(["p", "q", "r", None, None, None])), None)
+    want = outcome(lambda: walk(f, A, v))
+    assert outcome(lambda: compile_term(f, A, list(v))(tuple(v.values()))) == want
+    assert outcome(lambda: eval_formula(f, A, v)) == want
 
 
 def test_eval_errors():
