@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 
 
 class AlgebraError(Exception):
@@ -76,20 +76,21 @@ class FiniteAlgebra:
     def join(self, x: int, y: int) -> int:
         return self.imp[self.imp[x][y]][y]
 
+    def _tops(self, rows) -> tuple[tuple[int, ...], ...]:
+        """For each row, the sorted positions where it holds top."""
+        is_top = self.top.__eq__
+        carrier = range(self.size)
+        return tuple(tuple(compress(carrier, map(is_top, row))) for row in rows)
+
     @cached_property
     def below(self) -> tuple[tuple[int, ...], ...]:
-        """below[x] = sorted elements <= x in the derived order."""
-        return tuple(
-            tuple(y for y in range(self.size) if self.leq(y, x))
-            for x in range(self.size)
-        )
+        """below[x] = sorted elements <= x in the derived order: column x of imp."""
+        return self._tops(zip(*self.imp))
 
     @cached_property
     def above(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(y for y in range(self.size) if self.leq(x, y))
-            for x in range(self.size)
-        )
+        """above[x] = sorted elements >= x: row x of imp."""
+        return self._tops(self.imp)
 
     def minimal_elements(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.size) if len(self.below[x]) == 1)

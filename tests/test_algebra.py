@@ -91,6 +91,20 @@ def test_leq_join():
                     assert leq(M, j, z)
 
 
+def test_below_and_above_follow_the_derived_order():
+    # read off the table's columns and rows; checked against leq pair by pair
+    algebras = [
+        trivial_algebra(),
+        make_chain(4, with_delta=True),
+        five_element_non_admissible(),
+        product([make_chain(3, with_delta=True), make_chain(2, with_delta=True)]),
+    ]
+    for A in algebras:
+        r = range(A.size)
+        assert A.below == tuple(tuple(y for y in r if A.leq(y, x)) for x in r)
+        assert A.above == tuple(tuple(y for y in r if A.leq(x, y)) for x in r)
+
+
 def test_tarskian_elements():
     M = five_element_non_admissible()
     assert tarskian_elements(M) == (0, 3, 4)

@@ -1,11 +1,18 @@
 import random
-from itertools import combinations
+from itertools import combinations, product as iter_product
 
 import pytest
 
-from lukra.algebra import SizeGuardError, make_chain, product, subalgebra_closure
+from lukra.algebra import (
+    FiniteAlgebra,
+    SizeGuardError,
+    make_chain,
+    product,
+    subalgebra_closure,
+)
 from lukra.formulas import eval_formula, parse
 from lukra.freealg import (
+    _Packing,
     beta_oracle,
     build_free,
     epi_count_oracle,
@@ -15,6 +22,61 @@ from lukra.freealg import (
     v_formula,
 )
 from lukra.laws import check_delta, check_LR, check_LRdelta_quasi, check_LRn
+
+
+def reference_build_free(n, m):
+    """The tuple-based builder build_free replaced, kept as its oracle:
+    breadth-first closure pairing each element with every discovered one
+    in both directions, then a second pass for the table."""
+    coord_sizes = []
+    gen_vectors = [[] for _ in range(m)]
+    for k in range(2, n + 1):
+        for valuation in iter_product(range(k), repeat=m):
+            coord_sizes.append(k)
+            for i in range(m):
+                gen_vectors[i].append(valuation[i])
+    coord_sizes = tuple(coord_sizes)
+    maxes = tuple(s - 1 for s in coord_sizes)
+
+    def vimp(u, v):
+        return tuple(min(mm, mm - a + b) for a, b, mm in zip(u, v, maxes))
+
+    def vdelta(u):
+        return tuple(mm if a == mm else 0 for a, mm in zip(u, maxes))
+
+    top = maxes
+    members = {top}
+    discovered = [top]
+    for g in gen_vectors:
+        gv = tuple(g)
+        if gv not in members:
+            members.add(gv)
+            discovered.append(gv)
+    frontier = 0
+    while frontier < len(discovered):
+        u = discovered[frontier]
+        frontier += 1
+        for v in tuple(discovered):
+            for w in (vimp(u, v), vimp(v, u)):
+                if w not in members:
+                    members.add(w)
+                    discovered.append(w)
+        w = vdelta(u)
+        if w not in members:
+            members.add(w)
+            discovered.append(w)
+
+    vectors = tuple(sorted(members))
+    index = {v: i for i, v in enumerate(vectors)}
+    algebra = FiniteAlgebra(
+        size=len(vectors),
+        imp=tuple(tuple(index[vimp(u, v)] for v in vectors) for u in vectors),
+        top=index[top],
+        delta=tuple(index[vdelta(u)] for u in vectors),
+        label=f"Free(n={n},m={m})",
+    )
+    generators = tuple(index[tuple(g)] for g in gen_vectors)
+    return algebra, generators, coord_sizes, vectors
 
 # oracle-vs-formula pairs; sizes were first computed by the term-closure
 # construction and frozen after both routes agreed
@@ -50,6 +112,54 @@ def test_free_algebras_are_in_the_variety(nm):
         assert check_LRdelta_quasi(A).passed
     assert check_LRn(A, n).passed
     assert check_delta(A, n).passed
+
+
+@pytest.mark.parametrize("nm", sorted(KNOWN_SIZES))
+def test_builder_matches_the_reference(nm):
+    # (2, 4) is left to the benchmark goldens: the reference takes ~10 s there
+    F = build_free(*nm)
+    algebra, generators, coord_sizes, vectors = reference_build_free(*nm)
+    assert F.vectors == vectors
+    assert F.algebra == algebra
+    assert F.generators == generators
+    assert F.coord_sizes == coord_sizes
+
+
+def test_packed_implication_and_delta():
+    # chains of mixed sizes side by side, so neighbouring fields differ in
+    # their maxima and every field sees every value pair, 0 and mm included
+    sizes = (6, 2, 5, 3, 4, 2, 6, 3)
+    P = _Packing(sizes)
+    pairs = [[(a, b) for a in range(k) for b in range(k)] for k in sizes]
+    rounds = max(map(len, pairs))
+    for r in range(rounds):
+        u = tuple(ps[r % len(ps)][0] for ps in pairs)
+        v = tuple(ps[r % len(ps)][1] for ps in pairs)
+        want = tuple(min(k - 1, k - 1 - a + b) for a, b, k in zip(u, v, sizes))
+        assert P.unpack(P.imp(P.pack(u), P.pack(v))) == want
+        want = tuple(k - 1 if a == k - 1 else 0 for a, k in zip(u, sizes))
+        assert P.unpack(P.delta(P.pack(u))) == want
+    # int order is the order of the vectors
+    rng = random.Random(5)
+    vecs = [tuple(rng.randrange(k) for k in sizes) for _ in range(200)]
+    assert sorted(vecs) == sorted(vecs, key=P.pack)
+    assert P.unpack(P.MM) == tuple(k - 1 for k in sizes)
+
+
+def test_size_guard_bounds_the_table():
+    with pytest.raises(SizeGuardError, match=r"352836 entries .* exceeds guard 352835"):
+        build_free(3, 2, guard=594**2 - 1)
+    assert build_free(3, 2, guard=594**2).algebra.size == 594
+    # (2, 5) would need a table of about 10^11 entries: refused up front
+    with pytest.raises(SizeGuardError) as err:
+        build_free(2, 5)
+    assert str(325262**2) in str(err.value)
+
+
+def test_five_valued_one_generator_is_constructed():
+    F = build_free(5, 1)
+    assert F.algebra.size == size_formula(5, 1).total == 2400
+    assert minimal_elements(F) == (F.algebra.delta[F.generators[0]],)
 
 
 def test_two_valued_simplification():
