@@ -18,8 +18,6 @@ from .algebra import (
     homomorphisms,
     imp_k,
     is_isomorphic,
-    join,
-    leq,
     make_chain,
     min_n,
     product,

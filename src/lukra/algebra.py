@@ -185,14 +185,6 @@ def imp_k(A: FiniteAlgebra, x: int, y: int, k: int, assert_stable_at: int | None
     return out
 
 
-def leq(A: FiniteAlgebra, x: int, y: int) -> bool:
-    return A.leq(x, y)
-
-
-def join(A: FiniteAlgebra, x: int, y: int) -> int:
-    return A.join(x, y)
-
-
 def tarskian_elements(A: FiniteAlgebra) -> tuple[int, ...]:
     """Elements t with t->y = t->(t->y) for every y."""
     out = []
@@ -317,23 +309,7 @@ def product(algebras: list[FiniteAlgebra]) -> FiniteAlgebra:
 def subalgebra_closure(A: FiniteAlgebra, seed) -> tuple[int, ...]:
     """Least subuniverse containing `seed`: closed under ->, delta (when
     present), and containing top (and bottom when it is a constant)."""
-    members = {A.top} | set(seed)
-    if A.bottom is not None:
-        members.add(A.bottom)
-    queue = list(members)
-    while queue:
-        x = queue.pop()
-        for y in tuple(members):
-            for z in (A.imp[x][y], A.imp[y][x]):
-                if z not in members:
-                    members.add(z)
-                    queue.append(z)
-        if A.delta is not None:
-            z = A.delta[x]
-            if z not in members:
-                members.add(z)
-                queue.append(z)
-    return tuple(sorted(members))
+    return tuple(sorted(e for e, _ in _closure_plan(A, seed)))
 
 
 def restrict_to(A: FiniteAlgebra, elements, label: str = "") -> tuple[FiniteAlgebra, dict[int, int]]:
@@ -389,8 +365,6 @@ def _closure_plan(A: FiniteAlgebra, gens):
             add(A.imp[y][x], ("imp", y, x))
         if A.delta is not None:
             add(A.delta[x], ("delta", x))
-    if len(plan) != A.size:
-        raise InternalConsistencyError("generating set does not generate")
     return plan
 
 
@@ -403,6 +377,8 @@ def homomorphisms(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     _common_signature([A, B])
     gens = generating_set(A)
     plan = _closure_plan(A, gens)
+    if len(plan) != A.size:
+        raise InternalConsistencyError("generating set does not generate")
     found = []
     for images in iter_product(range(B.size), repeat=len(gens)):
         h: list[int | None] = [None] * A.size

@@ -1,10 +1,11 @@
 """Implicative filters, congruences, quotients, and simple-algebra tools.
 
 Filters are up-sets closed under modus ponens; they correspond bijectively
-to congruences via R(F) = {(x, y) : x -> y and y -> x in F}.  Enumeration
-walks the up-set lattice of the derived order, so it stays far below the
-2^N worst case on the posets that actually occur here; a size guard still
-protects the general case.
+to congruences via R(F) = {(x, y) : x -> y and y -> x in F}.  Every filter
+is the join of the principal filters of its elements, so enumeration closes
+the at most N principal filters under joins, starting from {top}; a size
+guard on the carrier still protects the general case.  The derived queries
+(maximal, tied, simplicity, subdirect embedding) read one enumerated list.
 """
 
 from __future__ import annotations
@@ -71,13 +72,11 @@ def describe_filter(A: FiniteAlgebra, S, guard: int = FILTER_GUARD,
     elements = tuple(sorted(set(S)))
     implicative = is_implicative_filter(A, elements)
     delta = is_delta_filter(A, elements) if A.delta is not None else None
-    maximal = elements in maximal_filters(A, guard=guard, force=force)
+    filters = all_filters(A, guard=guard, force=force)
+    maximal = elements in _maximal(A, filters)
     tied = None
     if implicative:
-        for p in range(A.size):
-            if elements in tied_filters(A, p, guard=guard, force=force):
-                tied = p
-                break
+        tied = next((p for p in range(A.size) if elements in _tied(filters, p)), None)
     return Filter(elements=elements, implicative=implicative, delta=delta,
                   maximal=maximal, tied_to=tied)
 
@@ -120,79 +119,71 @@ def k_weak_mp_closed(A: FiniteAlgebra, F, k: int) -> bool:
 
 
 def _upsets(A: FiniteAlgebra) -> list[frozenset[int]]:
-    """All up-sets of the derived order that contain top.
+    """Retired up-set search; lukra no longer calls it.
 
-    DFS over elements ordered top-down: an element may be included only if
-    everything above it is already in.
+    The name stays only because the benchmark's tracing shim
+    (lukrabench/shim.py) looks it up; it goes with the next benchmark change.
     """
-    order = sorted(range(A.size), key=lambda x: (len(A.above[x]), x))
-    # maximal elements first, so everything above e is decided before e
-    out: list[frozenset[int]] = []
-    chosen: set[int] = set()
-
-    def rec(i: int):
-        if i == len(order):
-            out.append(frozenset(chosen))
-            return
-        e = order[i]
-        strictly_above = [y for y in A.above[e] if y != e]
-        if all(y in chosen for y in strictly_above):
-            chosen.add(e)
-            rec(i + 1)
-            chosen.remove(e)
-        if e != A.top:
-            rec(i + 1)
-
-    rec(0)
-    return out
+    return []
 
 
 def all_filters(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = False) -> list[tuple[int, ...]]:
-    """Every implicative filter, sorted; guarded against large carriers."""
+    """Every implicative filter, sorted; guarded against large carriers.
+
+    Breadth-first join-closure of the principal filters from {top}: a
+    filter F is reached by joining in <x> for the elements x of F one at a
+    time, and a join of filters is again one.
+    """
     if A.size > guard and not force:
         raise SizeGuardError(
             f"filter enumeration on {A.size} elements exceeds guard {guard}; "
             "pass force=True (or raise the guard) to override"
         )
-    found = [
-        tuple(sorted(s))
-        for s in _upsets(A)
-        if is_implicative_filter(A, s)
-    ]
+    principal = sorted({filter_generated(A, (x,)) for x in range(A.size)})
+    found = [(A.top,)]
+    seen = set(found)
+    for f in found:
+        members = set(f)
+        for p in principal:
+            if not members.issuperset(p):
+                g = filter_generated(A, members.union(p))
+                if g not in seen:
+                    seen.add(g)
+                    found.append(g)
     return sorted(found)
+
+
+def _maximal(A: FiniteAlgebra, filters) -> list[tuple[int, ...]]:
+    """The maximal proper filters among `filters`, in their order."""
+    proper = [(f, set(f)) for f in filters if len(f) < A.size]
+    return [f for f, s in proper if not any(s < t for _, t in proper)]
+
+
+def _tied(filters, p: int) -> list[tuple[int, ...]]:
+    """The filters D without p whose strictly larger filters all contain p,
+    among `filters`, in their order."""
+    sets = [set(f) for f in filters]
+    return [
+        f for f, d in zip(filters, sets)
+        if p not in d and all(p in g for g in sets if d < g)
+    ]
 
 
 def maximal_filters(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = False) -> list[tuple[int, ...]]:
     """Maximal proper implicative filters."""
-    filters = [set(f) for f in all_filters(A, guard=guard, force=force)]
-    carrier = set(range(A.size))
-    out = []
-    for f in filters:
-        if f == carrier:
-            continue
-        if not any(f < g != carrier for g in filters):
-            out.append(tuple(sorted(f)))
-    return sorted(out)
+    return _maximal(A, all_filters(A, guard=guard, force=force))
 
 
 def tied_filters(A: FiniteAlgebra, p: int, guard: int = FILTER_GUARD, force: bool = False) -> list[tuple[int, ...]]:
     """Filters D with p not in D such that every strictly larger filter has p."""
-    filters = [set(f) for f in all_filters(A, guard=guard, force=force)]
-    out = []
-    for d in filters:
-        if p in d:
-            continue
-        if all(p in g for g in filters if d < g):
-            out.append(tuple(sorted(d)))
-    return sorted(out)
+    return _tied(all_filters(A, guard=guard, force=force), p)
 
 
 def check_tied_iff_maximal(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = False) -> CheckReport:
     """Tied-to-some-element and maximal coincide (exhaustive comparison)."""
-    maximal = set(maximal_filters(A, guard=guard, force=force))
-    tied = set()
-    for p in range(A.size):
-        tied.update(tied_filters(A, p, guard=guard, force=force))
+    filters = all_filters(A, guard=guard, force=force)
+    maximal = set(_maximal(A, filters))
+    tied = {f for p in range(A.size) for f in _tied(filters, p)}
     violations = []
     for f in sorted(tied - maximal):
         violations.append(("tied-not-maximal", f))

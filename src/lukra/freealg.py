@@ -192,7 +192,7 @@ class _Packing:
         return tuple((p >> sh) & fmask for sh in self.shifts)
 
     def imp(self, u: int, v: int) -> int:
-        """min(mm, mm - a + b) in every field; build_free inlines this."""
+        """min(mm, mm - a + b) in every field; _build_free inlines this."""
         x = self.MM - u + v
         t = (x + self.CC) & self.H
         return x ^ ((x ^ self.MM) & (t - (t >> self.s)))
@@ -203,19 +203,12 @@ class _Packing:
         return self.MM & (t - (t >> self.s))
 
 
-@lru_cache(maxsize=None)
 def build_free(n: int, m: int, guard: int = SIZE_GUARD) -> FreeAlgebra:
     """Construct the free algebra on m generators at level n.
 
     Refuses when the predicted implication table, size_formula(n, m).total
-    squared entries, exceeds `guard`.  Elements are packed ints (see
-    `_Packing`), so one implication over all coordinates is a handful of
-    int operations.  The closure is semi-naive: element i, in discovery
-    order, is paired only with the elements j < i, in both directions, and
-    each result goes straight into the table, so every ordered pair is
-    computed once.  The table is then permuted into sorted order.  The
-    result is checked for nothing here; tests confirm it satisfies the
-    variety checks and the structure lemmas.
+    squared entries, exceeds `guard`.  Each (n, m) is built once per
+    process, whatever the guard it was first asked under.
     """
     predicted = size_formula(n, m).total
     entries = predicted * predicted
@@ -224,6 +217,21 @@ def build_free(n: int, m: int, guard: int = SIZE_GUARD) -> FreeAlgebra:
             f"predicted table of {entries} entries ({predicted} elements) "
             f"exceeds guard {guard}"
         )
+    return _build_free(n, m)
+
+
+@lru_cache(maxsize=None)
+def _build_free(n: int, m: int) -> FreeAlgebra:
+    """The unguarded construction behind build_free.
+
+    Elements are packed ints (see `_Packing`), so one implication over all
+    coordinates is a handful of int operations.  The closure is semi-naive:
+    element i, in discovery order, is paired only with the elements j < i,
+    in both directions, and each result goes straight into the table, so
+    every ordered pair is computed once.  The table is then permuted into
+    sorted order.  The result is checked for nothing here; tests confirm it
+    satisfies the variety checks and the structure lemmas.
+    """
     coord_sizes = []
     gen_vectors = [[] for _ in range(m)]
     for k in range(2, n + 1):
@@ -294,6 +302,10 @@ def build_free(n: int, m: int, guard: int = SIZE_GUARD) -> FreeAlgebra:
         coord_sizes=coord_sizes,
         vectors=tuple(P.unpack(elems[old]) for old in order),
     )
+
+
+# callers clear the build cache through the public name
+build_free.cache_clear = _build_free.cache_clear
 
 
 def minimal_elements(F: FreeAlgebra) -> tuple[int, ...]:

@@ -12,8 +12,6 @@ from lukra.algebra import (
     homomorphisms,
     imp_k,
     is_isomorphic,
-    join,
-    leq,
     make_chain,
     min_n,
     product,
@@ -76,19 +74,19 @@ def test_imp_k():
 
 def test_leq_join():
     L3 = make_chain(3)
-    assert join(L3, 0, 1) == 1
+    assert L3.join(0, 1) == 1
     for x in range(3):
-        assert leq(L3, x, L3.top)
-        assert join(L3, x, x) == x
+        assert L3.leq(x, L3.top)
+        assert L3.join(x, x) == x
     # join is the least upper bound in the derived order
     M = five_element_non_admissible()
     for x in range(M.size):
         for y in range(M.size):
-            j = join(M, x, y)
-            assert leq(M, x, j) and leq(M, y, j)
+            j = M.join(x, y)
+            assert M.leq(x, j) and M.leq(y, j)
             for z in range(M.size):
-                if leq(M, x, z) and leq(M, y, z):
-                    assert leq(M, j, z)
+                if M.leq(x, z) and M.leq(y, z):
+                    assert M.leq(j, z)
 
 
 def test_below_and_above_follow_the_derived_order():
@@ -136,7 +134,7 @@ def test_delta_is_max_of_tarskian_lower_bounds():
         for x in range(n):
             tx = t_below(A, x)
             assert A.delta[x] in tx
-            assert all(leq(A, t, A.delta[x]) for t in tx)
+            assert all(A.leq(t, A.delta[x]) for t in tx)
 
 
 def test_delta_uniqueness_by_perturbation():

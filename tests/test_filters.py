@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from lukra.algebra import (
     with_delta,
 )
 from lukra.catalog import chain_with_broken_delta, five_element_non_admissible
+import lukra.filters
 from lukra.filters import (
     all_filters,
     check_tied_iff_maximal,
@@ -34,6 +36,7 @@ from lukra.filters import (
     subdirect_embedding,
     tied_filters,
 )
+from test_acceptance import _criterion5_algebras
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,33 @@ def brute_force_filters(A):
     return sorted(found)
 
 
+def upset_filters(A):
+    """Oracle: the up-set search all_filters replaced.
+
+    Every filter is an up-set containing top, so a DFS over the elements
+    ordered top-down (an element may join only once everything above it
+    has) lists the candidates, and the implicative ones are kept.
+    """
+    order = sorted(range(A.size), key=lambda x: (len(A.above[x]), x))
+    upsets: list[frozenset[int]] = []
+    chosen: set[int] = set()
+
+    def rec(i: int):
+        if i == len(order):
+            upsets.append(frozenset(chosen))
+            return
+        e = order[i]
+        if all(y in chosen for y in A.above[e] if y != e):
+            chosen.add(e)
+            rec(i + 1)
+            chosen.remove(e)
+        if e != A.top:
+            rec(i + 1)
+
+    rec(0)
+    return sorted(tuple(sorted(s)) for s in upsets if is_implicative_filter(A, s))
+
+
 def test_filter_basics():
     L3 = make_chain(3, with_delta=True)
     assert is_implicative_filter(L3, {2})
@@ -67,6 +97,42 @@ def test_all_filters_against_brute_force(small_product):
     for A in (make_chain(4, with_delta=True), small_product,
               five_element_non_admissible()):
         assert all_filters(A) == brute_force_filters(A)
+
+
+def test_all_filters_against_upset_search():
+    P = product([make_chain(4, with_delta=True), make_chain(2, with_delta=True)])
+    algebras = _criterion5_algebras()
+    algebras += [restrict_to(P, subalgebra_closure(P, (x,)))[0] for x in range(P.size)]
+    for A in algebras:
+        assert all_filters(A, force=True) == upset_filters(A)
+
+
+def test_filters_of_wide_products():
+    # the up-set search found no result for L3^4 within 300 s
+    start = time.perf_counter()
+    for k, factors, count in [(3, 4, 16), (2, 6, 64)]:
+        P = product([make_chain(k, with_delta=True)] * factors)
+        fs = all_filters(P, force=True)
+        assert len(fs) == count
+        assert all(is_implicative_filter(P, f) for f in fs)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"wide-product filters took {elapsed:.2f}s"
+
+
+def test_filter_queries_enumerate_once(monkeypatch, small_product):
+    calls = []
+    enumerate_filters = lukra.filters.all_filters
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return enumerate_filters(*args, **kwargs)
+
+    monkeypatch.setattr(lukra.filters, "all_filters", counting)
+    lukra.filters.describe_filter(small_product, (small_product.top,))
+    assert len(calls) == 1
+    calls.clear()
+    assert check_tied_iff_maximal(small_product).passed
+    assert len(calls) == 1
 
 
 def test_filter_guard():

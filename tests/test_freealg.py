@@ -156,6 +156,12 @@ def test_size_guard_bounds_the_table():
     assert str(325262**2) in str(err.value)
 
 
+def test_one_build_per_size_whatever_the_guard():
+    F = build_free(3, 2)
+    assert build_free(3, 2, guard=10**8) is F
+    assert build_free(n=3, m=2) is F
+
+
 def test_five_valued_one_generator_is_constructed():
     F = build_free(5, 1)
     assert F.algebra.size == size_formula(5, 1).total == 2400
