@@ -119,13 +119,44 @@ class FiniteAlgebra:
 
     @staticmethod
     def from_dict(data: dict) -> "FiniteAlgebra":
+        """Read an algebra interchange dict, as `to_dict` writes it.
+
+        `size`, `top`, `bottom` and every `imp`/`delta` entry must be an int
+        (not a bool) in range, the tables complete lists and `label` a
+        string; the AlgebraError raised otherwise names the first offending
+        entry.
+        """
+        if not isinstance(data, dict):
+            raise AlgebraError(f"an algebra must be an object, got {type(data).__name__}")
+        for key in ("size", "imp", "top"):
+            if key not in data:
+                raise AlgebraError(f"algebra lacks {key!r}")
+        n = data["size"]
+        if type(n) is not int or n < 1:
+            raise AlgebraError(f"size must be a positive int, got {n!r}")
+
+        def entry(value, where):
+            if type(value) is not int or not 0 <= value < n:
+                raise AlgebraError(f"{where} must be an int in 0..{n - 1}, got {value!r}")
+            return value
+
+        def table(value, where):
+            if not isinstance(value, (list, tuple)) or len(value) != n:
+                raise AlgebraError(f"{where} must be a list of {n} entries")
+            return value
+
+        delta, bottom, label = data.get("delta"), data.get("bottom"), data.get("label", "")
+        if not isinstance(label, str):
+            raise AlgebraError(f"label must be a string, got {label!r}")
         return FiniteAlgebra(
-            size=data["size"],
-            imp=tuple(tuple(row) for row in data["imp"]),
-            top=data["top"],
-            delta=tuple(data["delta"]) if data.get("delta") is not None else None,
-            bottom=data.get("bottom"),
-            label=data.get("label", ""),
+            size=n,
+            imp=tuple(tuple(entry(v, f"imp[{i}][{j}]") for j, v in enumerate(table(row, f"imp[{i}]")))
+                      for i, row in enumerate(table(data["imp"], "imp"))),
+            top=entry(data["top"], "top"),
+            delta=None if delta is None else tuple(
+                entry(v, f"delta[{i}]") for i, v in enumerate(table(delta, "delta"))),
+            bottom=None if bottom is None else entry(bottom, "bottom"),
+            label=label,
         )
 
     @staticmethod

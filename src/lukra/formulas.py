@@ -13,14 +13,19 @@ algebras and as the formula language of the Hilbert calculi.  Connectives:
 Sugar is eliminated at parse time; the core AST has exactly Var, Top, Bot,
 Imp and Delta nodes.  This module is the one term engine: the parser (which
 `fo` extends with first-order atoms and quantifiers), the compiler from
-terms to evaluation closures (`compile_term`) and the schema matcher.
+terms to evaluation closures (`compile_term`), the evaluator of equations
+on value tables of terms (`equation_violations`) and the schema matcher.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import compress, count, islice
 
 
 class FormulaError(ValueError):
@@ -381,6 +386,254 @@ def compile_term(f: Formula, A, names, node=None):
         return comp(f)
     except RecursionError:
         raise FormulaError(TOO_DEEP) from None
+
+
+def equation_violations(A, equations, every: bool = False) -> list[list[tuple[int, ...]]]:
+    """The assignments of a finite algebra A that violate each equation.
+
+    Each equation is (names, lhs, rhs, premises), premises a sequence of
+    term pairs.  An assignment e, where e[i] is the carrier index of the
+    variable names[i], violates it when every premise pair has equal values
+    and lhs and rhs differ.  Returns one list per equation holding its
+    violating assignments in lexicographic order: the least one only, or
+    all of them with `every`.
+
+    Every distinct subterm of the equations is tabulated once, as a
+    row-major table over the variables it uses, sorted by name.  The search
+    goes slab by slab of each equation's first variable, in increasing
+    order: the subterms that use that variable are tabulated per slab over
+    their other variables, shared by every equation with the same first
+    variable, and the others are tabulated once and kept across slabs.  So
+    a k-variable equation holds about N^(k-1) entries per subterm, and
+    without `every` it stops at its first violating slab.
+
+    Raises FormulaError as `compile_term` does, at the first offending node
+    in pre-order of the first offending equation (lhs, rhs, then the
+    premise pairs).
+    """
+    tables = _TermTables(A)
+    try:
+        plans = [tables.plan(*equation) for equation in equations]
+    except RecursionError:
+        raise FormulaError(TOO_DEEP) from None
+    out = [[] for _ in plans]
+    groups: dict = {}
+    for i, plan in enumerate(plans):
+        groups.setdefault((plan.slab_var, plan.width > 0), []).append(i)
+    for (s, sliced), members in groups.items():
+        for i in members:
+            tables.tabulate(plans[i].fixed_nodes, s, None, tables.fixed)
+        for v in range(A.size if sliced else 1):
+            slab: dict = {}
+            for i in members:
+                if out[i] and not every:
+                    continue
+                plan = plans[i]
+                tables.tabulate(plan.slab_nodes, s, v, slab)
+                space = plan.space
+                get = tables.reader(s, slab)
+                left, right = get(plan.lhs, space), get(plan.rhs, space)
+                if left == right:
+                    continue
+                hits = map(operator.ne, left, right)
+                for a, b in plan.premises:
+                    hits = map(operator.and_, hits, map(operator.eq, get(a, space), get(b, space)))
+                hits = compress(count(), hits)
+                out[i].extend(tables.decode(v, h, plan.width)
+                              for h in (hits if every else islice(hits, 1)))
+            if not every and all(out[i] for i in members):
+                break
+    return out
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One interned equation.
+
+    `slab_var` is names[0], or None when no term sees position 0 (a
+    repeated name binds its last position, as in `compile_term`); `space`
+    names positions 1.. of an assignment, None where no term sees it.
+    Node ids are in post-order, split by whether they use `slab_var`.
+    """
+    slab_var: str | None
+    width: int
+    space: tuple
+    fixed_nodes: tuple[int, ...]
+    slab_nodes: tuple[int, ...]
+    lhs: int
+    rhs: int
+    premises: tuple[tuple[int, int], ...]
+
+
+class _TermTables:
+    """Interned subterms and their value tables over one finite algebra.
+
+    A table is a pair (axes, data): `data` holds the values of a term
+    row-major over the variable names `axes`, so a term that uses no
+    variable has one entry.  `data` is `bytes` when every carrier index
+    fits a byte (N <= 256), which lets a unary map over it run as
+    `bytes.translate`, and an `array` of a wider type otherwise.  Node
+    keys: ("v", name), ("t",), ("f",), ("i", left, right) and ("d", child),
+    children by node id.
+    """
+
+    def __init__(self, A):
+        self.A = A
+        self.n = A.size
+        self.narrow = A.size <= 256
+        if self.narrow:
+            self.make = bytes
+            lift = lambda t: bytes(t).ljust(256, b"\0")  # noqa: E731
+        else:
+            self.make = partial(array, "H" if A.size <= 65536 else "L")
+            lift = tuple
+        # lookup tables of the unary maps: rows and columns of imp, and delta
+        self.rows = [lift(r) for r in A.imp]
+        self.cols = [lift(c) for c in zip(*A.imp)]
+        self.delta = lift(A.delta) if A.delta is not None else None
+        self.ids: dict = {}
+        self.keys: list = []
+        self.vars: list[tuple[str, ...]] = []
+        self.fixed: dict = {}       # node id -> table of a node without its slab variable
+        self.spreads: dict = {}     # (axes, target axes) -> index array
+
+    def plan(self, names, lhs, rhs, premises=()) -> _Plan:
+        pos = {name: i for i, name in enumerate(names)}
+        nodes: dict = {}
+        ids = [self._intern(t, pos, nodes) for pair in [(lhs, rhs), *premises] for t in pair]
+        s = names[0] if names and pos[names[0]] == 0 else None
+        return _Plan(
+            slab_var=s,
+            width=len(names),
+            space=tuple(name if pos[name] == i else None for i, name in enumerate(names) if i),
+            fixed_nodes=tuple(i for i in nodes if s not in self.vars[i]),
+            slab_nodes=tuple(i for i in nodes if s in self.vars[i]),
+            lhs=ids[0],
+            rhs=ids[1],
+            premises=tuple(zip(ids[2::2], ids[3::2])),
+        )
+
+    def _intern(self, f, pos, nodes) -> int:
+        A = self.A
+        if isinstance(f, Var):
+            if f.name not in pos:
+                raise FormulaError(f"unassigned variable {f.name!r}")
+            key, names = ("v", f.name), (f.name,)
+        elif isinstance(f, Imp):
+            left, right = self._intern(f.left, pos, nodes), self._intern(f.right, pos, nodes)
+            key, names = ("i", left, right), tuple(sorted({*self.vars[left], *self.vars[right]}))
+        elif isinstance(f, Delta):
+            if A.delta is None:
+                raise FormulaError("formula uses D but the algebra has no delta")
+            child = self._intern(f.child, pos, nodes)
+            key, names = ("d", child), self.vars[child]
+        elif isinstance(f, Top):
+            key, names = ("t",), ()
+        elif isinstance(f, Bot):
+            if A.bottom is None:
+                raise FormulaError("formula uses F but the algebra has no bottom")
+            key, names = ("f",), ()
+        else:
+            raise FormulaError(f"not a formula node: {f!r}")
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.vars.append(names)
+        nodes[i] = None
+        return i
+
+    def reader(self, s, slab):
+        """get(i, target): the table of node i in `slab` (the slab of s)
+        or in `fixed`, spread over the axes `target`."""
+        fixed, vars_, spread = self.fixed, self.vars, self.spread
+
+        def get(i, target):
+            axes, data = slab[i] if s in vars_[i] else fixed[i]
+            return spread(data, axes, target)
+        return get
+
+    def tabulate(self, nodes, s, v, memo) -> None:
+        """Add to `memo` the tables of the given nodes (children first) that
+        it lacks, with the variable s bound to v."""
+        A, vars_, keys, fixed, make = self.A, self.vars, self.keys, self.fixed, self.make
+
+        def table(i):
+            return memo[i] if s in vars_[i] else fixed[i]
+
+        for i in nodes:
+            if i in memo:
+                continue
+            axes = tuple(x for x in vars_[i] if x != s)
+            key = keys[i]
+            kind = key[0]
+            if kind == "v":
+                data = make([v] if key[1] == s else range(self.n))
+            elif kind == "t":
+                data = make([A.top])
+            elif kind == "f":
+                data = make([A.bottom])
+            elif kind == "d":
+                child = table(key[1])[1]
+                if self.narrow:
+                    data = child.translate(self.delta)
+                else:
+                    data = make(map(self.delta.__getitem__, child))
+            else:
+                data = self.imp(axes, table(key[1]), table(key[2]))
+            memo[i] = (axes, data)
+
+    def imp(self, axes, left, right):
+        """The table of left -> right over `axes`, the union of their axes.
+
+        When one side's axes are a proper prefix of `axes`, the other side
+        splits into one block per entry of that side, and each block is a
+        unary map by that entry's row (or column) of imp.
+        """
+        (la, ld), (ra, rd) = left, right
+        if self.narrow:
+            if len(la) < len(axes) and axes[:len(la)] == la:
+                return self._blocks(ld, self.rows, self.spread(rd, ra, axes))
+            if len(ra) < len(axes) and axes[:len(ra)] == ra:
+                return self._blocks(rd, self.cols, self.spread(ld, la, axes))
+        return self.make(map(operator.getitem,
+                             map(self.A.imp.__getitem__, self.spread(ld, la, axes)),
+                             self.spread(rd, ra, axes)))
+
+    @staticmethod
+    def _blocks(keys, tables, data) -> bytes:
+        """Block j of `data` (one per entry of `keys`) translated by tables[keys[j]]."""
+        m = len(data) // len(keys)
+        return b"".join(data[j * m:(j + 1) * m].translate(tables[c]) for j, c in enumerate(keys))
+
+    def spread(self, data, axes, target):
+        """The table `data` over `axes` broadcast to `target`, a superset of
+        `axes` in any order; a None in `target` is an axis nothing reads."""
+        if axes == target:
+            return data
+        k = len(target) - len(axes)
+        if target[k:] == axes:
+            return data * self.n ** k
+        index = self.spreads.get((axes, target))
+        if index is None:
+            n = self.n
+            stride = {a: n ** (len(axes) - 1 - j) for j, a in enumerate(axes)}
+            index = [0]
+            for a in target:
+                steps = [stride.get(a, 0) * x for x in range(n)]
+                index = [o + d for o in index for d in steps]
+            index = self.spreads[(axes, target)] = array("L", index)
+        return self.make(map(data.__getitem__, index))
+
+    def decode(self, v, h, width) -> tuple[int, ...]:
+        """The assignment at index h of slab v of a `width`-variable equation."""
+        if not width:
+            return ()
+        digits = []
+        for _ in range(width - 1):
+            h, d = divmod(h, self.n)
+            digits.append(d)
+        return (v, *reversed(digits))
 
 
 def eval_formula(f: Formula, algebra, valuation: dict[str, int]) -> int:

@@ -4,13 +4,14 @@ Laws are (premises, lhs ~ rhs) pairs over the shared term language; an
 inequality s <= t is encoded as the equation (s -> t) ~ T.  Checkers sweep
 every assignment of carrier elements to the law's variables in lexicographic
 order and report the least violating tuple per law, so golden tests are
-reproducible.
+reproducible.  The sweep runs on value tables of subterms
+(`formulas.equation_violations`): each distinct subterm of a batch of laws
+is tabulated once, one slab of a law's first variable at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .algebra import ConfigurationError, FiniteAlgebra, tarskian_elements
 from .formulas import (
@@ -20,7 +21,7 @@ from .formulas import (
     FormulaError,
     Imp,
     Var,
-    compile_term,
+    equation_violations,
     imp_k,
     or_,
     variables,
@@ -61,30 +62,19 @@ class Law:
     premises: tuple[tuple[Formula, Formula], ...] = ()
 
 
-def _compiled(A: FiniteAlgebra, names, terms):
-    """Compile law terms; a missing delta or bottom is a configuration error."""
+def _violations(A: FiniteAlgebra, equations, every: bool = False):
+    """`equation_violations`; a missing delta or bottom is a configuration error."""
     try:
-        return [compile_term(t, A, names) for t in terms]
+        return equation_violations(A, equations, every)
     except FormulaError as exc:
         raise ConfigurationError(f"law: {exc}") from None
 
 
-def _first_violation(A: FiniteAlgebra, law: Law) -> tuple[int, ...] | None:
-    lhs, rhs = _compiled(A, law.vars, [law.lhs, law.rhs])
-    prems = [_compiled(A, law.vars, pair) for pair in law.premises]
-    for e in iter_product(range(A.size), repeat=len(law.vars)):
-        if all(pa(e) == pb(e) for pa, pb in prems) and lhs(e) != rhs(e):
-            return e
-    return None
-
-
 def check_laws(A: FiniteAlgebra, laws) -> CheckReport:
-    violations = []
-    for law in laws:
-        w = _first_violation(A, law)
-        if w is not None:
-            violations.append((law.name, w))
-    return CheckReport.from_violations(violations)
+    laws = list(laws)
+    found = _violations(A, [(law.vars, law.lhs, law.rhs, law.premises) for law in laws])
+    return CheckReport.from_violations(
+        (law.name, ws[0]) for law, ws in zip(laws, found) if ws)
 
 
 def check_identity(A: FiniteAlgebra, lhs: Formula, rhs: Formula) -> CheckReport:
@@ -92,13 +82,8 @@ def check_identity(A: FiniteAlgebra, lhs: Formula, rhs: Formula) -> CheckReport:
     names = sorted(variables(lhs) | variables(rhs))
     if len(names) > 4:
         raise ConfigurationError("identity checking supports at most 4 variables")
-    lf, rf = _compiled(A, names, [lhs, rhs])
-    violations = [
-        ("identity", e)
-        for e in iter_product(range(A.size), repeat=len(names))
-        if lf(e) != rf(e)
-    ]
-    return CheckReport.from_violations(violations)
+    (found,) = _violations(A, [(names, lhs, rhs, ())], every=True)
+    return CheckReport.from_violations(("identity", e) for e in found)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,30 @@ def test_structural_validation():
         FiniteAlgebra(size=2, imp=((1, 1), (0, 1)), top=1, bottom=1)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"size": 2.0}, "size must be a positive int, got 2.0"),
+    ({"size": True}, "size must be a positive int, got True"),
+    ({"top": "1"}, "top must be an int in 0..1, got '1'"),
+    ({"imp": [[1, 1], [0, 1.0]]}, "imp[1][1] must be an int in 0..1, got 1.0"),
+    ({"imp": [[1, 1], [0]]}, "imp[1] must be a list of 2 entries"),
+    ({"imp": "11"}, "imp must be a list of 2 entries"),
+    ({"delta": [0, 2]}, "delta[1] must be an int in 0..1, got 2"),
+    ({"bottom": False}, "bottom must be an int in 0..1, got False"),
+    ({"top": None}, "top must be an int in 0..1, got None"),
+    ({"label": [1, 2]}, "label must be a string, got [1, 2]"),
+])
+def test_from_dict_names_the_offending_entry(change, message):
+    data = {**make_chain(2, with_delta=True, with_bottom=True).to_dict(), **change}
+    with pytest.raises(AlgebraError) as exc:
+        FiniteAlgebra.from_dict(data)
+    assert str(exc.value) == message
+    with pytest.raises(AlgebraError):
+        FiniteAlgebra.from_dict([data])
+    del data["imp"]
+    with pytest.raises(AlgebraError):
+        FiniteAlgebra.from_dict(data)
+
+
 def test_tarskian_closure_under_iterated_implication():
     # x ->[n-1] t stays Tarskian whenever t is
     for A, n in ((make_chain(4, with_delta=True), 4),

@@ -186,6 +186,19 @@ def test_oversized_formulas_are_usage_errors(capsys, tmp_path, verb, formula):
     assert "Traceback" not in captured.err and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("imp, message", [
+    ([[1, "a"], [0, 1]], "imp[0][1] must be an int in 0..1, got 'a'"),
+    ([[1, True], [0, 1]], "imp[0][1] must be an int in 0..1, got True"),
+], ids=["string-entry", "bool-entry"])
+def test_malformed_algebra_files_are_usage_errors(capsys, tmp_path, imp, message):
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"size": 2, "top": 1, "imp": imp}))
+    code = main(["algebra", "check", "--in", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_guard_env_override(capsys, tmp_path, monkeypatch):
     from lukra.algebra import product
 

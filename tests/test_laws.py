@@ -1,15 +1,43 @@
-import pytest
+import tracemalloc
+from itertools import product as iter_product
 
-from lukra.algebra import ConfigurationError, make_chain, with_delta
-from lukra.catalog import five_element_non_admissible
-from lukra.formulas import parse
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lukra.algebra import (
+    ConfigurationError,
+    FiniteAlgebra,
+    make_chain,
+    product,
+    with_delta,
+)
+from lukra.catalog import chain_with_broken_delta, five_element_non_admissible
+from lukra.formulas import (
+    BOT,
+    TOP,
+    Delta,
+    FormulaError,
+    Imp,
+    Var,
+    compile_term,
+    parse,
+    variables,
+)
 from lukra.laws import (
+    CheckReport,
+    Law,
+    base_laws,
     check_identity,
+    check_laws,
     check_LR,
     check_LRdelta_quasi,
     check_LRn,
     check_delta,
     check_property_suite,
+    delta_axiom_laws,
+    derived_laws,
+    level_law,
+    quasi_identity_laws,
 )
 
 
@@ -99,3 +127,144 @@ def test_quasi_base_on_chains_without_level():
     # the quasi-equational base does not mention the level n at all
     for n in range(2, 7):
         assert check_LRdelta_quasi(make_chain(n, with_delta=True)).passed
+
+
+# ---------------------------------------------------------------------------
+# The per-assignment sweep that check_laws was before it read subterm
+# tables: the oracle for `formulas.equation_violations`.
+# ---------------------------------------------------------------------------
+
+def _compiled(A, names, terms):
+    try:
+        return [compile_term(t, A, names) for t in terms]
+    except FormulaError as exc:
+        raise ConfigurationError(f"law: {exc}") from None
+
+
+def reference_first_violation(A, law):
+    lhs, rhs = _compiled(A, law.vars, [law.lhs, law.rhs])
+    prems = [_compiled(A, law.vars, pair) for pair in law.premises]
+    for e in iter_product(range(A.size), repeat=len(law.vars)):
+        if all(pa(e) == pb(e) for pa, pb in prems) and lhs(e) != rhs(e):
+            return e
+    return None
+
+
+def reference_check_laws(A, laws):
+    violations = []
+    for law in laws:
+        w = reference_first_violation(A, law)
+        if w is not None:
+            violations.append((law.name, w))
+    return CheckReport.from_violations(violations)
+
+
+def reference_check_identity(A, lhs, rhs):
+    names = sorted(variables(lhs) | variables(rhs))
+    if len(names) > 4:
+        raise ConfigurationError("identity checking supports at most 4 variables")
+    lf, rf = _compiled(A, names, [lhs, rhs])
+    return CheckReport.from_violations(
+        ("identity", e) for e in iter_product(range(A.size), repeat=len(names))
+        if lf(e) != rf(e))
+
+
+def outcome(fn):
+    """The report, or the type and message of the error raised."""
+    try:
+        return fn()
+    except ConfigurationError as exc:
+        return type(exc), str(exc)
+
+
+NAMES = ("x", "y", "z", "w")
+
+terms = st.recursive(
+    st.sampled_from([Var(x) for x in NAMES] + [TOP, BOT]),
+    lambda inner: st.one_of(st.builds(Imp, inner, inner), st.builds(Delta, inner)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def random_tables(draw):
+    """Any in-range tables, mostly not algebras of the variety."""
+    n = draw(st.integers(1, 6))
+    cell = st.integers(0, n - 1)
+    imp = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    top = draw(cell)
+    bottom = draw(st.none() | cell)
+    if bottom is not None:
+        imp[bottom] = [top] * n
+    delta = draw(st.none() | st.lists(cell, min_size=n, max_size=n))
+    return FiniteAlgebra(size=n, imp=imp, top=top, delta=delta, bottom=bottom)
+
+
+algebras = st.one_of(
+    random_tables(),
+    st.sampled_from([
+        make_chain(4, with_delta=True, with_bottom=True),
+        make_chain(6, with_delta=True),
+        make_chain(5),
+        product([make_chain(2, with_delta=True), make_chain(3, with_delta=True)]),
+        chain_with_broken_delta(),
+        five_element_non_admissible(),
+    ]),
+)
+
+
+@st.composite
+def random_laws(draw):
+    """Laws with premises, unused and missing variables, in any order."""
+    lhs, rhs = draw(terms), draw(terms)
+    premises = tuple(draw(st.lists(st.tuples(terms, terms), max_size=2)))
+    used = set().union(*(variables(t) for pair in [(lhs, rhs), *premises] for t in pair))
+    names = used | set(draw(st.lists(st.sampled_from(NAMES), max_size=2)))
+    if names and draw(st.integers(0, 9)) == 0:
+        names.discard(draw(st.sampled_from(sorted(names))))
+    return Law("R", tuple(draw(st.permutations(sorted(names)))), lhs, rhs, premises)
+
+
+@settings(max_examples=100)
+@given(algebras, st.integers(2, 7), st.booleans())
+def test_catalogue_matches_the_sweep(A, n, delta):
+    laws = base_laws() + [level_law(n)] + derived_laws(n, delta)
+    if delta:
+        laws += delta_axiom_laws(n) + quasi_identity_laws()
+    want = outcome(lambda: reference_check_laws(A, laws))
+    assert outcome(lambda: check_laws(A, laws)) == want
+
+
+@settings(max_examples=200)
+@given(algebras, st.lists(random_laws(), min_size=1, max_size=4))
+def test_random_laws_match_the_sweep(A, laws):
+    want = outcome(lambda: reference_check_laws(A, laws))
+    assert outcome(lambda: check_laws(A, laws)) == want
+    for law in laws:
+        want = outcome(lambda: reference_check_identity(A, law.lhs, law.rhs))
+        assert outcome(lambda: check_identity(A, law.lhs, law.rhs)) == want
+
+
+def test_wide_carrier_matches_the_sweep():
+    # more than 256 elements: tables are arrays of a wider type
+    A = make_chain(260, with_delta=True)
+    B = with_delta(A, (0,) * 130 + A.delta[130:])
+    laws = [base_laws()[2], level_law(3), delta_axiom_laws(3)[1], quasi_identity_laws()[0]]
+    for C in (A, B):
+        assert check_laws(C, laws) == reference_check_laws(C, laws)
+        x = Var("x")
+        assert check_identity(C, x, Delta(x)) == reference_check_identity(C, x, Delta(x))
+
+
+def test_three_variable_law_runs_below_one_whole_table():
+    # slab by slab, a table holds N^2 entries; a whole L9 table holds N^3
+    A = product([make_chain(5, with_delta=True)] * 3)
+    law = [law for law in derived_laws(5, False) if law.name == "L9"]
+    tracemalloc.start()
+    try:
+        report = check_laws(A, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < A.size ** 3
