@@ -21,7 +21,7 @@ from . import laws
 from . import logic as lg
 from .algebra import AlgebraError, FiniteAlgebra, InternalConsistencyError, SizeGuardError
 from .fo import FOError, FOStructure, fo_eval, fo_parse
-from .formulas import TOO_DEEP, FormulaError, parse as parse_formula, to_text
+from .formulas import TABLE_GUARD, TOO_DEEP, FormulaError, parse as parse_formula, to_text
 from .proofs import ProofSyntaxError, check_proof, parse_proof
 
 OK, PROPERTY_FALSE, USAGE, INTERNAL = 0, 1, 2, 3
@@ -201,7 +201,7 @@ def cmd_free_verify(args) -> int:
 
 def cmd_logic_taut(args) -> int:
     f = parse_formula(args.formula)
-    verdict = lg.is_tautology(f, args.n)
+    verdict = lg.is_tautology(f, args.n, guard=_guard(TABLE_GUARD))
     _emit({"valid": verdict.holds, **verdict.to_dict()}, args)
     _say("valid" if verdict.holds else f"counterexample {verdict.counterexample}")
     return OK if verdict.holds else PROPERTY_FALSE
@@ -210,7 +210,7 @@ def cmd_logic_taut(args) -> int:
 def cmd_logic_conseq(args) -> int:
     hyps = [parse_formula(h) for h in args.hyp or []]
     f = parse_formula(args.formula)
-    verdict = lg.consequence(hyps, f, args.n)
+    verdict = lg.consequence(hyps, f, args.n, guard=_guard(TABLE_GUARD))
     _emit({"entails": verdict.holds, **verdict.to_dict()}, args)
     _say("entailed" if verdict.holds else f"counterexample {verdict.counterexample}")
     return OK if verdict.holds else PROPERTY_FALSE
@@ -232,7 +232,7 @@ def cmd_logic_prove_check(args) -> int:
 
 def cmd_logic_refute(args) -> int:
     f = parse_formula(args.formula)
-    hit = lg.refute_search(f, args.max_n)
+    hit = lg.refute_search(f, args.max_n, guard=_guard(TABLE_GUARD))
     if hit is None:
         _emit({"refuted": False, "counterexample": None}, args)
         _say(f"no refutation up to chain size {args.max_n}")

@@ -13,8 +13,10 @@ algebras and as the formula language of the Hilbert calculi.  Connectives:
 Sugar is eliminated at parse time; the core AST has exactly Var, Top, Bot,
 Imp and Delta nodes.  This module is the one term engine: the parser (which
 `fo` extends with first-order atoms and quantifiers), the compiler from
-terms to evaluation closures (`compile_term`), the evaluator of equations
-on value tables of terms (`equation_violations`) and the schema matcher.
+terms to evaluation closures (`compile_term`, behind `eval_formula` and
+`fo`), the evaluator of equations on value tables of terms
+(`equation_violations`, behind the law checks and the tautology,
+consequence and equivalence decisions of `logic`) and the schema matcher.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
+
+from .algebra import SizeGuardError
 
 
 class FormulaError(ValueError):
@@ -388,7 +392,19 @@ def compile_term(f: Formula, A, names, node=None):
         raise FormulaError(TOO_DEEP) from None
 
 
-def equation_violations(A, equations, every: bool = False) -> list[list[tuple[int, ...]]]:
+# bound on the table entries equation_violations holds at once
+TABLE_GUARD = 2 * 10**7
+
+
+def check_table_guard(A, equations, guard: int = TABLE_GUARD) -> None:
+    """Refuse, with SizeGuardError, equations whose value tables on A would
+    hold more than `guard` entries at once (see `equation_violations`)."""
+    tables = _TermTables(A)
+    tables.check_guard([tables.plan(*equation) for equation in equations], guard)
+
+
+def equation_violations(A, equations, every: bool = False,
+                        guard: int = TABLE_GUARD) -> list[list[tuple[int, ...]]]:
     """The assignments of a finite algebra A that violate each equation.
 
     Each equation is (names, lhs, rhs, premises), premises a sequence of
@@ -405,7 +421,11 @@ def equation_violations(A, equations, every: bool = False) -> list[list[tuple[in
     their other variables, shared by every equation with the same first
     variable, and the others are tabulated once and kept across slabs.  So
     a k-variable equation holds about N^(k-1) entries per subterm, and
-    without `every` it stops at its first violating slab.
+    without `every` it stops at its first violating slab.  Before any table
+    is built, the entries held at once are predicted (every table kept
+    across slabs, one slab table of each other subterm, and each equation's
+    sides and premises spread over its slab); more than `guard` of them
+    raise SizeGuardError.
 
     Raises FormulaError as `compile_term` does, at the first offending node
     in pre-order of the first offending equation (lhs, rhs, then the
@@ -416,6 +436,7 @@ def equation_violations(A, equations, every: bool = False) -> list[list[tuple[in
         plans = [tables.plan(*equation) for equation in equations]
     except RecursionError:
         raise FormulaError(TOO_DEEP) from None
+    tables.check_guard(plans, guard)
     out = [[] for _ in plans]
     groups: dict = {}
     for i, plan in enumerate(plans):
@@ -512,6 +533,23 @@ class _TermTables:
             rhs=ids[1],
             premises=tuple(zip(ids[2::2], ids[3::2])),
         )
+
+    def check_guard(self, plans, guard: int) -> None:
+        """Raise SizeGuardError when the plans' tables exceed `guard` entries:
+        every fixed table and one slab table of each distinct subterm, plus
+        each equation's sides and premises spread over its slab."""
+        axes = {}
+        for plan in plans:
+            for i in plan.fixed_nodes:
+                axes[i, None] = len(self.vars[i])
+            for i in plan.slab_nodes:
+                axes[i, plan.slab_var] = len(self.vars[i]) - 1
+        entries = (sum(self.n ** k for k in axes.values())
+                   + sum((2 + 2 * len(plan.premises)) * self.n ** len(plan.space)
+                         for plan in plans))
+        if entries > guard:
+            raise SizeGuardError(
+                f"predicted {entries} table entries held at once exceed guard {guard}")
 
     def _intern(self, f, pos, nodes) -> int:
         A = self.A
@@ -618,11 +656,17 @@ class _TermTables:
         if index is None:
             n = self.n
             stride = {a: n ** (len(axes) - 1 - j) for j, a in enumerate(axes)}
-            index = [0]
-            for a in target:
-                steps = [stride.get(a, 0) * x for x in range(n)]
-                index = [o + d for o in index for d in steps]
-            index = self.spreads[(axes, target)] = array("L", index)
+            # grown innermost axis first as a typed array: a list of ints
+            # would take about 36 bytes an entry
+            index = array("I" if len(data) <= 2**32 else "Q", [0])
+            for a in reversed(target):
+                step = stride.get(a, 0)
+                if step:
+                    index = array(index.typecode, chain.from_iterable(
+                        map((step * x).__add__, index) for x in range(n)))
+                else:
+                    index *= n
+            self.spreads[(axes, target)] = index
         return self.make(map(data.__getitem__, index))
 
     def decode(self, v, h, width) -> tuple[int, ...]:

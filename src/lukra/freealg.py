@@ -289,9 +289,17 @@ def _build_free(n: int, m: int) -> FreeAlgebra:
         rank[old] = new
     # itemgetter returns a tuple for two or more keys; size >= 2 (top, g1)
     columns = itemgetter(*order)
+
+    def sorted_rows():
+        # drop each discovery-order row once its sorted tuple exists, so the
+        # two tables are never held whole at the same time
+        for old in order:
+            row, rows[old] = rows[old], None
+            yield tuple(map(rank.__getitem__, columns(row)))
+
     algebra = FiniteAlgebra(
         size=size,
-        imp=tuple(tuple(map(rank.__getitem__, columns(rows[old]))) for old in order),
+        imp=tuple(sorted_rows()),
         top=rank[0],
         delta=tuple(rank[delta[old]] for old in order),
         label=f"Free(n={n},m={m})",

@@ -5,6 +5,14 @@ Validity at level n quantifies over *every* chain with delta of size
 class but not delta-subalgebras of the n-chain (delta maps their
 non-tops to the ambient 0), so sweeping only k = n would be unsound.
 
+A tautology is the identity f ~ T, a matrix consequence the
+quasi-identity "if every hypothesis ~ T then f ~ T", and an equivalence
+the identity f ~ g.  All three are decided by `formulas.equation_violations`
+on value tables of subterms, one call per chain in increasing size; the
+theorem suite and the hierarchy check send their whole catalogue through
+in one batch, so a subterm shared by many entries is tabulated once per
+chain.
+
 Counterexamples report the smallest chain size first and then the
 lexicographically least valuation, for stable goldens.
 """
@@ -14,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .algebra import AlgebraError, FiniteAlgebra, make_chain
 from .formulas import (
@@ -23,8 +30,10 @@ from .formulas import (
     Delta,
     Formula,
     Imp,
+    TABLE_GUARD,
     Var,
-    compile_term,
+    check_table_guard,
+    equation_violations,
     imp_k,
     or_,
     rational_eval,
@@ -89,57 +98,63 @@ def _chains(n: int) -> list[FiniteAlgebra]:
     return [make_chain(k, with_delta=True, with_bottom=True) for k in range(2, n + 1)]
 
 
-def _names(formulas) -> list[str]:
-    return sorted(set().union(*map(variables, formulas)))
+def _decide(equations, n: int, guard: int) -> list[Verdict]:
+    """Decide each (lhs, rhs, premises) quasi-equation at level n.
 
-
-def _sweep(formulas, n: int):
-    """Yield (chain, compiled formulas, value tuple) over all chains up to n.
-
-    Value tuples follow the sorted variable names and come in lexicographic
-    order on each chain.
+    Chains go in increasing size, one `equation_violations` call each over
+    the equations no smaller chain has violated, so a counterexample is the
+    smallest chain and then the least valuation of the sorted variable
+    names.  The largest chain holds the largest tables, so the guard is
+    checked on it before any chain is tabulated.
     """
-    names = _names(formulas)
-    for A in _chains(n):
-        fs = [compile_term(f, A, names) for f in formulas]
-        for values in iter_product(range(A.size), repeat=len(names)):
-            yield A, fs, values
-
-
-def _refuted(formulas, A: FiniteAlgebra, values) -> Verdict:
-    return Verdict(False, (A.size, dict(zip(_names(formulas), values))))
-
-
-def is_tautology(f: Formula, n: int) -> Verdict:
-    """Valid on every chain with delta of size 2..n?"""
     if n < 2:
         raise AlgebraError("level must be >= 2")
-    for A, (g,), v in _sweep([f], n):
-        if g(v) != A.top:
-            return _refuted([f], A, v)
-    return Verdict(True)
+    eqs = []
+    for lhs, rhs, premises in equations:
+        terms = [lhs, rhs, *(t for pair in premises for t in pair)]
+        eqs.append((sorted(set().union(*map(variables, terms))), lhs, rhs, premises))
+    chains = _chains(n)
+    check_table_guard(chains[-1], eqs, guard)
+    out = [Verdict(True)] * len(eqs)
+    pending = list(range(len(eqs)))
+    for A in chains:
+        if not pending:
+            break
+        found = equation_violations(A, [eqs[i] for i in pending], guard=guard)
+        for i, ws in zip(pending, found):
+            if ws:
+                out[i] = Verdict(False, (A.size, dict(zip(eqs[i][0], ws[0]))))
+        pending = [i for i, ws in zip(pending, found) if not ws]
+    return out
 
 
-def consequence(hypotheses, f: Formula, n: int) -> Verdict:
+# kept only because lukrabench/shim.py wraps this name; nothing calls it
+def _sweep(formulas, n: int):
+    yield from ()
+
+
+def _entailment(hypotheses, f: Formula):
+    """The quasi-identity "if every hypothesis ~ T then f ~ T"."""
+    return f, TOP, tuple((h, TOP) for h in hypotheses)
+
+
+def is_tautology(f: Formula, n: int, guard: int = TABLE_GUARD) -> Verdict:
+    """Valid on every chain with delta of size 2..n: the identity f ~ T."""
+    return _decide([_entailment((), f)], n, guard)[0]
+
+
+def consequence(hypotheses, f: Formula, n: int, guard: int = TABLE_GUARD) -> Verdict:
     """Matrix consequence: designated hypotheses force a designated conclusion."""
-    if n < 2:
-        raise AlgebraError("level must be >= 2")
-    hyps = list(hypotheses)
-    for A, (*hs, g), v in _sweep(hyps + [f], n):
-        if all(h(v) == A.top for h in hs) and g(v) != A.top:
-            return _refuted(hyps + [f], A, v)
-    return Verdict(True)
+    return _decide([_entailment(hypotheses, f)], n, guard)[0]
 
 
-def equivalent(f: Formula, g: Formula, n: int) -> Verdict:
-    """Same value under every valuation into every chain up to n."""
-    for A, (cf, cg), v in _sweep([f, g], n):
-        if cf(v) != cg(v):
-            return _refuted([f, g], A, v)
-    return Verdict(True)
+def equivalent(f: Formula, g: Formula, n: int, guard: int = TABLE_GUARD) -> Verdict:
+    """Same value under every valuation into every chain up to n: f ~ g."""
+    return _decide([(f, g, ())], n, guard)[0]
 
 
-def refute_search(f: Formula, n_max: int) -> tuple[int, dict[str, int]] | None:
+def refute_search(f: Formula, n_max: int,
+                  guard: int = TABLE_GUARD) -> tuple[int, dict[str, int]] | None:
     """Search the bottomed chains up to n_max for a non-designated value.
 
     A hit refutes validity over the standard unit-interval algebra (each
@@ -147,7 +162,7 @@ def refute_search(f: Formula, n_max: int) -> tuple[int, dict[str, int]] | None:
     """
     if n_max < 2:
         raise AlgebraError("n_max must be >= 2")
-    verdict = is_tautology(f, n_max)
+    verdict = is_tautology(f, n_max, guard)
     return None if verdict.holds else verdict.counterexample
 
 
@@ -213,20 +228,24 @@ def _theorem_catalogue(n: int):
     return theorems
 
 
+def _witness(verdict: Verdict) -> tuple[int, ...]:
+    """A counterexample as (chain size, values in sorted-variable order)."""
+    k, v = verdict.counterexample
+    return (k, *v.values())
+
+
 def theorem_suite(n: int) -> CheckReport:
     """Semantically verify the derived-theorem catalogue at level n.
 
     Theorems are checked as tautologies, derived rules as matrix
-    consequences.  Witness tuples are (chain size, valuation values in
-    sorted-variable order).
+    consequences, the whole catalogue in one batch.  Witness tuples are
+    (chain size, valuation values in sorted-variable order).
     """
-    violations = []
-    for name, premises, conclusion in _theorem_catalogue(n):
-        verdict = consequence(premises, conclusion, n) if premises else is_tautology(conclusion, n)
-        if not verdict.holds:
-            k, v = verdict.counterexample
-            violations.append((name, (k, *[v[x] for x in sorted(v)])))
-    return CheckReport.from_violations(violations)
+    catalogue = _theorem_catalogue(n)
+    verdicts = _decide([_entailment(premises, f) for _, premises, f in catalogue],
+                       n, TABLE_GUARD)
+    return CheckReport.from_violations(
+        (name, _witness(v)) for (name, _, _), v in zip(catalogue, verdicts) if not v.holds)
 
 
 def canonical_level_counterexample(n: int) -> tuple[int, dict[str, int]]:
@@ -241,19 +260,15 @@ def hierarchy_check(n: int) -> CheckReport:
     (b) AX5 at level n fails at level n+1, exactly at the canonical
     counterexample (the reported one is the minimal one).
     """
-    violations = []
-    for name, schema in axiom_schemas_n(n + 1).items():
-        verdict = is_tautology(schema, n)
-        if not verdict.holds:
-            k, v = verdict.counterexample
-            violations.append((f"{name}[n={n + 1}]@{n}", (k, *[v[x] for x in sorted(v)])))
-    ax5 = axiom_schemas_n(n)["AX5"]
-    verdict = is_tautology(ax5, n + 1)
+    axioms = axiom_schemas_n(n + 1)
+    verdicts = _decide([_entailment((), f) for f in axioms.values()], n, TABLE_GUARD)
+    violations = [(f"{name}[n={n + 1}]@{n}", _witness(v))
+                  for name, v in zip(axioms, verdicts) if not v.holds]
+    verdict = is_tautology(axiom_schemas_n(n)["AX5"], n + 1)
     if verdict.holds:
         violations.append((f"AX5[n={n}]-not-refuted@{n + 1}", ()))
     elif verdict.counterexample != canonical_level_counterexample(n):
-        k, v = verdict.counterexample
-        violations.append((f"AX5[n={n}]-noncanonical-witness", (k, *[v[x] for x in sorted(v)])))
+        violations.append((f"AX5[n={n}]-noncanonical-witness", _witness(verdict)))
     return CheckReport.from_violations(violations)
 
 

@@ -1,9 +1,12 @@
 import json
+import re
+import time
 
 import pytest
 
 from lukra.cli import main
 from lukra.algebra import FiniteAlgebra, make_chain
+from lukra.formulas import TABLE_GUARD
 from lukra.laws import check_LR, check_LRn, check_delta
 
 
@@ -207,3 +210,25 @@ def test_guard_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LUKRA_GUARD", "16")
     code, report = run(capsys, "filters", "list", "--in", str(big))
     assert code == 0 and report["filters"]
+
+
+def test_logic_table_guard(capsys, monkeypatch):
+    # eight variables at level 12 would tabulate about 1.5e8 entries at once;
+    # the refusal comes before any chain is tabulated
+    start = time.perf_counter()
+    code = main(["logic", "taut", "--n", "12", "--formula",
+                 "a -> b -> c -> d -> e -> f -> g -> h -> a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and time.perf_counter() - start < 5
+    m = re.fullmatch(r"error: predicted (\d+) table entries held at once exceed guard (\d+)\n",
+                     captured.err)
+    assert m and int(m[1]) > int(m[2]) == TABLE_GUARD
+    # LUKRA_GUARD moves the limit for taut, conseq and refute alike
+    monkeypatch.setenv("LUKRA_GUARD", "5")
+    for verb in (["taut", "--n", "3"], ["conseq", "--n", "3", "--hyp", "p"], ["refute", "--max-n", "3"]):
+        assert main(["logic", *verb, "--formula", "q -> p"]) == 2
+        predicted = re.search(r"predicted (\d+) ", capsys.readouterr().err)[1]
+        monkeypatch.setenv("LUKRA_GUARD", predicted)
+        assert main(["logic", *verb, "--formula", "q -> p"]) in (0, 1)
+        monkeypatch.setenv("LUKRA_GUARD", "5")
+    capsys.readouterr()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lukra.algebra import (
     ConfigurationError,
     FiniteAlgebra,
+    SizeGuardError,
     make_chain,
     product,
     with_delta,
@@ -14,6 +15,7 @@ from lukra.algebra import (
 from lukra.catalog import chain_with_broken_delta, five_element_non_admissible
 from lukra.formulas import (
     BOT,
+    TABLE_GUARD,
     TOP,
     Delta,
     FormulaError,
@@ -268,3 +270,12 @@ def test_three_variable_law_runs_below_one_whole_table():
         tracemalloc.stop()
     assert report.passed
     assert peak < A.size ** 3
+
+
+def test_table_guard_refuses_before_tabulating():
+    # four variables over 300 elements: each side spread over the slab alone
+    # holds 300^3 entries
+    A = make_chain(300)
+    with pytest.raises(SizeGuardError, match=rf"predicted \d+ table entries held at once "
+                                             rf"exceed guard {TABLE_GUARD}$"):
+        check_identity(A, parse("x -> y -> z -> w -> x"), TOP)

@@ -3,11 +3,25 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lukra.algebra import make_chain
-from lukra.formulas import eval_formula, parse, rational_eval, variables
+from lukra.algebra import AlgebraError, make_chain
+from lukra.formulas import (
+    BOT,
+    TOP,
+    Delta,
+    Imp,
+    compile_term,
+    eval_formula,
+    parse,
+    rational_eval,
+    variables,
+)
 from lukra.freealg import build_free
+from lukra.laws import CheckReport
 from lukra.logic import (
+    Verdict,
+    _theorem_catalogue,
     axiom_schemas_bot,
     axiom_schemas_n,
     canonical_level_counterexample,
@@ -139,3 +153,115 @@ def test_bot_axioms_on_rational_grid():
                for v in ("alpha", "beta", "gamma")}
         for name, schema in axiom_schemas_bot().items():
             assert rational_eval(schema, val) == 1, (name, val)
+
+
+def test_equivalence_needs_a_level():
+    for n in (1, 0, -3):
+        with pytest.raises(AlgebraError, match="level must be >= 2"):
+            equivalent(parse("p"), parse("q"), n)
+
+
+# ---------------------------------------------------------------------------
+# The per-valuation sweep that decided tautology, consequence and
+# equivalence before they ran on value tables of terms: the oracle for
+# `logic._decide` and `formulas.equation_violations`.
+# ---------------------------------------------------------------------------
+
+def _names(formulas):
+    return sorted(set().union(*map(variables, formulas)))
+
+
+def reference_sweep(formulas, n):
+    """(chain, compiled formulas, value tuple) over every chain up to n,
+    valuations of the sorted names in lexicographic order on each chain."""
+    names = _names(formulas)
+    for k in range(2, n + 1):
+        A = make_chain(k, with_delta=True, with_bottom=True)
+        fs = [compile_term(f, A, names) for f in formulas]
+        for values in iter_product(range(A.size), repeat=len(names)):
+            yield A, fs, values
+
+
+def _refuted(formulas, A, values):
+    return Verdict(False, (A.size, dict(zip(_names(formulas), values))))
+
+
+def reference_is_tautology(f, n):
+    if n < 2:
+        raise AlgebraError("level must be >= 2")
+    for A, (g,), v in reference_sweep([f], n):
+        if g(v) != A.top:
+            return _refuted([f], A, v)
+    return Verdict(True)
+
+
+def reference_consequence(hypotheses, f, n):
+    if n < 2:
+        raise AlgebraError("level must be >= 2")
+    hyps = list(hypotheses)
+    for A, (*hs, g), v in reference_sweep(hyps + [f], n):
+        if all(h(v) == A.top for h in hs) and g(v) != A.top:
+            return _refuted(hyps + [f], A, v)
+    return Verdict(True)
+
+
+def reference_equivalent(f, g, n):
+    for A, (cf, cg), v in reference_sweep([f, g], n):
+        if cf(v) != cg(v):
+            return _refuted([f, g], A, v)
+    return Verdict(True)
+
+
+def _sorted_witness(verdict):
+    k, v = verdict.counterexample
+    return (k, *[v[x] for x in sorted(v)])
+
+
+def reference_theorem_suite(n):
+    violations = []
+    for name, premises, conclusion in _theorem_catalogue(n):
+        verdict = reference_consequence(premises, conclusion, n)
+        if not verdict.holds:
+            violations.append((name, _sorted_witness(verdict)))
+    return CheckReport.from_violations(violations)
+
+
+def reference_hierarchy_check(n):
+    violations = []
+    for name, schema in axiom_schemas_n(n + 1).items():
+        verdict = reference_is_tautology(schema, n)
+        if not verdict.holds:
+            violations.append((f"{name}[n={n + 1}]@{n}", _sorted_witness(verdict)))
+    verdict = reference_is_tautology(axiom_schemas_n(n)["AX5"], n + 1)
+    if verdict.holds:
+        violations.append((f"AX5[n={n}]-not-refuted@{n + 1}", ()))
+    elif verdict.counterexample != canonical_level_counterexample(n):
+        violations.append((f"AX5[n={n}]-noncanonical-witness", _sorted_witness(verdict)))
+    return CheckReport.from_violations(violations)
+
+
+@st.composite
+def formulas(draw):
+    """random_formula over 0-4 names, with and without F; over no names it
+    draws F as its only atom, so the formula is variable-free."""
+    names = ["p", "q", "r", "s"][:draw(st.integers(0, 4))]
+    allow_bot = not names or draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_formula(rng, names, rng.randint(0, 4), allow_bot)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), st.lists(formulas(), max_size=2), formulas(), st.integers(2, 7))
+@example(Imp(Delta(BOT), BOT), [], Delta(TOP), 3)
+@example(parse("p -> q"), [parse("q"), parse("D p")], parse("q -> p"), 4)
+def test_decisions_match_the_sweep(f, hypotheses, g, n):
+    assert is_tautology(f, n) == reference_is_tautology(f, n)
+    assert consequence(hypotheses, f, n) == reference_consequence(hypotheses, f, n)
+    assert equivalent(f, g, n) == reference_equivalent(f, g, n)
+    assert refute_search(f, n) == reference_is_tautology(f, n).counterexample
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_suites_match_the_sweep(n):
+    assert theorem_suite(n) == reference_theorem_suite(n)
+    assert hierarchy_check(n) == reference_hierarchy_check(n)
