@@ -126,42 +126,71 @@ class FiniteAlgebra:
         string; the AlgebraError raised otherwise names the first offending
         entry.
         """
-        if not isinstance(data, dict):
-            raise AlgebraError(f"an algebra must be an object, got {type(data).__name__}")
-        for key in ("size", "imp", "top"):
-            if key not in data:
-                raise AlgebraError(f"algebra lacks {key!r}")
-        n = data["size"]
-        if type(n) is not int or n < 1:
-            raise AlgebraError(f"size must be a positive int, got {n!r}")
-
-        def entry(value, where):
-            if type(value) is not int or not 0 <= value < n:
-                raise AlgebraError(f"{where} must be an int in 0..{n - 1}, got {value!r}")
-            return value
-
-        def table(value, where):
-            if not isinstance(value, (list, tuple)) or len(value) != n:
-                raise AlgebraError(f"{where} must be a list of {n} entries")
-            return value
-
+        check_object(data, "an algebra", ("size", "imp", "top"))
+        n = check_positive(data["size"], "size")
         delta, bottom, label = data.get("delta"), data.get("bottom"), data.get("label", "")
         if not isinstance(label, str):
             raise AlgebraError(f"label must be a string, got {label!r}")
         return FiniteAlgebra(
             size=n,
-            imp=tuple(tuple(entry(v, f"imp[{i}][{j}]") for j, v in enumerate(table(row, f"imp[{i}]")))
-                      for i, row in enumerate(table(data["imp"], "imp"))),
-            top=entry(data["top"], "top"),
+            imp=tuple(tuple(check_entry(v, n, f"imp[{i}][{j}]")
+                            for j, v in enumerate(check_table(row, n, f"imp[{i}]")))
+                      for i, row in enumerate(check_table(data["imp"], n, "imp"))),
+            top=check_entry(data["top"], n, "top"),
             delta=None if delta is None else tuple(
-                entry(v, f"delta[{i}]") for i, v in enumerate(table(delta, "delta"))),
-            bottom=None if bottom is None else entry(bottom, "bottom"),
+                check_entry(v, n, f"delta[{i}]") for i, v in enumerate(check_table(delta, n, "delta"))),
+            bottom=None if bottom is None else check_entry(bottom, n, "bottom"),
             label=label,
         )
 
     @staticmethod
     def from_json(text: str) -> "FiniteAlgebra":
         return FiniteAlgebra.from_dict(json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# Input checks: each returns its value or raises AlgebraError naming
+# `where`; check_table_size is the guard on building a table
+# ---------------------------------------------------------------------------
+
+def check_entry(value, n: int, where: str) -> int:
+    """An int (not a bool) in 0..n-1."""
+    if type(value) is not int or not 0 <= value < n:
+        raise AlgebraError(f"{where} must be an int in 0..{n - 1}, got {value!r}")
+    return value
+
+
+def check_positive(value, where: str) -> int:
+    """An int (not a bool) of at least 1."""
+    if type(value) is not int or value < 1:
+        raise AlgebraError(f"{where} must be a positive int, got {value!r}")
+    return value
+
+
+def check_table(value, n: int, where: str):
+    """A list of n entries."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise AlgebraError(f"{where} must be a list of {n} entries")
+    return value
+
+
+def check_object(value, where: str, required=()) -> dict:
+    """A dict that holds every key in `required`."""
+    if not isinstance(value, dict):
+        raise AlgebraError(f"{where} must be an object, got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            raise AlgebraError(f"{where} lacks {key!r}")
+    return value
+
+
+def check_table_size(size: int, guard: int) -> None:
+    """Refuse, with SizeGuardError, an algebra of `size` elements whose
+    implication table of size^2 entries would exceed `guard`."""
+    entries = size * size
+    if entries > guard:
+        raise SizeGuardError(
+            f"predicted table of {entries} entries ({size} elements) exceeds guard {guard}")
 
 
 # ---------------------------------------------------------------------------

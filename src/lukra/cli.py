@@ -3,14 +3,15 @@
 One process per command; human-readable summary on stderr, a single JSON
 report on stdout (or --out).  Exit codes: 0 when the checked property
 holds (or the query succeeded), 1 when a checked property is false, 2 for
-usage errors, 3 for internal inconsistencies.  The environment variable
-LUKRA_GUARD overrides enumeration size guards.
+usage errors, 3 for internal inconsistencies and any unexpected error.  The
+environment variable LUKRA_GUARD overrides enumeration size guards.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -59,6 +60,7 @@ def _say(msg: str) -> None:
 # -- algebra ------------------------------------------------------------------
 
 def cmd_algebra_chain(args) -> int:
+    alg.check_table_size(args.n, _guard(fre.SIZE_GUARD))
     A = alg.make_chain(args.n, with_delta=args.delta, with_bottom=args.bottom)
     _emit(A.to_dict(), args)
     _say(f"chain of size {args.n}" + (" with delta" if args.delta else ""))
@@ -98,6 +100,7 @@ def cmd_algebra_delta(args) -> int:
 
 def cmd_algebra_product(args) -> int:
     factors = [_load_algebra(p) for p in args.infile]
+    alg.check_table_size(math.prod(A.size for A in factors), _guard(fre.SIZE_GUARD))
     P = alg.product(factors)
     _emit(P.to_dict(), args)
     _say(f"product of {len(factors)} factors, size {P.size}")
@@ -381,6 +384,11 @@ def main(argv=None) -> int:
         # parser recursed, and every walker over terms is recursive
         _say(f"error: {TOO_DEEP}")
         return USAGE
+    except Exception as exc:
+        # exit 1 means "property false", so an unforeseen error may not end there
+        message = " ".join(str(exc).splitlines())
+        _say(f"internal error: {type(exc).__name__}: {message}")
+        return INTERNAL
 
 
 if __name__ == "__main__":

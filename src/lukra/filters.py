@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .algebra import (
+    AlgebraError,
     ConfigurationError,
     DegenerateInputError,
     FiniteAlgebra,
@@ -229,8 +230,12 @@ def congruence_of(A: FiniteAlgebra, F) -> Congruence:
     implications land in every filter for too many pairs (e.g. the middle
     and bottom of a 3-chain against the trivial filter), which would break
     R(|1|) = identity.  Transitivity and op-compatibility follow from L2,
-    L15 and delta-closedness of implicative filters.
+    L15 and delta-closedness of implicative filters.  An element of F
+    outside the carrier raises AlgebraError naming the first one.
     """
+    for x in F:
+        if not 0 <= x < A.size:
+            raise AlgebraError(f"filter element {x} is outside the carrier 0..{A.size - 1}")
     members = set(F)
     if not is_implicative_filter(A, members):
         raise ConfigurationError("congruence_of needs an implicative filter")

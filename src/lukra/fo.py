@@ -24,8 +24,15 @@ and FBot are aliases of them), and `fo_eval` compiles formulas with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product as iter_product
 
-from .algebra import AlgebraError, FiniteAlgebra
+from .algebra import (
+    AlgebraError,
+    FiniteAlgebra,
+    check_entry,
+    check_object,
+    check_positive,
+)
 from .formulas import (
     TOO_DEEP,
     Bot,
@@ -118,27 +125,54 @@ class FOStructure:
 
     @staticmethod
     def from_dict(data: dict) -> "FOStructure":
-        def detuple(table: dict, arity: int):
+        """Read a structure file: `domain_size`, `algebra` (read by
+        `FiniteAlgebra.from_dict`) and the optional objects `predicates`,
+        `functions` and `constants`.
+
+        A symbol is {"arity": k, "table": {...}}, its table keyed by every
+        k-tuple of domain indices written "i,j,..." ("" when k = 0).
+        Predicate values must be carrier indices, function values and
+        constants domain indices, each a true int; the AlgebraError raised
+        otherwise names the first offending entry.
+        """
+        check_object(data, "a structure", ("domain_size", "algebra"))
+        d = check_positive(data["domain_size"], "domain_size")
+        algebra = FiniteAlgebra.from_dict(data["algebra"])
+
+        def symbols(section, kind, n):
             out = {}
-            for key, val in table.items():
-                parts = tuple(int(p) for p in str(key).split(",")) if arity else ()
-                out[parts] = int(val)
+            for name, spec in check_object(data.get(section, {}), section).items():
+                where = f"{kind} {name}"
+                arity = check_object(spec, where, ("arity", "table"))["arity"]
+                if type(arity) is not int or arity < 0:
+                    raise AlgebraError(f"{where} arity must be a non-negative int, got {arity!r}")
+                table = {}
+                for key, value in check_object(spec["table"], f"{where} table").items():
+                    key = str(key)
+                    args = tuple(int(p) if p.isascii() and p.isdigit() else -1
+                                 for p in (key.split(",") if key else ()))
+                    if len(args) != arity or ",".join(map(str, args)) != key or not all(
+                            0 <= a < d for a in args):
+                        raise AlgebraError(f"{where} key {key!r} must be {arity} "
+                                           f"comma-separated indices in 0..{d - 1}")
+                    table[args] = check_entry(value, n, f"{where}({key})")
+                if not table:
+                    raise AlgebraError(f"{where} table is empty")
+                # every key has `arity` parts, so the table's size bounds the search
+                missing = next((t for t in iter_product(range(d), repeat=arity)
+                                if t not in table), None)
+                if missing is not None:
+                    raise AlgebraError(f"{where}({','.join(map(str, missing))}) is missing")
+                out[name] = {"arity": arity, "table": table}
             return out
 
-        preds = {}
-        for name, spec in data.get("predicates", {}).items():
-            arity = int(spec["arity"])
-            preds[name] = {"arity": arity, "table": detuple(spec["table"], arity)}
-        funcs = {}
-        for name, spec in data.get("functions", {}).items():
-            arity = int(spec["arity"])
-            funcs[name] = {"arity": arity, "table": detuple(spec["table"], arity)}
         return FOStructure(
-            domain_size=int(data["domain_size"]),
-            algebra=FiniteAlgebra.from_dict(data["algebra"]),
-            predicates=preds,
-            functions=funcs,
-            constants={k: int(v) for k, v in data.get("constants", {}).items()},
+            domain_size=d,
+            algebra=algebra,
+            predicates=symbols("predicates", "predicate", algebra.size),
+            functions=symbols("functions", "function", d),
+            constants={name: check_entry(c, d, f"constant {name}")
+                       for name, c in check_object(data.get("constants", {}), "constants").items()},
         )
 
 
@@ -176,6 +210,8 @@ def eval_term(t, S: FOStructure, env: dict[str, int]) -> int:
 def fo_eval(f: FOFormula, S: FOStructure, assignment: dict[str, int] | None = None) -> int:
     """Truth value (carrier index) of f under the assignment."""
     env = dict(assignment or {})
+    for name, d in env.items():
+        check_entry(d, S.domain_size, f"assignment {name}")
     A = S.algebra
     rank = S.order_rank.__getitem__
     least = min(range(A.size), key=rank)

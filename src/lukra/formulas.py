@@ -14,9 +14,11 @@ Sugar is eliminated at parse time; the core AST has exactly Var, Top, Bot,
 Imp and Delta nodes.  This module is the one term engine: the parser (which
 `fo` extends with first-order atoms and quantifiers), the compiler from
 terms to evaluation closures (`compile_term`, behind `eval_formula` and
-`fo`), the evaluator of equations on value tables of terms
-(`equation_violations`, behind the law checks and the tautology,
-consequence and equivalence decisions of `logic`) and the schema matcher.
+`fo`), the evaluator of equations on value tables of terms and the schema
+matcher.  The evaluator interns a batch of equations once
+(`EquationBatch`) and tabulates it on any algebra of its signature:
+`equation_violations`, behind the law checks, on one algebra, and the
+decisions of `logic` on each chain in turn.
 """
 
 from __future__ import annotations
@@ -396,13 +398,6 @@ def compile_term(f: Formula, A, names, node=None):
 TABLE_GUARD = 2 * 10**7
 
 
-def check_table_guard(A, equations, guard: int = TABLE_GUARD) -> None:
-    """Refuse, with SizeGuardError, equations whose value tables on A would
-    hold more than `guard` entries at once (see `equation_violations`)."""
-    tables = _TermTables(A)
-    tables.check_guard([tables.plan(*equation) for equation in equations], guard)
-
-
 def equation_violations(A, equations, every: bool = False,
                         guard: int = TABLE_GUARD) -> list[list[tuple[int, ...]]]:
     """The assignments of a finite algebra A that violate each equation.
@@ -431,51 +426,18 @@ def equation_violations(A, equations, every: bool = False,
     in pre-order of the first offending equation (lhs, rhs, then the
     premise pairs).
     """
-    tables = _TermTables(A)
-    try:
-        plans = [tables.plan(*equation) for equation in equations]
-    except RecursionError:
-        raise FormulaError(TOO_DEEP) from None
-    tables.check_guard(plans, guard)
-    out = [[] for _ in plans]
-    groups: dict = {}
-    for i, plan in enumerate(plans):
-        groups.setdefault((plan.slab_var, plan.width > 0), []).append(i)
-    for (s, sliced), members in groups.items():
-        for i in members:
-            tables.tabulate(plans[i].fixed_nodes, s, None, tables.fixed)
-        for v in range(A.size if sliced else 1):
-            slab: dict = {}
-            for i in members:
-                if out[i] and not every:
-                    continue
-                plan = plans[i]
-                tables.tabulate(plan.slab_nodes, s, v, slab)
-                space = plan.space
-                get = tables.reader(s, slab)
-                left, right = get(plan.lhs, space), get(plan.rhs, space)
-                if left == right:
-                    continue
-                hits = map(operator.ne, left, right)
-                for a, b in plan.premises:
-                    hits = map(operator.and_, hits, map(operator.eq, get(a, space), get(b, space)))
-                hits = compress(count(), hits)
-                out[i].extend(tables.decode(v, h, plan.width)
-                              for h in (hits if every else islice(hits, 1)))
-            if not every and all(out[i] for i in members):
-                break
-    return out
+    batch = EquationBatch(equations, A.delta is not None, A.bottom is not None)
+    batch.check_guard(A.size, guard)
+    return batch.violations(A, range(len(batch.plans)), every)
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """One interned equation.
-
-    `slab_var` is names[0], or None when no term sees position 0 (a
-    repeated name binds its last position, as in `compile_term`); `space`
-    names positions 1.. of an assignment, None where no term sees it.
-    Node ids are in post-order, split by whether they use `slab_var`.
-    """
+    """One interned equation.  `slab_var` is names[0], or None when no
+    term sees position 0 (a repeated name binds its last position, as in
+    `compile_term`); `space` names positions 1.. of an assignment, None
+    where no term sees it.  Node ids are in post-order, split by whether
+    they use `slab_var`."""
     slab_var: str | None
     width: int
     space: tuple
@@ -486,73 +448,35 @@ class _Plan:
     premises: tuple[tuple[int, int], ...]
 
 
-class _TermTables:
-    """Interned subterms and their value tables over one finite algebra.
-
-    A table is a pair (axes, data): `data` holds the values of a term
-    row-major over the variable names `axes`, so a term that uses no
-    variable has one entry.  `data` is `bytes` when every carrier index
-    fits a byte (N <= 256), which lets a unary map over it run as
-    `bytes.translate`, and an `array` of a wider type otherwise.  Node
-    keys: ("v", name), ("t",), ("f",), ("i", left, right) and ("d", child),
-    children by node id.
+class EquationBatch:
+    """Equations interned once, to be tabulated on any finite algebra with
+    a delta iff `delta` and a bottom iff `bottom`; raises FormulaError as
+    `equation_violations` does.  Each distinct subterm is one node: its key
+    is ("v", name), ("t",), ("f",), ("i", left, right) or ("d", child),
+    children by node id, and `vars` holds the sorted names it uses.
     """
 
-    def __init__(self, A):
-        self.A = A
-        self.n = A.size
-        self.narrow = A.size <= 256
-        if self.narrow:
-            self.make = bytes
-            lift = lambda t: bytes(t).ljust(256, b"\0")  # noqa: E731
-        else:
-            self.make = partial(array, "H" if A.size <= 65536 else "L")
-            lift = tuple
-        # lookup tables of the unary maps: rows and columns of imp, and delta
-        self.rows = [lift(r) for r in A.imp]
-        self.cols = [lift(c) for c in zip(*A.imp)]
-        self.delta = lift(A.delta) if A.delta is not None else None
-        self.ids: dict = {}
-        self.keys: list = []
-        self.vars: list[tuple[str, ...]] = []
-        self.fixed: dict = {}       # node id -> table of a node without its slab variable
-        self.spreads: dict = {}     # (axes, target axes) -> index array
+    def __init__(self, equations, delta: bool, bottom: bool):
+        self.delta, self.bottom = delta, bottom
+        self.ids, self.keys, self.vars = {}, [], []     # key -> id, id -> key, id -> names
+        try:
+            self.plans = [self._plan(*equation) for equation in equations]
+        except RecursionError:
+            raise FormulaError(TOO_DEEP) from None
 
-    def plan(self, names, lhs, rhs, premises=()) -> _Plan:
+    def _plan(self, names, lhs, rhs, premises=()) -> _Plan:
         pos = {name: i for i, name in enumerate(names)}
         nodes: dict = {}
         ids = [self._intern(t, pos, nodes) for pair in [(lhs, rhs), *premises] for t in pair]
         s = names[0] if names and pos[names[0]] == 0 else None
         return _Plan(
-            slab_var=s,
-            width=len(names),
+            slab_var=s, width=len(names),
             space=tuple(name if pos[name] == i else None for i, name in enumerate(names) if i),
             fixed_nodes=tuple(i for i in nodes if s not in self.vars[i]),
             slab_nodes=tuple(i for i in nodes if s in self.vars[i]),
-            lhs=ids[0],
-            rhs=ids[1],
-            premises=tuple(zip(ids[2::2], ids[3::2])),
-        )
-
-    def check_guard(self, plans, guard: int) -> None:
-        """Raise SizeGuardError when the plans' tables exceed `guard` entries:
-        every fixed table and one slab table of each distinct subterm, plus
-        each equation's sides and premises spread over its slab."""
-        axes = {}
-        for plan in plans:
-            for i in plan.fixed_nodes:
-                axes[i, None] = len(self.vars[i])
-            for i in plan.slab_nodes:
-                axes[i, plan.slab_var] = len(self.vars[i]) - 1
-        entries = (sum(self.n ** k for k in axes.values())
-                   + sum((2 + 2 * len(plan.premises)) * self.n ** len(plan.space)
-                         for plan in plans))
-        if entries > guard:
-            raise SizeGuardError(
-                f"predicted {entries} table entries held at once exceed guard {guard}")
+            lhs=ids[0], rhs=ids[1], premises=tuple(zip(ids[2::2], ids[3::2])))
 
     def _intern(self, f, pos, nodes) -> int:
-        A = self.A
         if isinstance(f, Var):
             if f.name not in pos:
                 raise FormulaError(f"unassigned variable {f.name!r}")
@@ -561,14 +485,14 @@ class _TermTables:
             left, right = self._intern(f.left, pos, nodes), self._intern(f.right, pos, nodes)
             key, names = ("i", left, right), tuple(sorted({*self.vars[left], *self.vars[right]}))
         elif isinstance(f, Delta):
-            if A.delta is None:
+            if not self.delta:
                 raise FormulaError("formula uses D but the algebra has no delta")
             child = self._intern(f.child, pos, nodes)
             key, names = ("d", child), self.vars[child]
         elif isinstance(f, Top):
             key, names = ("t",), ()
         elif isinstance(f, Bot):
-            if A.bottom is None:
+            if not self.bottom:
                 raise FormulaError("formula uses F but the algebra has no bottom")
             key, names = ("f",), ()
         else:
@@ -580,6 +504,84 @@ class _TermTables:
             self.vars.append(names)
         nodes[i] = None
         return i
+
+    def check_guard(self, n: int, guard: int) -> None:
+        """Raise SizeGuardError when the plans' tables on an n-element
+        carrier, predicted as `equation_violations` says, exceed `guard`."""
+        axes = {}
+        for plan in self.plans:
+            for i in plan.fixed_nodes:
+                axes[i, None] = len(self.vars[i])
+            for i in plan.slab_nodes:
+                axes[i, plan.slab_var] = len(self.vars[i]) - 1
+        entries = (sum(n ** k for k in axes.values())
+                   + sum((2 + 2 * len(plan.premises)) * n ** len(plan.space)
+                         for plan in self.plans))
+        if entries > guard:
+            raise SizeGuardError(
+                f"predicted {entries} table entries held at once exceed guard {guard}")
+
+    def violations(self, A, which, every: bool = False) -> list[list[tuple[int, ...]]]:
+        """The assignments of A, an algebra of the batch's signature, that
+        violate each plan in `which`, as `equation_violations` lists them."""
+        tables = _TermTables(self, A)
+        plans = [self.plans[i] for i in which]
+        out = [[] for _ in plans]
+        groups: dict = {}
+        for i, plan in enumerate(plans):
+            groups.setdefault((plan.slab_var, plan.width > 0), []).append(i)
+        for (s, sliced), members in groups.items():
+            for i in members:
+                tables.tabulate(plans[i].fixed_nodes, s, None, tables.fixed)
+            for v in range(A.size if sliced else 1):
+                slab: dict = {}
+                for i in members:
+                    if out[i] and not every:
+                        continue
+                    plan = plans[i]
+                    tables.tabulate(plan.slab_nodes, s, v, slab)
+                    space = plan.space
+                    get = tables.reader(s, slab)
+                    left, right = get(plan.lhs, space), get(plan.rhs, space)
+                    if left == right:
+                        continue
+                    hits = map(operator.ne, left, right)
+                    for a, b in plan.premises:
+                        hits = map(operator.and_, hits, map(operator.eq, get(a, space), get(b, space)))
+                    hits = compress(count(), hits)
+                    out[i].extend(tables.decode(v, h, plan.width)
+                                  for h in (hits if every else islice(hits, 1)))
+                if not every and all(out[i] for i in members):
+                    break
+        return out
+
+
+class _TermTables:
+    """The value tables of a batch's subterms over one finite algebra.
+
+    A table is a pair (axes, data): `data` holds the values of a term
+    row-major over the variable names `axes`, so a term that uses no
+    variable has one entry.  `data` is `bytes` when every carrier index
+    fits a byte (N <= 256), which lets a unary map over it run as
+    `bytes.translate`, and an `array` of a wider type otherwise.
+    """
+
+    def __init__(self, batch, A):
+        self.A, self.n = A, A.size
+        self.keys, self.vars = batch.keys, batch.vars
+        self.narrow = A.size <= 256
+        if self.narrow:
+            self.make = bytes
+            lift = lambda t: bytes(t).ljust(256, b"\0")  # noqa: E731
+        else:
+            self.make = partial(array, "H" if A.size <= 65536 else "L")
+            lift = tuple
+        # lookup tables of the unary maps: rows and columns of imp, and delta
+        self.rows = [lift(r) for r in A.imp]
+        self.cols = [lift(c) for c in zip(*A.imp)]
+        self.delta = lift(A.delta) if A.delta is not None else None
+        self.fixed: dict = {}       # node id -> table of a node without its slab variable
+        self.spreads: dict = {}     # (axes, target axes) -> index array
 
     def reader(self, s, slab):
         """get(i, target): the table of node i in `slab` (the slab of s)

@@ -27,7 +27,7 @@ from .algebra import (
     AlgebraError,
     FiniteAlgebra,
     InternalConsistencyError,
-    SizeGuardError,
+    check_table_size,
     epimorphisms,
     make_chain,
     restrict_to,
@@ -210,13 +210,7 @@ def build_free(n: int, m: int, guard: int = SIZE_GUARD) -> FreeAlgebra:
     squared entries, exceeds `guard`.  Each (n, m) is built once per
     process, whatever the guard it was first asked under.
     """
-    predicted = size_formula(n, m).total
-    entries = predicted * predicted
-    if entries > guard:
-        raise SizeGuardError(
-            f"predicted table of {entries} entries ({predicted} elements) "
-            f"exceeds guard {guard}"
-        )
+    check_table_size(size_formula(n, m).total, guard)
     return _build_free(n, m)
 
 

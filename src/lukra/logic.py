@@ -7,11 +7,11 @@ non-tops to the ambient 0), so sweeping only k = n would be unsound.
 
 A tautology is the identity f ~ T, a matrix consequence the
 quasi-identity "if every hypothesis ~ T then f ~ T", and an equivalence
-the identity f ~ g.  All three are decided by `formulas.equation_violations`
-on value tables of subterms, one call per chain in increasing size; the
+the identity f ~ g.  All three are decided on value tables of subterms:
+one `formulas.EquationBatch` per decision, its table guard predicted once
+at level n, then the chains built one at a time, smallest first.  The
 theorem suite and the hierarchy check send their whole catalogue through
-in one batch, so a subterm shared by many entries is tabulated once per
-chain.
+one batch, so a subterm shared by many entries is tabulated once per chain.
 
 Counterexamples report the smallest chain size first and then the
 lexicographically least valuation, for stable goldens.
@@ -23,17 +23,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, FiniteAlgebra, make_chain
+from .algebra import AlgebraError, make_chain
 from .formulas import (
     BOT,
     TOP,
     Delta,
+    EquationBatch,
     Formula,
     Imp,
     TABLE_GUARD,
     Var,
-    check_table_guard,
-    equation_violations,
     imp_k,
     or_,
     rational_eval,
@@ -94,18 +93,15 @@ class Verdict:
         return out
 
 
-def _chains(n: int) -> list[FiniteAlgebra]:
-    return [make_chain(k, with_delta=True, with_bottom=True) for k in range(2, n + 1)]
-
-
 def _decide(equations, n: int, guard: int) -> list[Verdict]:
     """Decide each (lhs, rhs, premises) quasi-equation at level n.
 
-    Chains go in increasing size, one `equation_violations` call each over
-    the equations no smaller chain has violated, so a counterexample is the
-    smallest chain and then the least valuation of the sorted variable
-    names.  The largest chain holds the largest tables, so the guard is
-    checked on it before any chain is tabulated.
+    The equations are interned once, and the guard is checked at level n,
+    whose chain holds the largest tables, before any chain is built.  Then
+    the chains are built and tabulated one at a time in increasing size,
+    each over the equations no smaller chain has violated, so a
+    counterexample is the smallest chain and then the least valuation of
+    the sorted variable names.
     """
     if n < 2:
         raise AlgebraError("level must be >= 2")
@@ -113,17 +109,17 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
     for lhs, rhs, premises in equations:
         terms = [lhs, rhs, *(t for pair in premises for t in pair)]
         eqs.append((sorted(set().union(*map(variables, terms))), lhs, rhs, premises))
-    chains = _chains(n)
-    check_table_guard(chains[-1], eqs, guard)
+    batch = EquationBatch(eqs, delta=True, bottom=True)
+    batch.check_guard(n, guard)
     out = [Verdict(True)] * len(eqs)
     pending = list(range(len(eqs)))
-    for A in chains:
+    for k in range(2, n + 1):
         if not pending:
             break
-        found = equation_violations(A, [eqs[i] for i in pending], guard=guard)
+        found = batch.violations(make_chain(k, with_delta=True, with_bottom=True), pending)
         for i, ws in zip(pending, found):
             if ws:
-                out[i] = Verdict(False, (A.size, dict(zip(eqs[i][0], ws[0]))))
+                out[i] = Verdict(False, (k, dict(zip(eqs[i][0], ws[0]))))
         pending = [i for i, ws in zip(pending, found) if not ws]
     return out
 

@@ -232,3 +232,92 @@ def test_logic_table_guard(capsys, monkeypatch):
         assert main(["logic", *verb, "--formula", "q -> p"]) in (0, 1)
         monkeypatch.setenv("LUKRA_GUARD", "5")
     capsys.readouterr()
+
+
+def usage_error(capsys, argv, message):
+    """main(argv) exits 2 with `message` as its one stderr line and no report."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("3,4", "filter element 4 is outside the carrier 0..3"),
+    ("-1,3", "filter element -1 is outside the carrier 0..3"),
+], ids=["past-the-end", "negative"])
+def test_quotient_by_indices_outside_the_carrier(capsys, tmp_path, spec, message):
+    p = tmp_path / "l4.json"
+    p.write_text(make_chain(4, with_delta=True).to_json())
+    usage_error(capsys, ["filters", "quotient", "--in", str(p), f"--filter={spec}"], message)
+
+
+def _structure(**change):
+    """A valid structure file with each change `a__b=value` applied to
+    data["a"]["b"]; a value of None deletes the entry."""
+    data = {
+        "domain_size": 2,
+        "algebra": make_chain(3, with_delta=True, with_bottom=True).to_dict(),
+        "predicates": {"P": {"arity": 1, "table": {"0": 1, "1": 2}}},
+        "functions": {"f": {"arity": 1, "table": {"0": 1, "1": 0}}},
+        "constants": {"c": 0},
+    }
+    for path, value in change.items():
+        *keys, last = path.split("__")
+        where = data
+        for key in keys:
+            where = where[key]
+        if value is None:
+            del where[last]
+        else:
+            where[last] = value
+    return data
+
+
+@pytest.mark.parametrize("structure, assign, message", [
+    (_structure(predicates__P__table__0=7), [],
+     "predicate P(0) must be an int in 0..2, got 7"),
+    (_structure(predicates=[]), [], "predicates must be an object, got list"),
+    (_structure(predicates__P__table__1=True), [],
+     "predicate P(1) must be an int in 0..2, got True"),
+    (_structure(domain_size="2"), [], "domain_size must be a positive int, got '2'"),
+    (_structure(predicates__P__table__1=None), [], "predicate P(1) is missing"),
+    (_structure(predicates__P__table__00=1), [],
+     "predicate P key '00' must be 1 comma-separated indices in 0..1"),
+    (_structure(functions__f__table__1=2), [], "function f(1) must be an int in 0..1, got 2"),
+    (_structure(constants__c=9), [], "constant c must be an int in 0..1, got 9"),
+    (_structure(), ["--assign", "x=5"], "assignment x must be an int in 0..1, got 5"),
+], ids=["value-7", "predicates-list", "true-entry", "string-domain", "missing-entry",
+        "bad-key", "function-value", "constant-9", "assign-5"])
+def test_malformed_structure_files_are_usage_errors(capsys, tmp_path, structure, assign, message):
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps(structure))
+    usage_error(capsys, ["logic", "fo-eval", "--structure", str(s), "--formula", "P(x)",
+                         *(assign or ["--assign", "x=0"])], message)
+
+
+def test_chain_and_product_tables_are_guarded(capsys, tmp_path, monkeypatch):
+    start = time.perf_counter()
+    usage_error(capsys, ["algebra", "chain", "--n", "4000"],
+                "predicted table of 16000000 entries (4000 elements) exceeds guard 10000000")
+    assert time.perf_counter() - start < 1
+    p = tmp_path / "l4.json"
+    p.write_text(make_chain(4, with_delta=True).to_json())
+    monkeypatch.setenv("LUKRA_GUARD", "255")
+    usage_error(capsys, ["algebra", "product", "--in", str(p), "--in", str(p)],
+                "predicted table of 256 entries (16 elements) exceeds guard 255")
+    monkeypatch.setenv("LUKRA_GUARD", "256")
+    code, report = run(capsys, "algebra", "product", "--in", str(p), "--in", str(p))
+    assert code == 0 and report["size"] == 16
+
+
+def test_unexpected_errors_exit_3(capsys, monkeypatch):
+    import lukra.cli
+
+    def broken(args):
+        raise TypeError("unsupported operand\nsecond line")
+
+    monkeypatch.setattr(lukra.cli, "cmd_algebra_chain", broken)
+    code = main(["algebra", "chain", "--n", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "internal error: TypeError: unsupported operand second line\n"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -265,3 +266,17 @@ def test_decisions_match_the_sweep(f, hypotheses, g, n):
 def test_suites_match_the_sweep(n):
     assert theorem_suite(n) == reference_theorem_suite(n)
     assert hierarchy_check(n) == reference_hierarchy_check(n)
+
+
+def test_a_decision_holds_one_chain_at_a_time():
+    # the chains L2..L150 hold about 150^3 / 3 = 1.1e6 table entries together,
+    # some 9 MB of tuple slots; the largest alone holds 22 500
+    f = parse("p -> p")
+    tracemalloc.start()
+    try:
+        verdict = is_tautology(f, 150)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak < 2 * 10**6
