@@ -4,6 +4,10 @@ A FiniteAlgebra packs a carrier {0..N-1}, an implication table, an optional
 delta table, a distinguished top and an optional bottom.  The order is always
 *derived* from the table (x <= y iff x->y = top), never assumed from index
 order.  All values are immutable and safe to share.
+
+One semi-naive closure, `subuniverse`, generates every subuniverse: on
+finite tables for `subalgebra_closure`, `generating_set` and
+`homomorphisms`, and on packed vectors for the free-algebra builder.
 """
 
 from __future__ import annotations
@@ -54,18 +58,18 @@ class FiniteAlgebra:
         object.__setattr__(self, "imp", tuple(tuple(row) for row in self.imp))
         if len(self.imp) != n or any(len(row) != n for row in self.imp):
             raise AlgebraError("imp table must be size x size")
-        if any(not (0 <= v < n) for row in self.imp for v in row):
+        if min(map(min, self.imp)) < 0 or max(map(max, self.imp)) >= n:
             raise AlgebraError("imp entry out of carrier range")
         if not (0 <= self.top < n):
             raise AlgebraError("top out of carrier range")
         if self.delta is not None:
             object.__setattr__(self, "delta", tuple(self.delta))
-            if len(self.delta) != n or any(not (0 <= v < n) for v in self.delta):
+            if len(self.delta) != n or min(self.delta) < 0 or max(self.delta) >= n:
                 raise AlgebraError("delta table malformed")
         if self.bottom is not None:
             if not (0 <= self.bottom < n):
                 raise AlgebraError("bottom out of carrier range")
-            if any(self.imp[self.bottom][x] != self.top for x in range(n)):
+            if self.imp[self.bottom].count(self.top) != n:
                 raise AlgebraError("bottom must satisfy bottom -> x = top")
 
     # -- derived order ----------------------------------------------------
@@ -366,10 +370,75 @@ def product(algebras: list[FiniteAlgebra]) -> FiniteAlgebra:
     return FiniteAlgebra(size=total, imp=imp, top=top, delta=delta, bottom=bottom, label=label)
 
 
+def subuniverse(seeds, imps, delta=None):
+    """Generate the subuniverse of the seeds X, Sg(X) = X u E(X) u E^2(X) u ...
+
+    `imps(u, vs)` returns the lists [u -> v for v in vs] and
+    [v -> u for v in vs]; `delta(u)`, when given, is the unary operation.
+    The closure is semi-naive: element i, in discovery order, is paired in
+    both directions with the elements j < i and with itself, so every
+    ordered pair is computed once.
+
+    Returns (elems, rows, drow, how): the elements in discovery order,
+    rows[i][j] = the discovery index of elems[i] -> elems[j], drow[i] that
+    of delta(elems[i]) (drow is None without delta), and how[i], the first
+    derivation of elems[i]: ("seed", s) for seeds[s], ("imp", a, b) for
+    elems[a] -> elems[b], ("delta", a) for delta(elems[a]).
+    """
+    elems, rows, how = [], [], []
+    index = {}
+    get = index.get
+
+    def discover(e, origin):
+        k = index[e] = len(elems)
+        elems.append(e)
+        rows.append([])
+        how.append(origin)
+        return k
+
+    for s, e in enumerate(seeds):
+        if e not in index:
+            discover(e, ("seed", s))
+    drow = None if delta is None else []
+    i = 0
+    while i < len(elems):
+        u = elems[i]
+        fwd, back = imps(u, elems[:i + 1])
+        row = rows[i]
+        # the origin tuples are built only for new elements
+        for j, uv, vu, row_v in zip(range(i), fwd, back, rows):
+            k = get(uv)
+            row.append(discover(uv, ("imp", i, j)) if k is None else k)
+            k = get(vu)
+            row_v.append(discover(vu, ("imp", j, i)) if k is None else k)
+        k = get(fwd[i])
+        row.append(discover(fwd[i], ("imp", i, i)) if k is None else k)
+        if delta is not None:
+            r = delta(u)
+            k = get(r)
+            drow.append(discover(r, ("delta", i)) if k is None else k)
+        i += 1
+    return elems, rows, drow, how
+
+
+def _generate(A: FiniteAlgebra, gens):
+    """`subuniverse` on A's tables, seeded with top, bottom (when it is a
+    constant) and then gens."""
+    imp = A.imp
+
+    def imps(u, vs):
+        row = imp[u]
+        return [row[v] for v in vs], [imp[v][u] for v in vs]
+
+    constants = [A.top] if A.bottom is None else [A.top, A.bottom]
+    return subuniverse([*constants, *gens], imps,
+                       None if A.delta is None else A.delta.__getitem__)
+
+
 def subalgebra_closure(A: FiniteAlgebra, seed) -> tuple[int, ...]:
     """Least subuniverse containing `seed`: closed under ->, delta (when
     present), and containing top (and bottom when it is a constant)."""
-    return tuple(sorted(e for e, _ in _closure_plan(A, seed)))
+    return tuple(sorted(_generate(A, seed)[0]))
 
 
 def restrict_to(A: FiniteAlgebra, elements, label: str = "") -> tuple[FiniteAlgebra, dict[int, int]]:
@@ -386,94 +455,53 @@ def restrict_to(A: FiniteAlgebra, elements, label: str = "") -> tuple[FiniteAlge
     return B, index
 
 
+def _generating_closure(A: FiniteAlgebra):
+    """A greedy generating set, each generator the least element the
+    previous ones miss, and `_generate`'s closure of it."""
+    gens: list[int] = []
+    closure = _generate(A, gens)
+    while len(closure[0]) < A.size:
+        gens.append(min(set(range(A.size)) - set(closure[0])))
+        closure = _generate(A, gens)
+    return gens, closure
+
+
 def generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
     """A small (greedy, not necessarily minimum) generating set."""
-    gens: list[int] = []
-    closed = set(subalgebra_closure(A, gens))
-    while len(closed) < A.size:
-        e = min(set(range(A.size)) - closed)
-        gens.append(e)
-        closed = set(subalgebra_closure(A, gens))
-    return tuple(gens)
-
-
-def _closure_plan(A: FiniteAlgebra, gens):
-    """Discovery plan for the subuniverse generated by gens + constants.
-
-    Returns a list of (element, op) where op explains how the element is
-    first reached: ('const', c) | ('gen', i) | ('imp', a, b) | ('delta', a).
-    """
-    plan = []
-    seen = set()
-
-    def add(e, how):
-        if e not in seen:
-            seen.add(e)
-            plan.append((e, how))
-
-    add(A.top, ("const", A.top))
-    if A.bottom is not None:
-        add(A.bottom, ("const", A.bottom))
-    for i, g in enumerate(gens):
-        add(g, ("gen", i))
-    frontier = 0
-    while frontier < len(plan):
-        x = plan[frontier][0]
-        frontier += 1
-        for y, _ in tuple(plan):
-            add(A.imp[x][y], ("imp", x, y))
-            add(A.imp[y][x], ("imp", y, x))
-        if A.delta is not None:
-            add(A.delta[x], ("delta", x))
-    return plan
+    return tuple(_generating_closure(A)[0])
 
 
 def homomorphisms(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All homomorphisms A -> B, as image tuples indexed by A's carrier.
 
-    Backtracks over generator images; each candidate extension is forced by
-    the closure plan and then verified against the full tables.
+    Enumerates generator images; each candidate is forced by replaying in
+    B the first derivation of every element of A, and then verified
+    against the full tables.
     """
     _common_signature([A, B])
-    gens = generating_set(A)
-    plan = _closure_plan(A, gens)
-    if len(plan) != A.size:
-        raise InternalConsistencyError("generating set does not generate")
+    gens, (elems, _, _, how) = _generating_closure(A)
+    # discovery index of each element of A, in carrier order
+    position = sorted(range(A.size), key=elems.__getitem__)
+    constants = [B.top] if B.bottom is None else [B.top, B.bottom]
     found = []
     for images in iter_product(range(B.size), repeat=len(gens)):
-        h: list[int | None] = [None] * A.size
-        ok = True
-        for e, how in plan:
-            if how[0] == "const":
-                v = B.top if e == A.top else B.bottom
-            elif how[0] == "gen":
-                v = images[how[1]]
-            elif how[0] == "imp":
-                v = B.imp[h[how[1]]][h[how[2]]]
+        seeds = [*constants, *images]
+        values = []
+        for step in how:
+            if step[0] == "imp":
+                values.append(B.imp[values[step[1]]][values[step[2]]])
+            elif step[0] == "delta":
+                values.append(B.delta[values[step[1]]])
             else:
-                v = B.delta[h[how[1]]]
-            if h[e] is None:
-                h[e] = v
-            elif h[e] != v:
-                ok = False
-                break
-        if not ok:
+                values.append(seeds[step[1]])
+        h = list(map(values.__getitem__, position))
+        # top is a seed of every replay, bottom only when it differs from top
+        if A.bottom is not None and h[A.bottom] != B.bottom:
             continue
-        # full verification with early abort
-        for x in range(A.size):
-            hx = h[x]
-            if A.delta is not None and B.delta[hx] != h[A.delta[x]]:
-                ok = False
-                break
-            impx = A.imp[x]
-            brow = B.imp[hx]
-            for y in range(A.size):
-                if brow[h[y]] != h[impx[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if A.delta is not None and list(map(B.delta.__getitem__, h)) != list(map(h.__getitem__, A.delta)):
+            continue
+        if all(list(map(B.imp[hx].__getitem__, h)) == list(map(h.__getitem__, row))
+               for hx, row in zip(h, A.imp)):
             found.append(tuple(h))
     return sorted(found)
 

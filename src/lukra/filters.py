@@ -548,13 +548,13 @@ MOISIL_GUARD = 8
 
 
 def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
-                  full: bool = False, guard: int = MOISIL_GUARD):
+                  guard: int = MOISIL_GUARD):
     """Search for operators d_2..d_n completing delta1 to a family.
 
-    The default search runs over order-preserving tables with values in the
-    set B = {e : e v (e -> y) = top for all y} (which any solution must use)
+    The search runs over order-preserving tables with values in the set
+    B = {e : e v (e -> y) = top for all y} (which any solution must use)
     and prunes by the pointwise chain d_i <= d_{i+1} and by ML17 at the
-    (n-1)-th operator; `full=True` drops the monotone/chain pruning.
+    (n-1)-th operator.
     Candidate families are accepted against the whole law suite (ML1-ML5b
     plus the consequences ML7-ML18): the axiom literals alone admit
     degenerate families, e.g. with the crisp operator repeated.  Returns
@@ -571,7 +571,7 @@ def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
         e for e in range(A.size)
         if all(A.join(e, A.imp[e][y]) == A.top for y in range(A.size))
     ]
-    candidates = _tables_into(A, boolean, monotone=not full)
+    candidates = _tables_into(A, boolean)
     chosen: list[tuple[int, ...]] = [delta1]
 
     def rec(i: int):
@@ -580,11 +580,11 @@ def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
                 return list(chosen)
             return None
         for t in candidates:
-            if not full and i <= n - 1 and not all(
+            if i <= n - 1 and not all(
                 A.leq(chosen[-1][x], t[x]) for x in range(A.size)
             ):
                 continue
-            if not full and i == n - 1 and not all(
+            if i == n - 1 and not all(
                 A.leq(x, t[x]) for x in range(A.size)
             ):
                 continue
@@ -598,11 +598,11 @@ def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
     return rec(2)
 
 
-def _tables_into(A: FiniteAlgebra, values, monotone: bool):
-    """All unary tables with entries in `values`, optionally order-preserving."""
+def _tables_into(A: FiniteAlgebra, values):
+    """All order-preserving unary tables with entries in `values`."""
     out = []
     for combo in iter_product(values, repeat=A.size):
-        if monotone and any(
+        if any(
             A.leq(x, y) and not A.leq(combo[x], combo[y])
             for x in range(A.size)
             for y in range(A.size)

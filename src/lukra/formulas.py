@@ -86,9 +86,14 @@ def delta(a: Formula) -> Delta:
 
 
 def imp_k(a: Formula, b: Formula, k: int) -> Formula:
-    """k-fold iterated implication: a ->[0] b = b, a ->[k+1] b = a -> (a ->[k] b)."""
+    """k-fold iterated implication: a ->[0] b = b, a ->[k+1] b = a -> (a ->[k] b).
+
+    Refused for k > IMP_K_LIMIT, so every expansion of the sugar is bounded.
+    """
     if k < 0:
         raise FormulaError("iterated implication needs k >= 0")
+    if k > IMP_K_LIMIT:
+        raise FormulaError(f"iterated implication ->[{k}] exceeds the limit k <= {IMP_K_LIMIT}")
     out = b
     for _ in range(k):
         out = Imp(a, out)
@@ -124,14 +129,6 @@ def uses_bot(f: Formula) -> bool:
         return uses_bot(f.left) or uses_bot(f.right)
     if isinstance(f, Delta):
         return uses_bot(f.child)
-    return False
-
-
-def uses_delta(f: Formula) -> bool:
-    if isinstance(f, Delta):
-        return True
-    if isinstance(f, Imp):
-        return uses_delta(f.left) or uses_delta(f.right)
     return False
 
 
@@ -191,8 +188,8 @@ _TOKEN_RE = re.compile(
 )
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Largest k accepted in `a ->[k] b`: the sugar expands to k nested
-# implications at parse time, so k bounds the size of the parsed term.
+# Largest k accepted in `a ->[k] b` and by `imp_k`: the sugar expands to k
+# nested implications, so k bounds the size of the term.
 IMP_K_LIMIT = 1000
 
 TOO_DEEP = "formula nested too deeply for the Python recursion limit"

@@ -6,7 +6,9 @@ closure of the m "evaluation tuples" inside the product over all chains
 of size 2 <= k <= n and all valuations of the generators into them.
 Chains below n must be included as codomains in their own right: the
 crisp operator on a k-subchain of the n-chain disagrees with the ambient
-one, so valuations into the n-chain alone would under-generate.
+one, so valuations into the n-chain alone would under-generate.  The
+closure is `algebra.subuniverse`, the one that also serves subalgebras and
+homomorphisms, run on vectors packed into ints.
 
 Cardinalities admit a closed form via inclusion-exclusion over the
 principal up-sets of the delta'd generators; the correction sum of the
@@ -31,6 +33,8 @@ from .algebra import (
     epimorphisms,
     make_chain,
     restrict_to,
+    subalgebra_closure,
+    subuniverse,
 )
 
 # bound on the predicted implication table, in entries (carrier size squared)
@@ -191,11 +195,19 @@ class _Packing:
         fmask = (1 << self.w) - 1
         return tuple((p >> sh) & fmask for sh in self.shifts)
 
+    def imps(self, u: int, vs) -> tuple[list[int], list[int]]:
+        """[u -> v for v in vs] and [v -> u for v in vs]: min(mm, mm - a + b)
+        in every field, the row function `subuniverse` takes."""
+        MM, CC, H, s = self.MM, self.CC, self.H, self.s
+        neg, pos = MM - u, MM + u
+        # x = mm - a + b per field; t flags the fields where x > mm, and
+        # t - (t >> s) masks them, where mm replaces x
+        return ([(x := neg + v) ^ ((x ^ MM) & ((t := (x + CC) & H) - (t >> s))) for v in vs],
+                [(x := pos - v) ^ ((x ^ MM) & ((t := (x + CC) & H) - (t >> s))) for v in vs])
+
     def imp(self, u: int, v: int) -> int:
-        """min(mm, mm - a + b) in every field; _build_free inlines this."""
-        x = self.MM - u + v
-        t = (x + self.CC) & self.H
-        return x ^ ((x ^ self.MM) & (t - (t >> self.s)))
+        """u -> v, by `imps`."""
+        return self.imps(u, (v,))[0][0]
 
     def delta(self, u: int) -> int:
         """mm where a == mm, else 0: a + high - mm reaches the top bit iff a == mm."""
@@ -219,12 +231,11 @@ def _build_free(n: int, m: int) -> FreeAlgebra:
     """The unguarded construction behind build_free.
 
     Elements are packed ints (see `_Packing`), so one implication over all
-    coordinates is a handful of int operations.  The closure is semi-naive:
-    element i, in discovery order, is paired only with the elements j < i,
-    in both directions, and each result goes straight into the table, so
-    every ordered pair is computed once.  The table is then permuted into
-    sorted order.  The result is checked for nothing here; tests confirm it
-    satisfies the variety checks and the structure lemmas.
+    coordinates is a handful of int operations.  The closure is
+    `algebra.subuniverse` over `_Packing.imps`, whose discovery-order rows
+    are the table, every ordered pair computed once; the table is then
+    permuted into sorted order.  The result is checked for nothing here;
+    tests confirm it satisfies the variety checks and the structure lemmas.
     """
     coord_sizes = []
     gen_vectors = [[] for _ in range(m)]
@@ -235,47 +246,9 @@ def _build_free(n: int, m: int) -> FreeAlgebra:
                 gen_vectors[i].append(valuation[i])
     coord_sizes = tuple(coord_sizes)
     P = _Packing(coord_sizes)
-    MM, CC, H, s = P.MM, P.CC, P.H, P.s
-
-    # discovery order: top first, then the generators
-    elems, negs, rows, delta = [], [], [], []
-    index = {}
-
-    def discover(r):
-        k = index[r] = len(elems)
-        elems.append(r)
-        negs.append(MM - r)             # MM - u, the left half of u -> v
-        rows.append([])                 # rows[i][j] = i -> j, discovery indices
-        return k
-
-    discover(MM)
     packed_gens = [P.pack(g) for g in gen_vectors]
-    for p in packed_gens:
-        if p not in index:
-            discover(p)
-
-    i = 0
-    while i < len(elems):
-        u = elems[i]
-        neg_u = negs[i]
-        row = rows[i]
-        for v, neg_v, row_v in zip(elems[:i], negs[:i], rows[:i]):
-            x = neg_u + v               # u -> v, as in _Packing.imp
-            t = (x + CC) & H
-            r = x ^ ((x ^ MM) & (t - (t >> s)))
-            k = index.get(r)
-            row.append(discover(r) if k is None else k)
-            x = neg_v + u               # v -> u
-            t = (x + CC) & H
-            r = x ^ ((x ^ MM) & (t - (t >> s)))
-            k = index.get(r)
-            row_v.append(discover(r) if k is None else k)
-        row.append(0)                   # u -> u is top, discovery index 0
-        r = P.delta(u)
-        k = index.get(r)
-        delta.append(discover(r) if k is None else k)
-        i += 1
-
+    # discovery order: top first, then the generators
+    elems, rows, delta, _ = subuniverse([P.MM, *packed_gens], P.imps, P.delta)
     size = len(elems)
     order = sorted(range(size), key=elems.__getitem__)
     rank = [0] * size
@@ -300,7 +273,7 @@ def _build_free(n: int, m: int) -> FreeAlgebra:
     )
     return FreeAlgebra(
         n=n, m=m, algebra=algebra,
-        generators=tuple(rank[index[p]] for p in packed_gens),
+        generators=tuple(rank[elems.index(p)] for p in packed_gens),
         coord_sizes=coord_sizes,
         vectors=tuple(P.unpack(elems[old]) for old in order),
     )
@@ -347,14 +320,9 @@ def upset_Nk(F: FreeAlgebra, k: int) -> tuple[int, ...]:
         gstar = A.join(gstar, g)
     dg = A.delta[gstar]
     members = A.above[dg]
-    mset = set(members)
-    for x in members:
-        if A.delta[x] not in mset:
-            raise InternalConsistencyError("up-set not closed under delta")
-        for y in members:
-            if A.imp[x][y] not in mset:
-                raise InternalConsistencyError("up-set not closed under ->")
-    if any(not A.leq(dg, x) for x in members) or dg not in mset:
+    if subalgebra_closure(A, members) != members:
+        raise InternalConsistencyError("up-set not closed under -> and delta")
+    if any(not A.leq(dg, x) for x in members) or dg not in members:
         raise InternalConsistencyError("least element missing from up-set")
     return members
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import AlgebraError, make_chain
 from .formulas import (
@@ -35,7 +36,6 @@ from .formulas import (
     Var,
     imp_k,
     or_,
-    rational_eval,
     variables,
 )
 from .laws import CheckReport
@@ -93,6 +93,14 @@ class Verdict:
         return out
 
 
+@lru_cache(maxsize=4)
+def _chain(k: int):
+    """The k-chain with delta and bottom.  The last four are kept: many
+    small decisions at levels up to 5 share their chains, and a decision at
+    a high level holds at most four of its large ones besides the current."""
+    return make_chain(k, with_delta=True, with_bottom=True)
+
+
 def _decide(equations, n: int, guard: int) -> list[Verdict]:
     """Decide each (lhs, rhs, premises) quasi-equation at level n.
 
@@ -116,7 +124,7 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
     for k in range(2, n + 1):
         if not pending:
             break
-        found = batch.violations(make_chain(k, with_delta=True, with_bottom=True), pending)
+        found = batch.violations(_chain(k), pending)
         for i, ws in zip(pending, found):
             if ws:
                 out[i] = Verdict(False, (k, dict(zip(eqs[i][0], ws[0]))))

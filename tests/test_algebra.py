@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations, product as iter_product
 
 import pytest
 
@@ -6,6 +8,7 @@ from lukra.algebra import (
     AlgebraError,
     FiniteAlgebra,
     SignatureError,
+    _generate,
     delta_admissible,
     epimorphisms,
     generating_set,
@@ -286,3 +289,126 @@ def test_homomorphisms_preserve_tarskian_elements():
         image_tarskian = {image[t] for t in tarskian_elements(sub)}
         for t in tarskian_elements(A):
             assert h[t] in image_tarskian
+
+
+def reference_closure_plan(A, gens):
+    """The breadth-first closure subalgebra_closure replaced, kept as its
+    oracle: each element is paired with every element found so far.
+
+    Returns a list of (element, op) where op explains how the element is
+    first reached: ('const', c) | ('gen', i) | ('imp', a, b) | ('delta', a).
+    """
+    plan = []
+    seen = set()
+
+    def add(e, how):
+        if e not in seen:
+            seen.add(e)
+            plan.append((e, how))
+
+    add(A.top, ("const", A.top))
+    if A.bottom is not None:
+        add(A.bottom, ("const", A.bottom))
+    for i, g in enumerate(gens):
+        add(g, ("gen", i))
+    frontier = 0
+    while frontier < len(plan):
+        x = plan[frontier][0]
+        frontier += 1
+        for y, _ in tuple(plan):
+            add(A.imp[x][y], ("imp", x, y))
+            add(A.imp[y][x], ("imp", y, x))
+        if A.delta is not None:
+            add(A.delta[x], ("delta", x))
+    return plan
+
+
+def reference_closure(A, gens):
+    return tuple(sorted(e for e, _ in reference_closure_plan(A, gens)))
+
+
+def reference_generating_set(A):
+    gens = []
+    while len(reference_closure(A, gens)) < A.size:
+        gens.append(min(set(range(A.size)) - set(reference_closure(A, gens))))
+    return tuple(gens)
+
+
+def reference_homomorphisms(A, B):
+    """Every map A -> B that preserves top, bottom, delta and ->, by brute
+    force over all |B|^|A| maps, in lexicographic order."""
+    r = range(A.size)
+    found = []
+    for h in iter_product(range(B.size), repeat=A.size):
+        if h[A.top] != B.top or (A.bottom is not None and h[A.bottom] != B.bottom):
+            continue
+        if A.delta is not None and any(B.delta[h[x]] != h[A.delta[x]] for x in r):
+            continue
+        if all(B.imp[h[x]][h[y]] == h[A.imp[x][y]] for x in r for y in r):
+            found.append(h)
+    return found
+
+
+def random_table(rng, size, delta, bottom):
+    """An in-range table of the given signature; mostly not an algebra."""
+    imp = [[rng.randrange(size) for _ in range(size)] for _ in range(size)]
+    top = rng.randrange(size)
+    low = None
+    if bottom:
+        low = rng.randrange(size)
+        imp[low] = [top] * size
+    return FiniteAlgebra(
+        size=size, imp=imp, top=top, bottom=low,
+        delta=tuple(rng.randrange(size) for _ in range(size)) if delta else None)
+
+
+def closure_inputs():
+    chains = [make_chain(n, with_delta=d, with_bottom=b)
+              for n in (2, 3, 4) for d in (False, True) for b in (False, True)]
+    L3xL2 = product([make_chain(3, with_delta=True), make_chain(2, with_delta=True)])
+    L4xL2 = product([make_chain(4, with_delta=True), make_chain(2, with_delta=True)])
+    subs = sorted({reference_closure(L4xL2, (x,)) for x in range(L4xL2.size)})
+    rng = random.Random(9)
+    tables = [random_table(rng, rng.randint(1, 5), rng.random() < 0.5, rng.random() < 0.5)
+              for _ in range(60)]
+    return [*chains, L3xL2, *(restrict_to(L4xL2, s)[0] for s in subs),
+            five_element_non_admissible(), *tables]
+
+
+def test_closure_matches_the_breadth_first_oracle():
+    for A in closure_inputs():
+        for k in range(3):
+            for seed in combinations(range(A.size), k):
+                want = reference_closure(A, seed)
+                assert subalgebra_closure(A, seed) == want, (A, seed)
+                # rows, delta row and first derivations all name the right elements
+                elems, rows, drow, how = _generate(A, seed)
+                assert sorted(elems) == list(want)
+                assert rows == [[elems.index(A.imp[x][y]) for y in elems] for x in elems]
+                assert drow == (None if A.delta is None else
+                                [elems.index(A.delta[x]) for x in elems])
+                seeds = [A.top] + ([] if A.bottom is None else [A.bottom]) + list(seed)
+                for e, step in zip(elems, how):
+                    if step[0] == "imp":
+                        assert e == A.imp[elems[step[1]]][elems[step[2]]]
+                    elif step[0] == "delta":
+                        assert e == A.delta[elems[step[1]]]
+                    else:
+                        assert e == seeds[step[1]]
+        assert generating_set(A) == reference_generating_set(A)
+
+
+def test_homomorphisms_match_brute_force():
+    inputs = closure_inputs()
+    for A in inputs:
+        for B in inputs:
+            same = (A.delta is None, A.bottom is None) == (B.delta is None, B.bottom is None)
+            if same and B.size ** A.size <= 4096:
+                assert homomorphisms(A, B) == reference_homomorphisms(A, B), (A, B)
+    # random tables against random targets of their own signature
+    rng = random.Random(17)
+    for _ in range(150):
+        delta, bottom = rng.random() < 0.5, rng.random() < 0.5
+        A = random_table(rng, rng.randint(1, 5), delta, bottom)
+        B = random_table(rng, rng.randint(1, 5), delta, bottom)
+        assert homomorphisms(A, B) == reference_homomorphisms(A, B), (A, B)

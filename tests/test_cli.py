@@ -6,7 +6,7 @@ import pytest
 
 from lukra.cli import main
 from lukra.algebra import FiniteAlgebra, make_chain
-from lukra.formulas import TABLE_GUARD
+from lukra.formulas import IMP_K_LIMIT, TABLE_GUARD
 from lukra.laws import check_LR, check_LRn, check_delta
 
 
@@ -187,6 +187,28 @@ def test_oversized_formulas_are_usage_errors(capsys, tmp_path, verb, formula):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "Traceback" not in captured.err and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("level", [5000, 30_000_000])
+def test_oversized_levels_are_usage_errors(capsys, tmp_path, level):
+    # level n asks for ->[n-1] and ->[n], which are refused past IMP_K_LIMIT
+    # before a single node is built
+    import pathlib
+
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "proofs" / "lh20_n3.proof"
+    p = tmp_path / "l3.json"
+    p.write_text(make_chain(3, with_delta=True).to_json())
+    message = (rf"error: iterated implication ->\[(?:{level - 1}|{level})\] "
+               rf"exceeds the limit k <= {IMP_K_LIMIT}\n")
+    for argv in (["logic", "theorem-suite"], ["logic", "hierarchy"],
+                 ["algebra", "check", "--in", str(p)],
+                 ["logic", "prove-check", "--system", "n", "--in", str(fixture)]):
+        start = time.perf_counter()
+        code = main([*argv, "--n", str(level)])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 5
+        assert (code, captured.out) == (2, "")
+        assert re.fullmatch(message, captured.err), (argv, captured.err)
 
 
 @pytest.mark.parametrize("imp, message", [
