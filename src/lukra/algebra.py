@@ -210,7 +210,7 @@ def make_chain(n: int, with_delta: bool = False, with_bottom: bool = False) -> F
     if n < 2:
         raise AlgebraError("a chain needs at least 2 elements")
     m = n - 1
-    imp = tuple(tuple(min(m, m - i + j) for j in range(n)) for i in range(n))
+    imp = tuple(tuple(range(m - i, m)) + (m,) * (n - i) for i in range(n))
     delta = tuple([0] * m + [m]) if with_delta else None
     label = f"L{n}" + ("+d" if with_delta else "") + ("+b" if with_bottom else "")
     return FiniteAlgebra(

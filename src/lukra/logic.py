@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import AlgebraError, make_chain
 from .formulas import (
@@ -93,14 +92,6 @@ class Verdict:
         return out
 
 
-@lru_cache(maxsize=4)
-def _chain(k: int):
-    """The k-chain with delta and bottom.  The last four are kept: many
-    small decisions at levels up to 5 share their chains, and a decision at
-    a high level holds at most four of its large ones besides the current."""
-    return make_chain(k, with_delta=True, with_bottom=True)
-
-
 def _decide(equations, n: int, guard: int) -> list[Verdict]:
     """Decide each (lhs, rhs, premises) quasi-equation at level n.
 
@@ -124,7 +115,8 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
     for k in range(2, n + 1):
         if not pending:
             break
-        found = batch.violations(_chain(k), pending)
+        chain = make_chain(k, with_delta=True, with_bottom=True)
+        found = batch.violations(chain, pending)
         for i, ws in zip(pending, found):
             if ws:
                 out[i] = Verdict(False, (k, dict(zip(eqs[i][0], ws[0]))))
