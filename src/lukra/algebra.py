@@ -7,7 +7,9 @@ order.  All values are immutable and safe to share.
 
 One semi-naive closure, `subuniverse`, generates every subuniverse: on
 finite tables for `subalgebra_closure`, `generating_set` and
-`homomorphisms`, and on packed vectors for the free-algebra builder.
+`homomorphisms`, and on packed vectors for the free-algebra builder.  One
+sweep, `least_witness`, finds the least counterexample of every
+hand-written check in lexicographic order.
 """
 
 from __future__ import annotations
@@ -314,17 +316,22 @@ def min_n(A: FiniteAlgebra) -> int | None:
     only for tables outside the n-valued classes).
     """
     for n in range(2, A.size + 2):
-        if _level_ok(A, n):
+        if least_witness(A.size, 2, lambda x, y: A.join(imp_k(A, x, y, n - 1), x) == A.top) is None:
             return n
     return None
 
 
-def _level_ok(A: FiniteAlgebra, n: int) -> bool:
-    for x in range(A.size):
-        for y in range(A.size):
-            if A.join(imp_k(A, x, y, n - 1), x) != A.top:
-                return False
-    return True
+def least_witness(size: int, arity: int, holds) -> tuple[int, ...] | None:
+    """The least tuple of `arity` carrier indices, in lexicographic order,
+    at which `holds(*tuple)` is false; None when it holds everywhere.
+
+    Every hand-written check that reports or raises at a witness sweeps
+    through here, so each one names the least witness.
+    """
+    for witness in iter_product(range(size), repeat=arity):
+        if not holds(*witness):
+            return witness
+    return None
 
 
 # ---------------------------------------------------------------------------

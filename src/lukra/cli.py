@@ -22,8 +22,8 @@ from . import laws
 from . import logic as lg
 from .algebra import AlgebraError, FiniteAlgebra, InternalConsistencyError, SizeGuardError
 from .fo import FOError, FOStructure, fo_eval, fo_parse
-from .formulas import TABLE_GUARD, TOO_DEEP, FormulaError, parse as parse_formula, to_text
-from .proofs import ProofSyntaxError, check_proof, parse_proof
+from .formulas import TABLE_GUARD, TOO_DEEP, parse as parse_formula, to_text
+from .proofs import check_proof, parse_proof
 
 OK, PROPERTY_FALSE, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -375,8 +375,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         _say(f"internal inconsistency: {exc}")
         return INTERNAL
-    except (AlgebraError, FormulaError, FOError, ProofSyntaxError,
-            OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (AlgebraError, OSError, KeyError, ValueError) as exc:
         _say(f"error: {exc}")
         return USAGE
     except RecursionError:

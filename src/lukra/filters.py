@@ -11,7 +11,6 @@ guard on the carrier still protects the general case.  The derived queries
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .algebra import (
     AlgebraError,
@@ -22,6 +21,7 @@ from .algebra import (
     SizeGuardError,
     imp_k,
     is_isomorphic,
+    least_witness,
     make_chain,
     min_n,
     product,
@@ -55,9 +55,6 @@ class Congruence:
         for x, b in enumerate(self.partition):
             out[b].append(x)
         return [tuple(b) for b in out]
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.partition) if b == self.partition[x])
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +249,9 @@ def congruence_of(A: FiniteAlgebra, F) -> Congruence:
                     partition[y] = blocks
             blocks += 1
     # equivalence sanity: related elements must relate to the same things
-    for x in range(A.size):
-        leader = partition.index(partition[x])
-        if related[x] != related[leader]:
-            raise InternalConsistencyError(
-                f"filter relation is not an equivalence at {x}"
-            )
+    bad = least_witness(A.size, 1, lambda x: related[x] == related[partition.index(partition[x])])
+    if bad:
+        raise InternalConsistencyError(f"filter relation is not an equivalence at {bad[0]}")
     return Congruence(partition=tuple(partition))
 
 
@@ -272,18 +266,15 @@ def quotient(A: FiniteAlgebra, F) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     nblocks = cong.block_count
     reps = [part.index(b) for b in range(nblocks)]
     imp_table = [[part[A.imp[reps[i]][reps[j]]] for j in range(nblocks)] for i in range(nblocks)]
-    for x in range(A.size):
-        for y in range(A.size):
-            if part[A.imp[x][y]] != imp_table[part[x]][part[y]]:
-                raise InternalConsistencyError(
-                    f"quotient implication ill-defined at ({x}, {y})"
-                )
+    bad = least_witness(A.size, 2, lambda x, y: part[A.imp[x][y]] == imp_table[part[x]][part[y]])
+    if bad:
+        raise InternalConsistencyError(f"quotient implication ill-defined at {bad}")
     delta_table = None
     if A.delta is not None:
         delta_table = [part[A.delta[r]] for r in reps]
-        for x in range(A.size):
-            if part[A.delta[x]] != delta_table[part[x]]:
-                raise InternalConsistencyError(f"quotient delta ill-defined at {x}")
+        bad = least_witness(A.size, 1, lambda x: part[A.delta[x]] == delta_table[part[x]])
+        if bad:
+            raise InternalConsistencyError(f"quotient delta ill-defined at {bad[0]}")
     Q = FiniteAlgebra(
         size=nblocks,
         imp=tuple(tuple(row) for row in imp_table),
@@ -396,136 +387,107 @@ def classify_simple(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = F
 # Moisil possibility-operator families
 # ---------------------------------------------------------------------------
 
-def _moisil_violation(A: FiniteAlgebra, deltas, n: int):
-    """First violation of the family axioms ML1-ML5b and ML7-ML18.
+def _moisil_laws(A: FiniteAlgebra, deltas, n: int):
+    """The family axioms ML1-ML5b and ML7-ML18 as (name, arity, holds)
+    entries, in reporting order; each law is swept over the carrier by
+    `least_witness`.
 
     `deltas[i-1]` is the i-th operator, i = 1..n.  The duplicated axiom
-    label in the source axiom list is split into ML5a / ML5b.
+    label in the source axiom list is split into ML5a / ML5b.  Each entry
+    binds its operator tables as defaults, so it keeps its own indices.
     """
-    N = A.size
+    imp, top, join, leq = A.imp, A.top, A.join, A.leq
+    d = (None, *deltas)  # d[i] is the i-th operator
+    d1 = d[1]
     J = range(1, n + 1)
 
-    def d(i, x):
-        return deltas[i - 1][x]
+    def imp_n(x, y):
+        return imp_k(A, x, y, n)
 
-    size_range = range(N)
     # ML1: d1 x -> y == x ->_n y
-    for x in size_range:
-        for y in size_range:
-            if A.imp[d(1, x)][y] != imp_k(A, x, y, n):
-                return ("ML1", (x, y))
+    yield "ML1", 2, lambda x, y: imp[d1[x]][y] == imp_n(x, y)
     # ML2: d_i x v (d_i x -> y) == top
     for i in J:
-        for x in size_range:
-            dx = d(i, x)
-            for y in size_range:
-                if A.join(dx, A.imp[dx][y]) != A.top:
-                    return (f"ML2[i={i}]", (x, y))
+        yield f"ML2[i={i}]", 2, lambda x, y, di=d[i]: join(di[x], imp[di[x]][y]) == top
     # ML3: d_i (d_j x -> d_j y) == d_j x -> d_j y, outer i over the genuine
     # operators 1..n-1.  At i = n the law contradicts ML4/ML5b, which force
     # the n-th operator to be constantly top (it cannot fix 0).
     for i in range(1, n):
         for j in J:
-            for x in size_range:
-                for y in size_range:
-                    v = A.imp[d(j, x)][d(j, y)]
-                    if d(i, v) != v:
-                        return (f"ML3[i={i},j={j}]", (x, y))
+            yield (f"ML3[i={i},j={j}]", 2,
+                   lambda x, y, di=d[i], dj=d[j]: di[imp[dj[x]][dj[y]]] == imp[dj[x]][dj[y]])
+
     # ML4: (d1 x -> d1 y) -> (... -> ((dn x -> dn y) -> (x -> y)) ...) == top
-    for x in size_range:
-        for y in size_range:
-            acc = A.imp[x][y]
-            for i in reversed(list(J)):
-                acc = A.imp[A.imp[d(i, x)][d(i, y)]][acc]
-            if acc != A.top:
-                return ("ML4", (x, y))
+    def ml4(x, y):
+        acc = imp[x][y]
+        for i in reversed(J):
+            acc = imp[imp[d[i][x]][d[i][y]]][acc]
+        return acc == top
+
+    yield "ML4", 2, ml4
     # ML5a: d_i y -> (d_j x v d_k (x -> y)) == top, 1 <= i <= j + k
     for j in J:
         for k in J:
             for i in range(1, min(n, j + k) + 1):
-                for x in size_range:
-                    for y in size_range:
-                        body = A.join(d(j, x), d(k, A.imp[x][y]))
-                        if A.imp[d(i, y)][body] != A.top:
-                            return (f"ML5a[i={i},j={j},k={k}]", (x, y))
+                yield (f"ML5a[i={i},j={j},k={k}]", 2,
+                       lambda x, y, di=d[i], dj=d[j], dk=d[k]:
+                       imp[di[y]][join(dj[x], dk[imp[x][y]])] == top)
     # ML5b: d_i (x -> y) -> (d_k x -> d_j y) == top, 1 <= i <= j - k + 1
     for j in J:
         for k in J:
             for i in range(1, min(n, j - k + 1) + 1):
-                for x in size_range:
-                    for y in size_range:
-                        if A.imp[d(i, A.imp[x][y])][A.imp[d(k, x)][d(j, y)]] != A.top:
-                            return (f"ML5b[i={i},j={j},k={k}]", (x, y))
-    # ML7: d_j top == top
+                yield (f"ML5b[i={i},j={j},k={k}]", 2,
+                       lambda x, y, di=d[i], dj=d[j], dk=d[k]:
+                       imp[di[imp[x][y]]][imp[dk[x]][dj[y]]] == top)
+    # ML7: d_j top == top, read as "x != top or d_j x == top" so that its
+    # least witness is (top,)
     for j in J:
-        if d(j, A.top) != A.top:
-            return (f"ML7[j={j}]", (A.top,))
+        yield f"ML7[j={j}]", 1, lambda x, dj=d[j]: x != top or dj[x] == top
     # ML8: d_1 x <= d_2 x <= ... <= d_{n-1} x
     for j in range(1, n - 1):
-        for x in size_range:
-            if not A.leq(d(j, x), d(j + 1, x)):
-                return (f"ML8[j={j}]", (x,))
+        yield f"ML8[j={j}]", 1, lambda x, dj=d[j], dk=d[j + 1]: leq(dj[x], dk[x])
     # ML9: d_j x -> (d_j x -> y) == d_j x -> y
     for j in J:
-        for x in size_range:
-            dx = d(j, x)
-            for y in size_range:
-                if A.imp[dx][A.imp[dx][y]] != A.imp[dx][y]:
-                    return (f"ML9[j={j}]", (x, y))
+        yield f"ML9[j={j}]", 2, lambda x, y, dj=d[j]: imp[dj[x]][imp[dj[x]][y]] == imp[dj[x]][y]
     # ML10: d_j x -> y == d_j x ->_n y
     for j in J:
-        for x in size_range:
-            dx = d(j, x)
-            for y in size_range:
-                if A.imp[dx][y] != imp_k(A, dx, y, n):
-                    return (f"ML10[j={j}]", (x, y))
+        yield f"ML10[j={j}]", 2, lambda x, y, dj=d[j]: imp[dj[x]][y] == imp_n(dj[x], y)
     # ML11: (d_j x -> y) -> d_j x == d_j x
     for j in J:
-        for x in size_range:
-            dx = d(j, x)
-            for y in size_range:
-                if A.imp[A.imp[dx][y]][dx] != dx:
-                    return (f"ML11[j={j}]", (x, y))
+        yield f"ML11[j={j}]", 2, lambda x, y, dj=d[j]: imp[imp[dj[x]][y]][dj[x]] == dj[x]
     # ML12: d_1 (x -> y) -> (d_j x -> d_j y) == top.  The bare-antecedent
     # printing of this law fails for the crisp operator itself (x = top,
     # y = middle of a 3-chain); this is the i=1, k=j instance of ML5b.
     for j in J:
-        for x in size_range:
-            for y in size_range:
-                if A.imp[d(1, A.imp[x][y])][A.imp[d(j, x)][d(j, y)]] != A.top:
-                    return (f"ML12[j={j}]", (x, y))
+        yield (f"ML12[j={j}]", 2,
+               lambda x, y, dj=d[j]: imp[d1[imp[x][y]]][imp[dj[x]][dj[y]]] == top)
     # ML13: x <= y implies d_j x <= d_j y
     for j in J:
-        for x in size_range:
-            for y in size_range:
-                if A.leq(x, y) and not A.leq(d(j, x), d(j, y)):
-                    return (f"ML13[j={j}]", (x, y))
+        yield f"ML13[j={j}]", 2, lambda x, y, dj=d[j]: not leq(x, y) or leq(dj[x], dj[y])
     # ML14: d_1 x <= x
-    for x in size_range:
-        if not A.leq(d(1, x), x):
-            return ("ML14", (x,))
+    yield "ML14", 1, lambda x: leq(d1[x], x)
     # ML15: d_j x <= d_j y for all j implies x <= y
-    for x in size_range:
-        for y in size_range:
-            if all(A.leq(d(j, x), d(j, y)) for j in J) and not A.leq(x, y):
-                return ("ML15", (x, y))
+    yield "ML15", 2, lambda x, y: leq(x, y) or not all(leq(d[j][x], d[j][y]) for j in J)
     # ML16: d_k d_j x == d_j x; outer k over 1..n-1 for the same reason as ML3
     for k in range(1, n):
         for j in J:
-            for x in size_range:
-                if d(k, d(j, x)) != d(j, x):
-                    return (f"ML16[k={k},j={j}]", (x,))
+            yield f"ML16[k={k},j={j}]", 1, lambda x, dk=d[k], dj=d[j]: dk[dj[x]] == dj[x]
     # ML17: x <= d_{n-1} x
     if n >= 2:
-        for x in size_range:
-            if not A.leq(x, d(n - 1, x)):
-                return ("ML17", (x,))
+        yield "ML17", 1, lambda x: leq(x, d[n - 1][x])
     # ML18: x ->_n d_1 x == top  (the bare-implication printing of this law
     # contradicts ML14 on any nontrivial chain; the iterated form is what
     # the rest of the family supports)
-    for x in size_range:
-        if imp_k(A, x, d(1, x), n) != A.top:
-            return ("ML18", (x,))
+    yield "ML18", 1, lambda x: imp_n(x, d1[x]) == top
+
+
+def _moisil_violation(A: FiniteAlgebra, deltas, n: int):
+    """First violation of the family axioms, as (law name, least witness),
+    in the order of `_moisil_laws`; None when the family passes."""
+    for name, arity, holds in _moisil_laws(A, deltas, n):
+        witness = least_witness(A.size, arity, holds)
+        if witness:
+            return (name, witness)
     return None
 
 
@@ -552,9 +514,9 @@ def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
     """Search for operators d_2..d_n completing delta1 to a family.
 
     The search runs over order-preserving tables with values in the set
-    B = {e : e v (e -> y) = top for all y} (which any solution must use)
-    and prunes by the pointwise chain d_i <= d_{i+1} and by ML17 at the
-    (n-1)-th operator.
+    B = {e : e v (e -> y) = top for all y} (which any solution must use),
+    generated lazily, and prunes by the pointwise chain d_i <= d_{i+1} and
+    by ML17 at the (n-1)-th operator.
     Candidate families are accepted against the whole law suite (ML1-ML5b
     plus the consequences ML7-ML18): the axiom literals alone admit
     degenerate families, e.g. with the crisp operator repeated.  Returns
@@ -571,7 +533,6 @@ def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
         e for e in range(A.size)
         if all(A.join(e, A.imp[e][y]) == A.top for y in range(A.size))
     ]
-    candidates = _tables_into(A, boolean)
     chosen: list[tuple[int, ...]] = [delta1]
 
     def rec(i: int):
@@ -579,15 +540,12 @@ def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
             if _moisil_violation(A, chosen, n) is None:
                 return list(chosen)
             return None
-        for t in candidates:
-            if i <= n - 1 and not all(
-                A.leq(chosen[-1][x], t[x]) for x in range(A.size)
-            ):
-                continue
-            if i == n - 1 and not all(
-                A.leq(x, t[x]) for x in range(A.size)
-            ):
-                continue
+        allowed = [
+            [v for v in boolean
+             if (i == n or A.leq(chosen[-1][x], v)) and (i != n - 1 or A.leq(x, v))]
+            for x in range(A.size)
+        ]
+        for t in _monotone_tables(A, allowed):
             chosen.append(t)
             got = rec(i + 1)
             if got is not None:
@@ -598,15 +556,20 @@ def moisil_search(A: FiniteAlgebra, delta1, n: int | None = None,
     return rec(2)
 
 
-def _tables_into(A: FiniteAlgebra, values):
-    """All order-preserving unary tables with entries in `values`."""
-    out = []
-    for combo in iter_product(values, repeat=A.size):
-        if any(
-            A.leq(x, y) and not A.leq(combo[x], combo[y])
-            for x in range(A.size)
-            for y in range(A.size)
-        ):
-            continue
-        out.append(tuple(combo))
-    return out
+def _monotone_tables(A: FiniteAlgebra, allowed):
+    """The order-preserving unary tables t with t[x] in allowed[x], lazily
+    and in lexicographic order: each position is filled by backtracking and
+    checked against itself and the positions before it."""
+    leq, t = A.leq, [0] * A.size
+
+    def fill(x: int):
+        if x == A.size:
+            yield tuple(t)
+            return
+        for v in allowed[x]:
+            t[x] = v
+            if all((not leq(u, x) or leq(t[u], v)) and (not leq(x, u) or leq(v, t[u]))
+                   for u in range(x + 1)):
+                yield from fill(x + 1)
+
+    return fill(0)

@@ -19,16 +19,18 @@ adjudicates between them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from math import comb
+from math import comb, log10
 from operator import itemgetter
 
 from .algebra import (
     AlgebraError,
     FiniteAlgebra,
     InternalConsistencyError,
+    SizeGuardError,
     check_table_size,
     epimorphisms,
     make_chain,
@@ -105,11 +107,21 @@ def size_formula(n: int, m: int, mode: str = "repaired") -> SizeBreakdown:
     epimorphism-count recurrence; `literal` keeps the printed condition
     (j-1) | (k-1), j != k, restricted to already-computed j < i so it is
     computable at all.  Negative intermediates raise FormulaReadingError.
+
+    An (n, m) whose |N_1| has more digits than the interpreter prints of
+    an int (`sys.get_int_max_str_digits`) is refused with SizeGuardError,
+    as soon as the exponents computed so far show it and before any |N_k|
+    is multiplied out.
     """
     if n < 2 or m < 1:
         raise AlgebraError("need n >= 2 and m >= 1")
     if mode not in ("repaired", "literal"):
         raise AlgebraError(f"unknown mode {mode!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # log10 of the sum of beta_i * log10 i over the exponents so far for
+    # k = 1; every beta is >= 0, so the sum bounds the digits of |N_1| from
+    # below.  Kept as a log, since a beta can be far past the float range.
+    log_digits = float("-inf")
     beta: dict[tuple[int, int], int] = {}
     nk = []
     for k in range(1, m + 1):
@@ -133,6 +145,15 @@ def size_formula(n: int, m: int, mode: str = "repaired") -> SizeBreakdown:
                     f"beta_{i}({k}) = {value} < 0 under mode {mode!r}"
                 )
             beta[(i, k)] = value
+            if k == 1 and limit and value:
+                term = log10(value) + log10(log10(i))
+                high, low = max(log_digits, term), min(log_digits, term)
+                log_digits = high + log10(1 + 10 ** (low - high))
+                if log_digits > log10(limit):
+                    bound = f"{10 ** log_digits:.0f}" if log_digits < 15 else f"10^{log_digits:.2f}"
+                    raise SizeGuardError(
+                        f"|N_1| at n={n}, m={m} has at least {bound} digits, "
+                        f"past the interpreter's limit of {limit} digits for printing an int")
         size = 1
         for i in range(2, n + 1):
             size *= i ** beta[(i, k)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ConfigurationError, FiniteAlgebra, tarskian_elements
+from .algebra import ConfigurationError, FiniteAlgebra, least_witness, tarskian_elements
 from .formulas import (
     TOP,
     Delta,
@@ -234,18 +234,10 @@ def check_LRdelta_quasi(A: FiniteAlgebra) -> CheckReport:
     report = check_laws(A, quasi_identity_laws())
     violations = list(report.violations)
     tarskians = set(tarskian_elements(A))
-    hit = None
-    for z in range(A.size):
-        if z not in tarskians:
-            continue
-        for x in range(A.size):
-            if A.leq(z, x) and not A.leq(z, A.delta[x]):
-                hit = ("DLR3", (z, x))
-                break
-        if hit:
-            break
+    hit = least_witness(A.size, 2, lambda z, x: (
+        z not in tarskians or not A.leq(z, x) or A.leq(z, A.delta[x])))
     if hit:
-        violations.append(hit)
+        violations.append(("DLR3", hit))
     return CheckReport.from_violations(violations)
 
 

@@ -42,16 +42,24 @@ from .laws import CheckReport
 ALPHA, BETA, GAMMA = Var("alpha"), Var("beta"), Var("gamma")
 
 
-def axiom_schemas_n(n: int) -> dict[str, Formula]:
-    """Axiom schemata of the n-valued calculus (metavariables alpha, beta)."""
-    if n < 2:
-        raise AlgebraError("level must be >= 2")
+def _implication_axioms() -> dict[str, Formula]:
+    """AX1-AX4, the implication axioms both calculi share."""
     a, b, g = ALPHA, BETA, GAMMA
     return {
         "AX1": Imp(a, Imp(b, a)),
         "AX2": Imp(Imp(a, b), Imp(Imp(b, g), Imp(a, g))),
         "AX3": Imp(Imp(Imp(a, b), b), Imp(Imp(b, a), a)),
         "AX4": Imp(Imp(Imp(a, b), Imp(b, a)), Imp(b, a)),
+    }
+
+
+def axiom_schemas_n(n: int) -> dict[str, Formula]:
+    """Axiom schemata of the n-valued calculus (metavariables alpha, beta)."""
+    if n < 2:
+        raise AlgebraError("level must be >= 2")
+    a, b = ALPHA, BETA
+    return {
+        **_implication_axioms(),
         "AX5": Imp(Imp(imp_k(a, b, n - 1), a), a),
         "AX6": Imp(Imp(Delta(a), Delta(b)), Delta(Imp(Delta(a), b))),
         "AX7": Imp(Delta(Imp(Delta(a), b)), imp_k(a, Delta(b), n - 1)),
@@ -61,12 +69,9 @@ def axiom_schemas_n(n: int) -> dict[str, Formula]:
 
 def axiom_schemas_bot() -> dict[str, Formula]:
     """Axiom schemata of the bottom-enriched calculus."""
-    a, b, g = ALPHA, BETA, GAMMA
+    a, b = ALPHA, BETA
     return {
-        "AX1": Imp(a, Imp(b, a)),
-        "AX2": Imp(Imp(a, b), Imp(Imp(b, g), Imp(a, g))),
-        "AX3": Imp(Imp(Imp(a, b), b), Imp(Imp(b, a), a)),
-        "AX4": Imp(Imp(Imp(a, b), Imp(b, a)), Imp(b, a)),
+        **_implication_axioms(),
         "AX9": Imp(BOT, a),
         "AX10": Imp(Delta(a), a),
         "AX11": Imp(Imp(Delta(a), b), Imp(Delta(a), Imp(Delta(a), b))),

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import lukra
 from lukra.cli import main
 from lukra.algebra import FiniteAlgebra, make_chain
 from lukra.formulas import IMP_K_LIMIT, TABLE_GUARD
@@ -93,6 +98,23 @@ def test_free_verbs(capsys, tmp_path):
     assert data["size"] == 6 and len(data["generators"]) == 1
     code, report = run(capsys, "free", "verify", "--n", "3", "--m", "1")
     assert code == 0 and report == {"formula": 6, "constructed": 6, "match": True}
+
+
+@pytest.mark.parametrize("verb", ["size", "build", "verify"])
+@pytest.mark.parametrize("n, m", [(400, 400), (100000, 1), (3, 100000), (9, 4)],
+                         ids=["400-400", "100000-1", "3-100000", "9-4"])
+def test_free_sizes_past_printing_are_refused_at_once(verb, n, m):
+    # |N_1| here has more digits than the interpreter prints of an int: the
+    # powers behind it did not finish, or the report failed to print
+    env = {**os.environ, "PYTHONPATH": str(Path(lukra.__file__).parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "lukra.cli", "free", verb, "--n", str(n), "--m", str(m)],
+                          capture_output=True, text=True, env=env, timeout=5)
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (2, "")
+    assert re.fullmatch(rf"error: \|N_1\| at n={n}, m={m} has at least \S+ digits, past the "
+                        rf"interpreter's limit of \d+ digits for printing an int\n", done.stderr)
+    assert elapsed < 5.0, f"free {verb} --n {n} --m {m} took {elapsed:.2f}s"
 
 
 def test_logic_verbs(capsys, tmp_path):

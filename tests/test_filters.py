@@ -1,11 +1,14 @@
+import random
 import time
-from itertools import combinations
+from itertools import combinations, product as iter_product
 
 import pytest
 
 from lukra.algebra import (
     ConfigurationError,
     DegenerateInputError,
+    FiniteAlgebra,
+    InternalConsistencyError,
     SizeGuardError,
     imp_k,
     is_isomorphic,
@@ -14,11 +17,13 @@ from lukra.algebra import (
     product,
     restrict_to,
     subalgebra_closure,
+    tarskian_elements,
     trivial_algebra,
     with_delta,
 )
 from lukra.catalog import chain_with_broken_delta, five_element_non_admissible
 import lukra.filters
+from lukra.laws import check_LRdelta_quasi
 from lukra.filters import (
     all_filters,
     check_tied_iff_maximal,
@@ -315,3 +320,391 @@ def test_describe_filter():
     assert whole.implicative and not whole.maximal and whole.tied_to is None
     junk = describe_filter(L3, (1, 2))
     assert not junk.implicative
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the checks that sweep through algebra.least_witness: the
+# loops they replaced
+# ---------------------------------------------------------------------------
+
+def reference_moisil_violation(A, deltas, n: int):
+    """Oracle: the loop-per-law checker `_moisil_laws` replaced; the first
+    violation of the family axioms ML1-ML5b and ML7-ML18.
+
+    `deltas[i-1]` is the i-th operator, i = 1..n.  The duplicated axiom
+    label in the source axiom list is split into ML5a / ML5b.
+    """
+    N = A.size
+    J = range(1, n + 1)
+
+    def d(i, x):
+        return deltas[i - 1][x]
+
+    size_range = range(N)
+    # ML1: d1 x -> y == x ->_n y
+    for x in size_range:
+        for y in size_range:
+            if A.imp[d(1, x)][y] != imp_k(A, x, y, n):
+                return ("ML1", (x, y))
+    # ML2: d_i x v (d_i x -> y) == top
+    for i in J:
+        for x in size_range:
+            dx = d(i, x)
+            for y in size_range:
+                if A.join(dx, A.imp[dx][y]) != A.top:
+                    return (f"ML2[i={i}]", (x, y))
+    # ML3: d_i (d_j x -> d_j y) == d_j x -> d_j y, outer i over the genuine
+    # operators 1..n-1.  At i = n the law contradicts ML4/ML5b, which force
+    # the n-th operator to be constantly top (it cannot fix 0).
+    for i in range(1, n):
+        for j in J:
+            for x in size_range:
+                for y in size_range:
+                    v = A.imp[d(j, x)][d(j, y)]
+                    if d(i, v) != v:
+                        return (f"ML3[i={i},j={j}]", (x, y))
+    # ML4: (d1 x -> d1 y) -> (... -> ((dn x -> dn y) -> (x -> y)) ...) == top
+    for x in size_range:
+        for y in size_range:
+            acc = A.imp[x][y]
+            for i in reversed(list(J)):
+                acc = A.imp[A.imp[d(i, x)][d(i, y)]][acc]
+            if acc != A.top:
+                return ("ML4", (x, y))
+    # ML5a: d_i y -> (d_j x v d_k (x -> y)) == top, 1 <= i <= j + k
+    for j in J:
+        for k in J:
+            for i in range(1, min(n, j + k) + 1):
+                for x in size_range:
+                    for y in size_range:
+                        body = A.join(d(j, x), d(k, A.imp[x][y]))
+                        if A.imp[d(i, y)][body] != A.top:
+                            return (f"ML5a[i={i},j={j},k={k}]", (x, y))
+    # ML5b: d_i (x -> y) -> (d_k x -> d_j y) == top, 1 <= i <= j - k + 1
+    for j in J:
+        for k in J:
+            for i in range(1, min(n, j - k + 1) + 1):
+                for x in size_range:
+                    for y in size_range:
+                        if A.imp[d(i, A.imp[x][y])][A.imp[d(k, x)][d(j, y)]] != A.top:
+                            return (f"ML5b[i={i},j={j},k={k}]", (x, y))
+    # ML7: d_j top == top
+    for j in J:
+        if d(j, A.top) != A.top:
+            return (f"ML7[j={j}]", (A.top,))
+    # ML8: d_1 x <= d_2 x <= ... <= d_{n-1} x
+    for j in range(1, n - 1):
+        for x in size_range:
+            if not A.leq(d(j, x), d(j + 1, x)):
+                return (f"ML8[j={j}]", (x,))
+    # ML9: d_j x -> (d_j x -> y) == d_j x -> y
+    for j in J:
+        for x in size_range:
+            dx = d(j, x)
+            for y in size_range:
+                if A.imp[dx][A.imp[dx][y]] != A.imp[dx][y]:
+                    return (f"ML9[j={j}]", (x, y))
+    # ML10: d_j x -> y == d_j x ->_n y
+    for j in J:
+        for x in size_range:
+            dx = d(j, x)
+            for y in size_range:
+                if A.imp[dx][y] != imp_k(A, dx, y, n):
+                    return (f"ML10[j={j}]", (x, y))
+    # ML11: (d_j x -> y) -> d_j x == d_j x
+    for j in J:
+        for x in size_range:
+            dx = d(j, x)
+            for y in size_range:
+                if A.imp[A.imp[dx][y]][dx] != dx:
+                    return (f"ML11[j={j}]", (x, y))
+    # ML12: d_1 (x -> y) -> (d_j x -> d_j y) == top.  The bare-antecedent
+    # printing of this law fails for the crisp operator itself (x = top,
+    # y = middle of a 3-chain); this is the i=1, k=j instance of ML5b.
+    for j in J:
+        for x in size_range:
+            for y in size_range:
+                if A.imp[d(1, A.imp[x][y])][A.imp[d(j, x)][d(j, y)]] != A.top:
+                    return (f"ML12[j={j}]", (x, y))
+    # ML13: x <= y implies d_j x <= d_j y
+    for j in J:
+        for x in size_range:
+            for y in size_range:
+                if A.leq(x, y) and not A.leq(d(j, x), d(j, y)):
+                    return (f"ML13[j={j}]", (x, y))
+    # ML14: d_1 x <= x
+    for x in size_range:
+        if not A.leq(d(1, x), x):
+            return ("ML14", (x,))
+    # ML15: d_j x <= d_j y for all j implies x <= y
+    for x in size_range:
+        for y in size_range:
+            if all(A.leq(d(j, x), d(j, y)) for j in J) and not A.leq(x, y):
+                return ("ML15", (x, y))
+    # ML16: d_k d_j x == d_j x; outer k over 1..n-1 for the same reason as ML3
+    for k in range(1, n):
+        for j in J:
+            for x in size_range:
+                if d(k, d(j, x)) != d(j, x):
+                    return (f"ML16[k={k},j={j}]", (x,))
+    # ML17: x <= d_{n-1} x
+    if n >= 2:
+        for x in size_range:
+            if not A.leq(x, d(n - 1, x)):
+                return ("ML17", (x,))
+    # ML18: x ->_n d_1 x == top  (the bare-implication printing of this law
+    # contradicts ML14 on any nontrivial chain; the iterated form is what
+    # the rest of the family supports)
+    for x in size_range:
+        if imp_k(A, x, d(1, x), n) != A.top:
+            return ("ML18", (x,))
+    return None
+
+
+def reference_moisil_search(A, delta1, n: int):
+    """Oracle: the search `moisil_search` replaced, over every
+    order-preserving table built up front by `reference_tables_into`."""
+    delta1 = tuple(delta1)
+    boolean = [
+        e for e in range(A.size)
+        if all(A.join(e, A.imp[e][y]) == A.top for y in range(A.size))
+    ]
+    candidates = reference_tables_into(A, boolean)
+    chosen: list[tuple[int, ...]] = [delta1]
+
+    def rec(i: int):
+        if i > n:
+            if reference_moisil_violation(A, chosen, n) is None:
+                return list(chosen)
+            return None
+        for t in candidates:
+            if i <= n - 1 and not all(
+                A.leq(chosen[-1][x], t[x]) for x in range(A.size)
+            ):
+                continue
+            if i == n - 1 and not all(
+                A.leq(x, t[x]) for x in range(A.size)
+            ):
+                continue
+            chosen.append(t)
+            got = rec(i + 1)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    return rec(2)
+
+
+def reference_tables_into(A, values):
+    """All order-preserving unary tables with entries in `values`."""
+    out = []
+    for combo in iter_product(values, repeat=A.size):
+        if any(
+            A.leq(x, y) and not A.leq(combo[x], combo[y])
+            for x in range(A.size)
+            for y in range(A.size)
+        ):
+            continue
+        out.append(tuple(combo))
+    return out
+
+
+def reference_dlr3(A):
+    """Oracle: the DLR3 loop of check_LRdelta_quasi, as (name, witness) or None."""
+    tarskians = set(tarskian_elements(A))
+    for z in range(A.size):
+        if z not in tarskians:
+            continue
+        for x in range(A.size):
+            if A.leq(z, x) and not A.leq(z, A.delta[x]):
+                return ("DLR3", (z, x))
+    return None
+
+
+def reference_min_n(A):
+    """Oracle: min_n with its per-level loop."""
+    for n in range(2, A.size + 2):
+        if all(A.join(imp_k(A, x, y, n - 1), x) == A.top
+               for x in range(A.size) for y in range(A.size)):
+            return n
+    return None
+
+
+def reference_quotient(A, F):
+    """Oracle: quotient with the loops of its well-definedness checks and
+    of congruence_of's equivalence check (F must be an implicative filter)."""
+    members = set(F)
+    related = [
+        [A.imp[x][y] in members and A.imp[y][x] in members for y in range(A.size)]
+        for x in range(A.size)
+    ]
+    part = [-1] * A.size
+    blocks = 0
+    for x in range(A.size):
+        if part[x] == -1:
+            for y in range(x, A.size):
+                if related[x][y]:
+                    part[y] = blocks
+            blocks += 1
+    for x in range(A.size):
+        if related[x] != related[part.index(part[x])]:
+            raise InternalConsistencyError(f"filter relation is not an equivalence at {x}")
+    part = tuple(part)
+    blocks = max(part) + 1
+    reps = [part.index(b) for b in range(blocks)]
+    imp_table = [[part[A.imp[reps[i]][reps[j]]] for j in range(blocks)] for i in range(blocks)]
+    for x in range(A.size):
+        for y in range(A.size):
+            if part[A.imp[x][y]] != imp_table[part[x]][part[y]]:
+                raise InternalConsistencyError(f"quotient implication ill-defined at ({x}, {y})")
+    delta_table = None
+    if A.delta is not None:
+        delta_table = [part[A.delta[r]] for r in reps]
+        for x in range(A.size):
+            if part[A.delta[x]] != delta_table[part[x]]:
+                raise InternalConsistencyError(f"quotient delta ill-defined at {x}")
+    return imp_table, delta_table, part
+
+
+def random_algebra(rng, size, imp=None):
+    """An algebra with a random delta table, on `imp` or on a random
+    in-range implication table with a random top."""
+    carrier = range(size)
+    if imp is None:
+        imp = FiniteAlgebra(size=size, top=rng.randrange(size),
+                            imp=[[rng.randrange(size) for _ in carrier] for _ in carrier])
+    return with_delta(imp, [rng.randrange(size) for _ in carrier])
+
+
+def moisil_corpus():
+    """(algebra, level, family) triples for the differential Moisil test.
+
+    The algebras are L2-L6, L2^2, L3 x L2, L2^3, the five-element
+    non-admissible algebra, a chain with a broken delta and 30 random
+    tables of at most 5 elements; the levels are 2..5.  At each, the
+    families are the index thresholds d_i(x) = top iff x + i >= N (the
+    family of a chain at its own level), 20 copies of it with one entry
+    changed, the identity-completed families of delta, the identity and
+    three random tables, and 10 random families.
+    """
+    rng = random.Random(10)
+    chain = lambda k: make_chain(k, with_delta=True)
+    algebras = [chain(k) for k in range(2, 7)]
+    algebras += [product([chain(2), chain(2)]), product([chain(3), chain(2)]),
+                 product([chain(2)] * 3), five_element_non_admissible(),
+                 chain_with_broken_delta(3)]
+    algebras += [random_algebra(rng, rng.randint(1, 5)) for _ in range(30)]
+    for A in algebras:
+        N = A.size
+        identity = tuple(range(N))
+
+        def table():
+            return tuple(rng.randrange(N) for _ in range(N))
+
+        for n in range(2, 6):
+            thresholds = [tuple(A.top if x + i >= N else 0 for x in range(N))
+                          for i in range(1, n + 1)]
+            yield A, n, thresholds
+            for _ in range(20):
+                family = [list(t) for t in thresholds]
+                family[rng.randrange(n)][rng.randrange(N)] = rng.randrange(N)
+                yield A, n, family
+            for first in [A.delta, identity, table(), table(), table()]:
+                if first is not None:
+                    yield A, n, [first] + [identity] * (n - 1)
+            for _ in range(10):
+                yield A, n, [table() for _ in range(n)]
+
+
+def test_moisil_check_matches_the_loop_per_law_checker():
+    first_failures = set()
+    count = 0
+    for A, n, family in moisil_corpus():
+        expected = reference_moisil_violation(A, [tuple(t) for t in family], n)
+        report = moisil_check(A, family, n=n)
+        assert report.violations == ((expected,) if expected else ()), (A.label, n, family)
+        first_failures.add(expected[0].split("[")[0] if expected else None)
+        count += 1
+    assert count >= 5000
+    # the corpus reaches passing families and first failures at every axiom
+    # and at ML7, ML11 and ML17; the other consequences are nearly always
+    # caught by an earlier law first, on random tables too
+    assert first_failures >= {None, "ML1", "ML2", "ML3", "ML4", "ML5a", "ML5b",
+                              "ML7", "ML11", "ML17"}
+
+
+@pytest.mark.parametrize("A", [make_chain(k, with_delta=True) for k in range(2, 7)] + [
+    product([make_chain(2, with_delta=True)] * 2),
+    product([make_chain(3, with_delta=True), make_chain(2, with_delta=True)]),
+    product([make_chain(2, with_delta=True), make_chain(3, with_delta=True)]),
+], ids=lambda A: A.label)
+def test_moisil_search_matches_the_eager_search(A):
+    n = min_n(A)
+    assert moisil_search(A, A.delta, n=n) == reference_moisil_search(A, A.delta, n)
+    identity = tuple(range(A.size))
+    assert moisil_search(A, identity, n=n) == reference_moisil_search(A, identity, n)
+
+
+def test_moisil_search_on_eight_elements_within_budget():
+    # the eager search built all 8^8 candidate tables here and took 42 s
+    L2 = make_chain(2, with_delta=True)
+    start = time.perf_counter()
+    family = moisil_search(product([L2] * 3), product([L2] * 3).delta)
+    elapsed = time.perf_counter() - start
+    assert family == [tuple(range(8))] * 2
+    assert elapsed < 5.0, f"moisil search on L2^3 took {elapsed:.2f}s"
+
+
+@pytest.fixture(scope="module")
+def random_delta_algebras():
+    """Algebras of at most 6 elements with random delta tables: on chains,
+    on products of chains, on the five-element algebra and on random
+    implication tables."""
+    rng = random.Random(6)
+    tables = [make_chain(k) for k in range(2, 7)]
+    tables += [product([make_chain(2)] * 2), product([make_chain(3), make_chain(2)]),
+               product([make_chain(2), make_chain(3)]), five_element_non_admissible()]
+    algebras = [random_algebra(rng, A.size, A) for A in tables for _ in range(12)]
+    algebras += [random_algebra(rng, rng.randint(1, 6)) for _ in range(150)]
+    return algebras
+
+
+def test_dlr3_matches_its_loop(random_delta_algebras):
+    hits = 0
+    for A in random_delta_algebras:
+        expected = reference_dlr3(A)
+        got = [v for v in check_LRdelta_quasi(A).violations if v[0] == "DLR3"]
+        assert got == ([expected] if expected else [])
+        hits += expected is not None
+    assert hits >= 20
+
+
+def test_min_n_matches_its_loop(random_delta_algebras):
+    levels = [min_n(A) for A in random_delta_algebras]
+    assert levels == [reference_min_n(A) for A in random_delta_algebras]
+    assert None in levels and len(set(levels)) >= 4
+
+
+def outcome(run, *args):
+    """run(*args), or the error it raised as (type name, message)."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_quotient_matches_its_loops(random_delta_algebras):
+    def by_quotient(A, F):
+        Q, part = quotient(A, F)
+        return [list(r) for r in Q.imp], None if Q.delta is None else list(Q.delta), part
+
+    messages = set()
+    for A in random_delta_algebras:
+        for F in filter(lambda F: is_implicative_filter(A, F), all_filters(A)):
+            got = outcome(by_quotient, A, F)
+            assert got == outcome(reference_quotient, A, F), (A, F)
+            if got[0] == "InternalConsistencyError":
+                messages.add(got[1].split(" at ")[0])
+    assert messages == {"filter relation is not an equivalence",
+                        "quotient implication ill-defined", "quotient delta ill-defined"}
