@@ -35,12 +35,10 @@ from .filters import (
     all_filters,
     check_tied_iff_maximal,
     congruence_of,
-    congruences,
     describe_filter,
     filter_generated,
     is_delta_filter,
     is_implicative_filter,
-    k_weak_mp_closed,
     maximal_filters,
     moisil_check,
     moisil_search,
@@ -70,7 +68,6 @@ from .freealg import (
     SizeBreakdown,
     beta_oracle,
     build_free,
-    epi_count_oracle,
     minimal_elements,
     size_formula,
     upset_Nk,

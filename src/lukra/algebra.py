@@ -230,24 +230,14 @@ def trivial_algebra() -> FiniteAlgebra:
 # Basic operations
 # ---------------------------------------------------------------------------
 
-def imp_k(A: FiniteAlgebra, x: int, y: int, k: int, assert_stable_at: int | None = None) -> int:
-    """k-fold iterated implication x ->_k y.
-
-    `assert_stable_at` = n-1 checks the stabilization x ->_{n-1} y =
-    x ->_n y expected of n-valued algebras, raising on violation.
-    """
+def imp_k(A: FiniteAlgebra, x: int, y: int, k: int) -> int:
+    """k-fold iterated implication x ->_k y."""
     if k < 0:
         raise AlgebraError("iterated implication needs k >= 0")
     out = y
     row = A.imp[x]
     for _ in range(k):
         out = row[out]
-    if assert_stable_at is not None and k >= assert_stable_at:
-        stable = imp_k(A, x, y, assert_stable_at)
-        if row[stable] != stable:
-            raise InternalConsistencyError(
-                f"iterated implication not stable at k={assert_stable_at} for ({x}, {y})"
-            )
     return out
 
 

@@ -118,9 +118,14 @@ def cmd_algebra_homs(args) -> int:
 
 # -- filters ------------------------------------------------------------------
 
+def _filter_guard(args) -> int | None:
+    """The carrier-size guard of a filters verb; --force lifts it."""
+    return None if args.force else _guard(flt.FILTER_GUARD)
+
+
 def cmd_filters_list(args) -> int:
     A = _load_algebra(args.infile)
-    fs = flt.all_filters(A, guard=_guard(flt.FILTER_GUARD), force=args.force)
+    fs = flt.all_filters(A, guard=_filter_guard(args))
     _emit({"filters": [list(f) for f in fs]}, args)
     _say(f"{len(fs)} implicative filters")
     return OK
@@ -128,7 +133,7 @@ def cmd_filters_list(args) -> int:
 
 def cmd_filters_maximal(args) -> int:
     A = _load_algebra(args.infile)
-    fs = flt.maximal_filters(A, guard=_guard(flt.FILTER_GUARD), force=args.force)
+    fs = flt.maximal_filters(A, guard=_filter_guard(args))
     _emit({"filters": [list(f) for f in fs]}, args)
     _say(f"{len(fs)} maximal filters")
     return OK
@@ -153,7 +158,7 @@ def cmd_filters_quotient(args) -> int:
 
 def cmd_filters_subdirect(args) -> int:
     A = _load_algebra(args.infile)
-    P, emb = flt.subdirect_embedding(A, guard=_guard(flt.FILTER_GUARD), force=args.force)
+    P, emb = flt.subdirect_embedding(A, guard=_filter_guard(args))
     _emit({"product": P.to_dict(), "embedding": list(emb)}, args)
     _say(f"embedded into a product of size {P.size}")
     return OK
@@ -161,7 +166,7 @@ def cmd_filters_subdirect(args) -> int:
 
 def cmd_filters_classify(args) -> int:
     A = _load_algebra(args.infile)
-    got = flt.classify_simple(A, guard=_guard(flt.FILTER_GUARD), force=args.force)
+    got = flt.classify_simple(A, guard=_filter_guard(args))
     if got is None:
         _emit({"simple": False, "k": None, "isomorphism": None}, args)
         _say("not simple")

@@ -2,10 +2,11 @@
 
 Filters are up-sets closed under modus ponens; they correspond bijectively
 to congruences via R(F) = {(x, y) : x -> y and y -> x in F}.  Every filter
-is the join of the principal filters of its elements, so enumeration closes
-the at most N principal filters under joins, starting from {top}; a size
-guard on the carrier still protects the general case.  The derived queries
-(maximal, tied, simplicity, subdirect embedding) read one enumerated list.
+is the join of the least filter and the principal filters of its elements,
+so enumeration closes the at most N principal filters under joins, starting
+from the least filter; a size guard on the carrier still protects the
+general case.  The derived queries (maximal, tied, simplicity, subdirect
+embedding) read one enumerated list.
 """
 
 from __future__ import annotations
@@ -50,19 +51,12 @@ class Congruence:
     def block_count(self) -> int:
         return max(self.partition) + 1
 
-    def blocks(self) -> list[tuple[int, ...]]:
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for x, b in enumerate(self.partition):
-            out[b].append(x)
-        return [tuple(b) for b in out]
-
 
 # ---------------------------------------------------------------------------
 # Filters
 # ---------------------------------------------------------------------------
 
-def describe_filter(A: FiniteAlgebra, S, guard: int = FILTER_GUARD,
-                    force: bool = False) -> Filter:
+def describe_filter(A: FiniteAlgebra, S, guard: int | None = FILTER_GUARD) -> Filter:
     """Classify a subset as a Filter record with all kind flags filled.
 
     `tied_to` is the least element the filter is tied to, when any.
@@ -70,11 +64,9 @@ def describe_filter(A: FiniteAlgebra, S, guard: int = FILTER_GUARD,
     elements = tuple(sorted(set(S)))
     implicative = is_implicative_filter(A, elements)
     delta = is_delta_filter(A, elements) if A.delta is not None else None
-    filters = all_filters(A, guard=guard, force=force)
+    filters = all_filters(A, guard=guard)
     maximal = elements in _maximal(A, filters)
-    tied = None
-    if implicative:
-        tied = next((p for p in range(A.size) if elements in _tied(filters, p)), None)
+    tied = min(_ties(A, filters)[elements], default=None) if implicative else None
     return Filter(elements=elements, implicative=implicative, delta=delta,
                   maximal=maximal, tied_to=tied)
 
@@ -105,17 +97,6 @@ def filter_generated(A: FiniteAlgebra, S) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def k_weak_mp_closed(A: FiniteAlgebra, F, k: int) -> bool:
-    """Closure under x, x ->_k y ==> y."""
-    members = set(F)
-    return all(
-        y in members
-        for x in members
-        for y in range(A.size)
-        if imp_k(A, x, y, k) in members
-    )
-
-
 def _upsets(A: FiniteAlgebra) -> list[frozenset[int]]:
     """Retired up-set search; lukra no longer calls it.
 
@@ -125,20 +106,22 @@ def _upsets(A: FiniteAlgebra) -> list[frozenset[int]]:
     return []
 
 
-def all_filters(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = False) -> list[tuple[int, ...]]:
-    """Every implicative filter, sorted; guarded against large carriers.
+def all_filters(A: FiniteAlgebra, guard: int | None = FILTER_GUARD) -> list[tuple[int, ...]]:
+    """Every implicative filter, sorted; carriers above `guard` elements
+    are refused unless `guard` is None.
 
-    Breadth-first join-closure of the principal filters from {top}: a
-    filter F is reached by joining in <x> for the elements x of F one at a
-    time, and a join of filters is again one.
+    Breadth-first join-closure of the principal filters from the least
+    filter, the MP closure of {top}: a filter F is reached by joining in
+    <x> for the elements x of F one at a time, and every set listed is an
+    MP closure, so a filter, also outside the variety.
     """
-    if A.size > guard and not force:
+    if guard is not None and A.size > guard:
         raise SizeGuardError(
             f"filter enumeration on {A.size} elements exceeds guard {guard}; "
-            "pass force=True (or raise the guard) to override"
+            "pass guard=None (or raise the guard) to override"
         )
     principal = sorted({filter_generated(A, (x,)) for x in range(A.size)})
-    found = [(A.top,)]
+    found = [filter_generated(A, ())]
     seen = set(found)
     for f in found:
         members = set(f)
@@ -157,31 +140,30 @@ def _maximal(A: FiniteAlgebra, filters) -> list[tuple[int, ...]]:
     return [f for f, s in proper if not any(s < t for _, t in proper)]
 
 
-def _tied(filters, p: int) -> list[tuple[int, ...]]:
-    """The filters D without p whose strictly larger filters all contain p,
-    among `filters`, in their order."""
-    sets = [set(f) for f in filters]
-    return [
-        f for f, d in zip(filters, sets)
-        if p not in d and all(p in g for g in sets if d < g)
-    ]
+def _ties(A: FiniteAlgebra, filters) -> dict[tuple[int, ...], frozenset[int]]:
+    """Each filter D of `filters`, in their order, with the elements D is
+    tied to: those outside D that every strictly larger filter contains."""
+    sets = [frozenset(f) for f in filters]
+    carrier = frozenset(range(A.size))
+    return {f: carrier.intersection(*(g for g in sets if d < g)) - d
+            for f, d in zip(filters, sets)}
 
 
-def maximal_filters(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = False) -> list[tuple[int, ...]]:
+def maximal_filters(A: FiniteAlgebra, guard: int | None = FILTER_GUARD) -> list[tuple[int, ...]]:
     """Maximal proper implicative filters."""
-    return _maximal(A, all_filters(A, guard=guard, force=force))
+    return _maximal(A, all_filters(A, guard=guard))
 
 
-def tied_filters(A: FiniteAlgebra, p: int, guard: int = FILTER_GUARD, force: bool = False) -> list[tuple[int, ...]]:
+def tied_filters(A: FiniteAlgebra, p: int, guard: int | None = FILTER_GUARD) -> list[tuple[int, ...]]:
     """Filters D with p not in D such that every strictly larger filter has p."""
-    return _tied(all_filters(A, guard=guard, force=force), p)
+    return [f for f, tied in _ties(A, all_filters(A, guard=guard)).items() if p in tied]
 
 
-def check_tied_iff_maximal(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = False) -> CheckReport:
+def check_tied_iff_maximal(A: FiniteAlgebra, guard: int | None = FILTER_GUARD) -> CheckReport:
     """Tied-to-some-element and maximal coincide (exhaustive comparison)."""
-    filters = all_filters(A, guard=guard, force=force)
+    filters = all_filters(A, guard=guard)
     maximal = set(_maximal(A, filters))
-    tied = {f for p in range(A.size) for f in _tied(filters, p)}
+    tied = {f for f, elements in _ties(A, filters).items() if elements}
     violations = []
     for f in sorted(tied - maximal):
         violations.append(("tied-not-maximal", f))
@@ -228,7 +210,9 @@ def congruence_of(A: FiniteAlgebra, F) -> Congruence:
     and bottom of a 3-chain against the trivial filter), which would break
     R(|1|) = identity.  Transitivity and op-compatibility follow from L2,
     L15 and delta-closedness of implicative filters.  An element of F
-    outside the carrier raises AlgebraError naming the first one.
+    outside the carrier raises AlgebraError naming the first one.  Outside
+    the variety the relation need not be an equivalence (x -> x may fall
+    outside F); that is refused at the least witness.
     """
     for x in F:
         if not 0 <= x < A.size:
@@ -248,8 +232,10 @@ def congruence_of(A: FiniteAlgebra, F) -> Congruence:
                 if related[x][y]:
                     partition[y] = blocks
             blocks += 1
-    # equivalence sanity: related elements must relate to the same things
-    bad = least_witness(A.size, 1, lambda x: related[x] == related[partition.index(partition[x])])
+    # equivalence sanity: every element relates to itself and to the same
+    # things as the first element of its block
+    bad = least_witness(A.size, 1, lambda x: related[x][x]
+                        and related[x] == related[partition.index(partition[x])])
     if bad:
         raise InternalConsistencyError(f"filter relation is not an equivalence at {bad[0]}")
     return Congruence(partition=tuple(partition))
@@ -286,58 +272,11 @@ def quotient(A: FiniteAlgebra, F) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     return Q, part
 
 
-def congruences(A: FiniteAlgebra, respect_delta: bool = True) -> list[Congruence]:
-    """All congruences by brute-force partition sweep (small carriers only).
-
-    Independent of the filter correspondence; used as an oracle for it.
-    """
-    if A.size > 8:
-        raise SizeGuardError("congruence sweep is limited to 8 elements")
-    out = []
-    for part in _partitions(A.size):
-        imp_map: dict[tuple[int, int], int] = {}
-        ok = True
-        for x in range(A.size):
-            for y in range(A.size):
-                key = (part[x], part[y])
-                val = part[A.imp[x][y]]
-                if imp_map.setdefault(key, val) != val:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and respect_delta and A.delta is not None:
-            delta_map: dict[int, int] = {}
-            for x in range(A.size):
-                val = part[A.delta[x]]
-                if delta_map.setdefault(part[x], val) != val:
-                    ok = False
-                    break
-        if ok:
-            out.append(Congruence(partition=tuple(part)))
-    return out
-
-
-def _partitions(n: int):
-    """Restricted-growth strings: canonical partitions of {0..n-1}."""
-    part = [0] * n
-
-    def rec(i: int, maxblock: int):
-        if i == n:
-            yield tuple(part)
-            return
-        for b in range(maxblock + 2):
-            part[i] = b
-            yield from rec(i + 1, max(maxblock, b))
-
-    yield from rec(1, 0) if n > 0 else iter(())
-
-
 # ---------------------------------------------------------------------------
 # Subdirect decomposition and simplicity
 # ---------------------------------------------------------------------------
 
-def subdirect_embedding(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = False):
+def subdirect_embedding(A: FiniteAlgebra, guard: int | None = FILTER_GUARD):
     """Embed A into the product of its quotients by maximal filters.
 
     Returns (product algebra, embedding as a tuple of product indices).
@@ -345,7 +284,7 @@ def subdirect_embedding(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool
     """
     if A.size < 2:
         raise DegenerateInputError("subdirect embedding needs a nontrivial algebra")
-    maxes = maximal_filters(A, guard=guard, force=force)
+    maxes = maximal_filters(A, guard=guard)
     quotients = [quotient(A, m) for m in maxes]
     P = product([q for q, _ in quotients])
     sizes = [q.size for q, _ in quotients]
@@ -363,7 +302,7 @@ def subdirect_embedding(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool
     return P, tuple(emb)
 
 
-def classify_simple(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = False):
+def classify_simple(A: FiniteAlgebra, guard: int | None = FILTER_GUARD):
     """(k, isomorphism onto the k-chain with delta) when A is simple, else None.
 
     Simplicity is read off the filter lattice ({top} is the only proper
@@ -371,7 +310,7 @@ def classify_simple(A: FiniteAlgebra, guard: int = FILTER_GUARD, force: bool = F
     """
     if A.delta is None:
         raise ConfigurationError("classify_simple expects a delta algebra")
-    proper = [f for f in all_filters(A, guard=guard, force=force) if len(f) < A.size]
+    proper = [f for f in all_filters(A, guard=guard) if len(f) < A.size]
     if A.size < 2 or proper != [(A.top,)]:
         return None
     target = make_chain(A.size, with_delta=True, with_bottom=A.bottom is not None)

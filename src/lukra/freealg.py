@@ -348,13 +348,6 @@ def upset_Nk(F: FreeAlgebra, k: int) -> tuple[int, ...]:
     return members
 
 
-def epi_count_oracle(A, B: FiniteAlgebra) -> int:
-    """Number of surjective homomorphisms, by brute-force search."""
-    if isinstance(A, FreeAlgebra):
-        A = A.algebra
-    return len(epimorphisms(A, B))
-
-
 def beta_oracle(n: int, m: int, k: int, i: int, free: FreeAlgebra | None = None) -> int:
     """Count maximal implicative filters of N_k whose quotient is the
     i-element chain with delta.

@@ -19,9 +19,7 @@ lexicographically least valuation, for stable goldens.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraError, make_chain
 from .formulas import (
@@ -272,26 +270,3 @@ def hierarchy_check(n: int) -> CheckReport:
         violations.append((f"AX5[n={n}]-noncanonical-witness", _witness(verdict)))
     return CheckReport.from_violations(violations)
 
-
-# ---------------------------------------------------------------------------
-# Random formulas (seeded) for regression corpora
-# ---------------------------------------------------------------------------
-
-def random_formula(rng: random.Random, names, depth: int, allow_bot: bool = False) -> Formula:
-    """A random formula of the given depth over the given variable names."""
-    if depth <= 0:
-        pool = list(names) + (["F"] if allow_bot else [])
-        pick = rng.choice(pool)
-        return BOT if pick == "F" else Var(pick)
-    op = rng.choice(["imp", "imp", "delta"])
-    if op == "delta":
-        return Delta(random_formula(rng, names, depth - 1, allow_bot))
-    return Imp(
-        random_formula(rng, names, depth - 1, allow_bot),
-        random_formula(rng, names, depth - 1, allow_bot),
-    )
-
-
-def rational_grid(step_denominator: int):
-    """The grid {0, 1/d, ..., 1} as exact fractions."""
-    return [Fraction(i, step_denominator) for i in range(step_denominator + 1)]

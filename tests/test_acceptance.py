@@ -25,7 +25,6 @@ from lukra.derivations import classic_delta_derivations
 from lukra.filters import (
     all_filters,
     congruence_of,
-    congruences,
     is_implicative_filter,
     maximal_filters,
     quotient,
@@ -45,12 +44,11 @@ from lukra.logic import (
     axiom_schemas_n,
     canonical_level_counterexample,
     is_tautology,
-    random_formula,
-    rational_grid,
     theorem_suite,
 )
 from lukra.proofs import Proof, ProofLine, check_proof, parse_proof
 from lukra.algebra import delta_admissible, tarskian_elements
+from oracles import congruences, random_formula, rational_grid
 
 FIXTURES = Path(__file__).parent / "fixtures" / "proofs"
 
@@ -139,12 +137,12 @@ def test_criterion_05_simple_classification():
         for sub in _criterion5_algebras():
             if sub.size < 2:
                 continue
-            for M in maximal_filters(sub, force=True):
+            for M in maximal_filters(sub, guard=None):
                 Q, _ = quotient(sub, M)
                 k = Q.size
                 assert 2 <= k <= 4
                 assert is_isomorphic(Q, make_chain(k, with_delta=True)) is not None
-            _, emb = subdirect_embedding(sub, force=True)
+            _, emb = subdirect_embedding(sub, guard=None)
             assert len(set(emb)) == sub.size
 
 
@@ -211,7 +209,7 @@ def test_criterion_09_standard_semantics():
 def test_criterion_10_filter_correspondence():
     with criterion(10, 30.0):
         for sub in _criterion5_algebras():
-            for f in all_filters(sub, force=True):
+            for f in all_filters(sub, guard=None):
                 cong = congruence_of(sub, f)
                 top_block = tuple(sorted(
                     x for x in range(sub.size)

@@ -72,7 +72,6 @@ def test_imp_k():
                 v = imp_k(A, x, y, n - 1)
                 for j in range(4):
                     assert imp_k(A, x, y, n - 1 + j) == v
-                assert imp_k(A, x, y, n, assert_stable_at=n - 1) == v
 
 
 def test_leq_join():

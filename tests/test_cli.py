@@ -295,6 +295,26 @@ def test_quotient_by_indices_outside_the_carrier(capsys, tmp_path, spec, message
     usage_error(capsys, ["filters", "quotient", "--in", str(p), f"--filter={spec}"], message)
 
 
+def test_filters_list_starts_from_the_least_filter(capsys, tmp_path):
+    # 1 -> 0 = 1, so {1} is not MP-closed; the only filter is the carrier
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"size": 2, "imp": [[1, 1], [1, 1]], "top": 1}))
+    code, report = run(capsys, "filters", "list", "--in", str(p))
+    assert (code, report) == (0, {"filters": [[0, 1]]})
+
+
+def test_quotient_refuses_a_relation_that_is_not_reflexive(capsys, tmp_path):
+    # {1} is a filter of this table, but 0 -> 0 = 4 lies outside it
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"size": 6, "top": 1, "imp": [
+        [4, 1, 3, 2, 2, 4], [2, 2, 4, 5, 2, 3], [4, 5, 0, 4, 5, 1],
+        [5, 4, 0, 4, 3, 4], [4, 2, 1, 0, 2, 0], [1, 4, 2, 1, 1, 2]]}))
+    code = main(["filters", "quotient", "--in", str(p), "--filter", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, "", "internal inconsistency: filter relation is not an equivalence at 0\n")
+
+
 def _structure(**change):
     """A valid structure file with each change `a__b=value` applied to
     data["a"]["b"]; a value of None deletes the entry."""

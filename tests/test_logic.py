@@ -30,11 +30,10 @@ from lukra.logic import (
     equivalent,
     hierarchy_check,
     is_tautology,
-    random_formula,
-    rational_grid,
     refute_search,
     theorem_suite,
 )
+from oracles import random_formula, rational_grid
 
 
 @pytest.mark.parametrize("n", range(2, 6))
