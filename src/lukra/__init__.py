@@ -94,18 +94,30 @@ from .logic import (
     refute_search,
     theorem_suite,
 )
-from .proofs import (
-    ByAxiom,
-    ByHyp,
-    ByMP,
-    ByQGen,
-    Proof,
-    ProofLine,
-    ProofReport,
-    check_proof,
-    parse_proof,
-    serialize_proof,
-)
-from .fo import FOStructure, fo_eval, fo_parse
 
 __version__ = "0.1.0"
+
+# fo and proofs serve one CLI verb each, so they load on the first use of one
+# of their names (PEP 562) and no other verb pays for importing them.
+_LAZY = {name: module for module, names in {
+    "fo": ("fo", "FOStructure", "fo_eval", "fo_parse"),
+    "proofs": ("proofs", "ByAxiom", "ByHyp", "ByMP", "ByQGen", "Proof", "ProofLine",
+               "ProofReport", "check_proof", "parse_proof", "serialize_proof"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    loaded = import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -21,9 +21,7 @@ from . import freealg as fre
 from . import laws
 from . import logic as lg
 from .algebra import AlgebraError, FiniteAlgebra, InternalConsistencyError, SizeGuardError
-from .fo import FOError, FOStructure, fo_eval, fo_parse
 from .formulas import TABLE_GUARD, TOO_DEEP, parse as parse_formula, to_text
-from .proofs import check_proof, parse_proof
 
 OK, PROPERTY_FALSE, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -225,6 +223,8 @@ def cmd_logic_conseq(args) -> int:
 
 
 def cmd_logic_prove_check(args) -> int:
+    from .proofs import check_proof, parse_proof
+
     with open(args.infile, "r", encoding="utf-8") as fh:
         text = fh.read()
     P = parse_proof(text, system=args.system, n=args.n)
@@ -252,6 +252,8 @@ def cmd_logic_refute(args) -> int:
 
 
 def cmd_logic_fo_eval(args) -> int:
+    from .fo import FOError, FOStructure, fo_eval, fo_parse
+
     with open(args.structure, "r", encoding="utf-8") as fh:
         S = FOStructure.from_dict(json.load(fh))
     f = fo_parse(args.formula)
@@ -283,94 +285,95 @@ def cmd_logic_hierarchy(args) -> int:
 
 # -- wiring --------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# Every verb as {group: {verb: (help, options)}}, each option a (flag,
+# add_argument keywords) pair after the --out that every verb takes.  The
+# handler of (group, verb) is cmd_<group>_<verb> with "-" read as "_".
+_FLAG = {"action": "store_true"}
+_INT = {"type": int, "required": True}
+_TEXT = {"required": True}
+_IN = ("--in", {"dest": "infile", "required": True})
+_FORCE = ("--force", _FLAG)
+_MODE = ("--mode", {"choices": ["repaired", "literal"], "default": "repaired"})
+
+_VERBS = {
+    "algebra": {
+        "chain": ("emit a chain algebra",
+                  [("--n", _INT), ("--delta", _FLAG), ("--bottom", _FLAG)]),
+        "check": ("run the law checkers",
+                  [_IN, ("--n", {"type": int}), ("--quasi", _FLAG), ("--suite", _FLAG)]),
+        "delta": ("decide delta admissibility", [_IN]),
+        "product": ("componentwise product",
+                    [("--in", {"dest": "infile", "action": "append", "required": True})]),
+        "homs": ("enumerate homomorphisms",
+                 [("--from", {"dest": "src", "required": True}),
+                  ("--to", {"dest": "dst", "required": True}), ("--epi", _FLAG)]),
+    },
+    "filters": {
+        "list": ("all implicative filters", [_IN, _FORCE]),
+        "maximal": ("maximal filters", [_IN, _FORCE]),
+        "quotient": ("quotient by a filter",
+                     [_IN, ("--filter", {"required": True,
+                                         "help": "comma-separated element indices"})]),
+        "subdirect": ("subdirect embedding", [_IN, _FORCE]),
+        "classify": ("simple-algebra classification", [_IN, _FORCE]),
+    },
+    "free": {
+        "build": ("construct the free algebra", [("--n", _INT), ("--m", _INT)]),
+        "size": ("evaluate the size formula", [("--n", _INT), ("--m", _INT), _MODE]),
+        "verify": ("formula vs construction", [("--n", _INT), ("--m", _INT), _MODE]),
+    },
+    "logic": {
+        "taut": ("tautology decision", [("--n", _INT), ("--formula", _TEXT)]),
+        "conseq": ("matrix consequence",
+                   [("--n", _INT), ("--formula", _TEXT), ("--hyp", {"action": "append"})]),
+        "prove-check": ("check a proof file",
+                        [("--system", {"choices": ["n", "bot"], "required": True}),
+                         ("--n", {"type": int}), _IN,
+                         ("--qgen", {"choices": ["paired", "literal"], "default": "paired"})]),
+        "refute": ("search chains for a refutation",
+                   [("--formula", _TEXT), ("--max-n", {"type": int, "default": 8})]),
+        "fo-eval": ("evaluate a first-order formula",
+                    [("--structure", _TEXT), ("--formula", _TEXT),
+                     ("--assign", {"action": "append", "help": "var=domain-index"})]),
+        "theorem-suite": ("derived-theorem suite", [("--n", _INT)]),
+        "hierarchy": ("hierarchy strictness", [("--n", _INT)]),
+    },
+}
+
+
+def build_parser(only: tuple[str, str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or only of the (group, verb) pair `only`.
+
+    Both read _VERBS, so a verb parses alike in either.  The one-verb tree
+    still names every group, so its top-level usage and errors are the
+    full tree's; handlers are looked up in the module when this runs.
+    """
     top = argparse.ArgumentParser(prog="lukra", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
-
-    def sub(group, name, fn, **kwargs):
-        p = group.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", help="write the JSON report to this file")
-        return p
-
-    g = groups.add_parser("algebra").add_subparsers(dest="verb", required=True)
-    p = sub(g, "chain", cmd_algebra_chain, help="emit a chain algebra")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", action="store_true")
-    p.add_argument("--bottom", action="store_true")
-    p = sub(g, "check", cmd_algebra_check, help="run the law checkers")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--quasi", action="store_true")
-    p.add_argument("--suite", action="store_true")
-    p = sub(g, "delta", cmd_algebra_delta, help="decide delta admissibility")
-    p.add_argument("--in", dest="infile", required=True)
-    p = sub(g, "product", cmd_algebra_product, help="componentwise product")
-    p.add_argument("--in", dest="infile", action="append", required=True)
-    p = sub(g, "homs", cmd_algebra_homs, help="enumerate homomorphisms")
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--epi", action="store_true")
-
-    g = groups.add_parser("filters").add_subparsers(dest="verb", required=True)
-    p = sub(g, "list", cmd_filters_list, help="all implicative filters")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--force", action="store_true")
-    p = sub(g, "maximal", cmd_filters_maximal, help="maximal filters")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--force", action="store_true")
-    p = sub(g, "quotient", cmd_filters_quotient, help="quotient by a filter")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--filter", required=True, help="comma-separated element indices")
-    p = sub(g, "subdirect", cmd_filters_subdirect, help="subdirect embedding")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--force", action="store_true")
-    p = sub(g, "classify", cmd_filters_classify, help="simple-algebra classification")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--force", action="store_true")
-
-    g = groups.add_parser("free").add_subparsers(dest="verb", required=True)
-    p = sub(g, "build", cmd_free_build, help="construct the free algebra")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p = sub(g, "size", cmd_free_size, help="evaluate the size formula")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=["repaired", "literal"], default="repaired")
-    p = sub(g, "verify", cmd_free_verify, help="formula vs construction")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=["repaired", "literal"], default="repaired")
-
-    g = groups.add_parser("logic").add_subparsers(dest="verb", required=True)
-    p = sub(g, "taut", cmd_logic_taut, help="tautology decision")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--formula", required=True)
-    p = sub(g, "conseq", cmd_logic_conseq, help="matrix consequence")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--hyp", action="append")
-    p = sub(g, "prove-check", cmd_logic_prove_check, help="check a proof file")
-    p.add_argument("--system", choices=["n", "bot"], required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--qgen", choices=["paired", "literal"], default="paired")
-    p = sub(g, "refute", cmd_logic_refute, help="search chains for a refutation")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--max-n", type=int, default=8)
-    p = sub(g, "fo-eval", cmd_logic_fo_eval, help="evaluate a first-order formula")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--assign", action="append", help="var=domain-index")
-    p = sub(g, "theorem-suite", cmd_logic_theorem_suite, help="derived-theorem suite")
-    p.add_argument("--n", type=int, required=True)
-    p = sub(g, "hierarchy", cmd_logic_hierarchy, help="hierarchy strictness")
-    p.add_argument("--n", type=int, required=True)
+    for group, verbs in _VERBS.items():
+        g = groups.add_parser(group)
+        if only is not None and group != only[0]:
+            continue
+        subs = g.add_subparsers(dest="verb", required=True)
+        for verb, (help_text, options) in verbs.items():
+            if only is not None and verb != only[1]:
+                continue
+            p = subs.add_parser(verb, help=help_text)
+            p.set_defaults(fn=globals()[f"cmd_{group}_{verb.replace('-', '_')}"])
+            p.add_argument("--out", help="write the JSON report to this file")
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a job names its verb first, so only that verb's parser is built;
+    # help, a group alone or a typo get the full tree
+    only = tuple(argv[:2])
+    if len(only) < 2 or only[1] not in _VERBS.get(only[0], {}):
+        only = None
+    parser = build_parser(only)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

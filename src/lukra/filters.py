@@ -61,7 +61,7 @@ def describe_filter(A: FiniteAlgebra, S, guard: int | None = FILTER_GUARD) -> Fi
 
     `tied_to` is the least element the filter is tied to, when any.
     """
-    elements = tuple(sorted(set(S)))
+    elements = tuple(sorted(_members(A, S)))
     implicative = is_implicative_filter(A, elements)
     delta = is_delta_filter(A, elements) if A.delta is not None else None
     filters = all_filters(A, guard=guard)
@@ -71,8 +71,17 @@ def describe_filter(A: FiniteAlgebra, S, guard: int | None = FILTER_GUARD) -> Fi
                   maximal=maximal, tied_to=tied)
 
 
+def _members(A: FiniteAlgebra, S) -> set[int]:
+    """The elements of S as a set; one outside the carrier raises
+    AlgebraError naming the first."""
+    for x in S:
+        if not 0 <= x < A.size:
+            raise AlgebraError(f"filter element {x} is outside the carrier 0..{A.size - 1}")
+    return set(S)
+
+
 def is_implicative_filter(A: FiniteAlgebra, S) -> bool:
-    members = set(S)
+    members = _members(A, S)
     if A.top not in members:
         return False
     return all(
@@ -84,7 +93,7 @@ def is_implicative_filter(A: FiniteAlgebra, S) -> bool:
 
 def filter_generated(A: FiniteAlgebra, S) -> tuple[int, ...]:
     """Least implicative filter containing S (fixpoint of MP closure)."""
-    members = set(S) | {A.top}
+    members = _members(A, S) | {A.top}
     changed = True
     while changed:
         changed = False
@@ -183,7 +192,7 @@ def is_delta_filter(A: FiniteAlgebra, F) -> bool:
     """
     if A.delta is None:
         raise ConfigurationError("is_delta_filter needs a delta table")
-    members = set(F)
+    members = _members(A, F)
     if not is_implicative_filter(A, members):
         return False
     if any(A.delta[x] not in members for x in members):
@@ -214,10 +223,7 @@ def congruence_of(A: FiniteAlgebra, F) -> Congruence:
     the variety the relation need not be an equivalence (x -> x may fall
     outside F); that is refused at the least witness.
     """
-    for x in F:
-        if not 0 <= x < A.size:
-            raise AlgebraError(f"filter element {x} is outside the carrier 0..{A.size - 1}")
-    members = set(F)
+    members = _members(A, F)
     if not is_implicative_filter(A, members):
         raise ConfigurationError("congruence_of needs an implicative filter")
     related = [

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lukra
+import lukra.cli as cli
 from lukra.cli import main
 from lukra.algebra import FiniteAlgebra, make_chain
 from lukra.formulas import IMP_K_LIMIT, TABLE_GUARD
@@ -385,3 +388,160 @@ def test_unexpected_errors_exit_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == "internal error: TypeError: unsupported operand second line\n"
+
+
+# -- start-up: one verb's parser, fo and proofs only in their own verbs --------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+LOADED_AFTER_MAIN = """
+import contextlib, io, json, sys
+from lukra.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("lukra.fo", "lukra.proofs") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["logic", "taut", "--n", "3", "--formula", "p -> p"], 0, []),
+    (["free", "size", "--n", "2", "--m", "1"], 0, []),
+    (["algebra", "homs", "--from", "@l3", "--to", "@l3"], 0, []),
+    (["filters", "list", "--in", "@l3"], 0, []),
+    (["logic", "fo-eval", "--structure", "@s", "--formula", "forall x P(x)"], 1, ["lukra.fo"]),
+    (["logic", "prove-check", "--system", "n", "--n", "3",
+      "--in", str(FIXTURES / "proofs" / "lh20_n3.proof")], 0, ["lukra.proofs"]),
+], ids=["taut", "free-size", "homs", "filters-list", "fo-eval", "prove-check"])
+def test_each_verb_loads_fo_and_proofs_only_for_itself(tmp_path, argv, code, loaded):
+    L3 = make_chain(3, with_delta=True, with_bottom=True)
+    (tmp_path / "l3").write_text(L3.to_json())
+    (tmp_path / "s").write_text(json.dumps({
+        "domain_size": 2, "algebra": L3.to_dict(),
+        "predicates": {"P": {"arity": 1, "table": {"0": 1, "1": 2}}}}))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(lukra.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
+                          capture_output=True, text=True, env=env, timeout=30, check=True)
+    assert json.loads(done.stdout) == [code, loaded]
+
+
+def test_fo_and_proofs_names_are_still_exported():
+    from lukra import FOStructure, check_proof, fo_eval, parse_proof
+    from lukra.fo import FOStructure as fo_structure, fo_eval as eval_fo
+    from lukra.proofs import check_proof as check, parse_proof as parse_text
+
+    assert (FOStructure, fo_eval, check_proof, parse_proof) == (
+        fo_structure, eval_fo, check, parse_text)
+    assert {"FOStructure", "fo_eval", "check_proof", "parse_proof"} <= set(dir(lukra))
+    assert {"FOStructure", "fo_eval", "check_proof", "parse_proof"} <= set(lukra.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        lukra.no_such_name
+
+
+def _verb_parsers(parser):
+    """(group, verb, parser) for every verb of a full tree."""
+    def choices(p):
+        return next(a.choices for a in p._actions if isinstance(a.choices, dict))
+
+    return [(group, verb, vp) for group, gp in choices(parser).items()
+            for verb, vp in choices(gp).items()]
+
+
+def _valid_argv(vp):
+    """Every option of a verb parser with a value it accepts."""
+    argv = []
+    for action in vp._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(action.choices[-1] if action.choices else
+                        "3" if action.type is int else "x")
+    return argv
+
+
+def _parse_failure(parser, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, err.getvalue()
+
+
+FULL_VERBS = [(g, v) for g, v, _ in _verb_parsers(cli.build_parser())]
+
+
+@pytest.mark.parametrize("group, verb", FULL_VERBS, ids=[f"{g}-{v}" for g, v in FULL_VERBS])
+def test_one_verb_parser_matches_the_full_tree(group, verb):
+    full = cli.build_parser()
+    one = cli.build_parser((group, verb))
+    vp = next(p for g, v, p in _verb_parsers(full) if (g, v) == (group, verb))
+    argv = [group, verb, *_valid_argv(vp)]
+
+    def parsed(parser):
+        ns = vars(parser.parse_args(argv))
+        return {**ns, "fn": ns["fn"].__name__}
+
+    assert parsed(one) == parsed(full)
+    assert parsed(full)["fn"] == f"cmd_{group}_{verb.replace('-', '_')}"
+    required = next(a for a in vp._actions if a.required)
+    flag = argv.index(required.option_strings[0])
+    missing = argv[:flag] + argv[flag + (1 if required.nargs == 0 else 2):]
+    for bad in (missing, argv + ["--bogus"]):
+        code, err = _parse_failure(full, bad)
+        assert code == 2 and err.startswith("usage: lukra")
+        assert _parse_failure(one, bad) == (code, err)
+
+
+def test_main_builds_only_the_named_verb(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
+    main(["logic", "taut", "--n", "3", "--formula", "p -> p"])
+    for argv in (["--help"], ["logic", "--help"], ["logic"], ["logic", "tuat"], []):
+        assert main(argv) in (0, 2)
+    capsys.readouterr()
+    assert built == [("logic", "taut"), None, None, None, None, None]
+
+
+TOP_HELP = """\
+usage: lukra [-h] {algebra,filters,free,logic} ...
+
+Batch command-line front end. One process per command; human-readable summary
+on stderr, a single JSON report on stdout (or --out). Exit codes: 0 when the
+checked property holds (or the query succeeded), 1 when a checked property is
+false, 2 for usage errors, 3 for internal inconsistencies and any unexpected
+error. The environment variable LUKRA_GUARD overrides enumeration size guards.
+
+positional arguments:
+  {algebra,filters,free,logic}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+LOGIC_HELP = """\
+usage: lukra logic [-h]
+                   {taut,conseq,prove-check,refute,fo-eval,theorem-suite,hierarchy}
+                   ...
+
+positional arguments:
+  {taut,conseq,prove-check,refute,fo-eval,theorem-suite,hierarchy}
+    taut                tautology decision
+    conseq              matrix consequence
+    prove-check         check a proof file
+    refute              search chains for a refutation
+    fo-eval             evaluate a first-order formula
+    theorem-suite       derived-theorem suite
+    hierarchy           hierarchy strictness
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+@pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP), (["logic", "--help"], LOGIC_HELP)],
+                         ids=["top", "logic"])
+def test_help_is_unchanged(monkeypatch, capsys, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text

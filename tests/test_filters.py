@@ -5,6 +5,7 @@ from itertools import combinations, product as iter_product
 import pytest
 
 from lukra.algebra import (
+    AlgebraError,
     ConfigurationError,
     DegenerateInputError,
     FiniteAlgebra,
@@ -319,6 +320,19 @@ def test_describe_filter():
     assert whole.implicative and not whole.maximal and whole.tied_to is None
     junk = describe_filter(L3, (1, 2))
     assert not junk.implicative
+
+
+@pytest.mark.parametrize("check, S, bad", [
+    ("describe_filter", (-1, 2), -1),
+    ("describe_filter", (2, 5), 5),
+    ("filter_generated", (-1,), -1),
+    ("is_implicative_filter", (2, 3), 3),
+    ("is_delta_filter", (-2, 2), -2),
+])
+def test_filter_sets_outside_the_carrier_are_refused(check, S, bad):
+    # a negative index would otherwise read a row from the end of the table
+    with pytest.raises(AlgebraError, match=rf"^filter element {bad} is outside the carrier 0\.\.2$"):
+        getattr(lukra.filters, check)(make_chain(3, with_delta=True), S)
 
 
 # ---------------------------------------------------------------------------
