@@ -9,15 +9,17 @@ One semi-naive closure, `subuniverse`, generates every subuniverse: on
 finite tables for `subalgebra_closure`, `generating_set` and
 `homomorphisms`, and on packed vectors for the free-algebra builder.  One
 sweep, `least_witness`, finds the least counterexample of every
-hand-written check in lexicographic order.
+hand-written check in lexicographic order; `CheckReport`, the outcome of
+every check, lives here so that `filters` and `logic` need not load `laws`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product as iter_product
+
+from .records import Record
 
 
 class AlgebraError(Exception):
@@ -44,8 +46,7 @@ class InternalConsistencyError(AlgebraError):
     """A structural fact that should hold by construction failed to hold."""
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     size: int
     imp: tuple[tuple[int, ...], ...]
     top: int
@@ -256,8 +257,29 @@ def t_below(A: FiniteAlgebra, x: int) -> tuple[int, ...]:
     return tuple(t for t in tarskian_elements(A) if A.leq(t, x))
 
 
-@dataclass(frozen=True)
-class DeltaSearch:
+class CheckReport(Record):
+    """Outcome of an exhaustive check: law names with least witnesses."""
+    passed: bool
+    violations: tuple[tuple[str, tuple[int, ...]], ...]
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+    @staticmethod
+    def from_violations(violations) -> "CheckReport":
+        vs = tuple(violations)
+        return CheckReport(passed=not vs, violations=vs)
+
+    def to_dict(self) -> dict:
+        return {
+            "passed": self.passed,
+            "violations": [
+                {"law": name, "witness": list(w)} for name, w in self.violations
+            ],
+        }
+
+
+class DeltaSearch(Record):
     """Outcome of the delta-admissibility decision.
 
     Either `table` is the unique admissible delta table, or `witness` is

@@ -16,12 +16,10 @@ import os
 import sys
 
 from . import algebra as alg
-from . import filters as flt
-from . import freealg as fre
-from . import laws
-from . import logic as lg
-from .algebra import AlgebraError, FiniteAlgebra, InternalConsistencyError, SizeGuardError
-from .formulas import TABLE_GUARD, TOO_DEEP, parse as parse_formula, to_text
+from .algebra import AlgebraError, FiniteAlgebra, InternalConsistencyError
+
+# Every verb reads and writes JSON and most read an algebra; each handler
+# imports the rest of what it runs, so a job loads only its own modules.
 
 OK, PROPERTY_FALSE, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -58,7 +56,9 @@ def _say(msg: str) -> None:
 # -- algebra ------------------------------------------------------------------
 
 def cmd_algebra_chain(args) -> int:
-    alg.check_table_size(args.n, _guard(fre.SIZE_GUARD))
+    from .freealg import SIZE_GUARD
+
+    alg.check_table_size(args.n, _guard(SIZE_GUARD))
     A = alg.make_chain(args.n, with_delta=args.delta, with_bottom=args.bottom)
     _emit(A.to_dict(), args)
     _say(f"chain of size {args.n}" + (" with delta" if args.delta else ""))
@@ -66,6 +66,8 @@ def cmd_algebra_chain(args) -> int:
 
 
 def cmd_algebra_check(args) -> int:
+    from . import laws
+
     A = _load_algebra(args.infile)
     checks = {"LR": laws.check_LR(A)}
     n = args.n
@@ -97,8 +99,10 @@ def cmd_algebra_delta(args) -> int:
 
 
 def cmd_algebra_product(args) -> int:
+    from .freealg import SIZE_GUARD
+
     factors = [_load_algebra(p) for p in args.infile]
-    alg.check_table_size(math.prod(A.size for A in factors), _guard(fre.SIZE_GUARD))
+    alg.check_table_size(math.prod(A.size for A in factors), _guard(SIZE_GUARD))
     P = alg.product(factors)
     _emit(P.to_dict(), args)
     _say(f"product of {len(factors)} factors, size {P.size}")
@@ -118,10 +122,14 @@ def cmd_algebra_homs(args) -> int:
 
 def _filter_guard(args) -> int | None:
     """The carrier-size guard of a filters verb; --force lifts it."""
-    return None if args.force else _guard(flt.FILTER_GUARD)
+    from .filters import FILTER_GUARD
+
+    return None if args.force else _guard(FILTER_GUARD)
 
 
 def cmd_filters_list(args) -> int:
+    from . import filters as flt
+
     A = _load_algebra(args.infile)
     fs = flt.all_filters(A, guard=_filter_guard(args))
     _emit({"filters": [list(f) for f in fs]}, args)
@@ -130,6 +138,8 @@ def cmd_filters_list(args) -> int:
 
 
 def cmd_filters_maximal(args) -> int:
+    from . import filters as flt
+
     A = _load_algebra(args.infile)
     fs = flt.maximal_filters(A, guard=_filter_guard(args))
     _emit({"filters": [list(f) for f in fs]}, args)
@@ -145,6 +155,8 @@ def _parse_filter(text: str) -> tuple[int, ...]:
 
 
 def cmd_filters_quotient(args) -> int:
+    from . import filters as flt
+
     A = _load_algebra(args.infile)
     Q, proj = flt.quotient(A, _parse_filter(args.filter))
     report = Q.to_dict()
@@ -155,6 +167,8 @@ def cmd_filters_quotient(args) -> int:
 
 
 def cmd_filters_subdirect(args) -> int:
+    from . import filters as flt
+
     A = _load_algebra(args.infile)
     P, emb = flt.subdirect_embedding(A, guard=_filter_guard(args))
     _emit({"product": P.to_dict(), "embedding": list(emb)}, args)
@@ -163,6 +177,8 @@ def cmd_filters_subdirect(args) -> int:
 
 
 def cmd_filters_classify(args) -> int:
+    from . import filters as flt
+
     A = _load_algebra(args.infile)
     got = flt.classify_simple(A, guard=_filter_guard(args))
     if got is None:
@@ -178,6 +194,8 @@ def cmd_filters_classify(args) -> int:
 # -- free ---------------------------------------------------------------------
 
 def cmd_free_build(args) -> int:
+    from . import freealg as fre
+
     F = fre.build_free(args.n, args.m, guard=_guard(fre.SIZE_GUARD))
     report = F.algebra.to_dict()
     report["generators"] = list(F.generators)
@@ -187,6 +205,8 @@ def cmd_free_build(args) -> int:
 
 
 def cmd_free_size(args) -> int:
+    from . import freealg as fre
+
     sb = fre.size_formula(args.n, args.m, mode=args.mode)
     _emit(sb.to_dict(), args)
     _say(f"size formula ({args.mode}): {sb.total}")
@@ -194,6 +214,8 @@ def cmd_free_size(args) -> int:
 
 
 def cmd_free_verify(args) -> int:
+    from . import freealg as fre
+
     sb = fre.size_formula(args.n, args.m, mode=args.mode)
     F = fre.build_free(args.n, args.m, guard=_guard(fre.SIZE_GUARD))
     fre.minimal_elements(F)
@@ -206,6 +228,9 @@ def cmd_free_verify(args) -> int:
 # -- logic ----------------------------------------------------------------------
 
 def cmd_logic_taut(args) -> int:
+    from . import logic as lg
+    from .formulas import TABLE_GUARD, parse as parse_formula
+
     f = parse_formula(args.formula)
     verdict = lg.is_tautology(f, args.n, guard=_guard(TABLE_GUARD))
     _emit({"valid": verdict.holds, **verdict.to_dict()}, args)
@@ -214,6 +239,9 @@ def cmd_logic_taut(args) -> int:
 
 
 def cmd_logic_conseq(args) -> int:
+    from . import logic as lg
+    from .formulas import TABLE_GUARD, parse as parse_formula
+
     hyps = [parse_formula(h) for h in args.hyp or []]
     f = parse_formula(args.formula)
     verdict = lg.consequence(hyps, f, args.n, guard=_guard(TABLE_GUARD))
@@ -223,6 +251,7 @@ def cmd_logic_conseq(args) -> int:
 
 
 def cmd_logic_prove_check(args) -> int:
+    from .formulas import to_text
     from .proofs import check_proof, parse_proof
 
     with open(args.infile, "r", encoding="utf-8") as fh:
@@ -239,6 +268,9 @@ def cmd_logic_prove_check(args) -> int:
 
 
 def cmd_logic_refute(args) -> int:
+    from . import logic as lg
+    from .formulas import TABLE_GUARD, parse as parse_formula
+
     f = parse_formula(args.formula)
     hit = lg.refute_search(f, args.max_n, guard=_guard(TABLE_GUARD))
     if hit is None:
@@ -270,6 +302,8 @@ def cmd_logic_fo_eval(args) -> int:
 
 
 def cmd_logic_theorem_suite(args) -> int:
+    from . import logic as lg
+
     rep = lg.theorem_suite(args.n)
     _emit(rep.to_dict(), args)
     _say("theorem suite passed" if rep.passed else f"{len(rep.violations)} violations")
@@ -277,6 +311,8 @@ def cmd_logic_theorem_suite(args) -> int:
 
 
 def cmd_logic_hierarchy(args) -> int:
+    from . import logic as lg
+
     rep = lg.hierarchy_check(args.n)
     _emit(rep.to_dict(), args)
     _say("hierarchy strict at this level" if rep.passed else "hierarchy check failed")
@@ -389,6 +425,8 @@ def main(argv=None) -> int:
     except RecursionError:
         # sugar such as `a | b` or `a ->[k] b` builds terms deeper than the
         # parser recursed, and every walker over terms is recursive
+        from .formulas import TOO_DEEP
+
         _say(f"error: {TOO_DEEP}")
         return USAGE
     except Exception as exc:

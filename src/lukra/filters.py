@@ -11,10 +11,9 @@ embedding) read one enumerated list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     AlgebraError,
+    CheckReport,
     ConfigurationError,
     DegenerateInputError,
     FiniteAlgebra,
@@ -27,13 +26,12 @@ from .algebra import (
     min_n,
     product,
 )
-from .laws import CheckReport
+from .records import Record
 
 FILTER_GUARD = 12
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Record):
     """An implicative filter with optional classification flags."""
     elements: tuple[int, ...]
     implicative: bool = True
@@ -42,8 +40,7 @@ class Filter:
     tied_to: int | None = None
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """A partition compatible with the operations; partition[x] is x's block."""
     partition: tuple[int, ...]
 

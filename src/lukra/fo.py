@@ -23,7 +23,6 @@ and FBot are aliases of them), and `fo_eval` compiles formulas with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .algebra import (
@@ -45,6 +44,7 @@ from .formulas import (
     _Parser,
     compile_term,
 )
+from .records import Record, field
 
 
 class FOError(ValueError):
@@ -53,14 +53,12 @@ class FOError(ValueError):
 
 # -- terms -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermName:
+class TermName(Record):
     """A variable or constant; which one is resolved against the structure."""
     name: str
 
 
-@dataclass(frozen=True)
-class TermApp:
+class TermApp(Record):
     func: str
     args: tuple
 
@@ -71,32 +69,27 @@ FOFormula = Formula
 FTop, FBot, FImp, FDelta = Top, Bot, Imp, Delta
 
 
-@dataclass(frozen=True)
 class FPred(Formula):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
 class FEq(Formula):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
 class FForall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class FExists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
-class FOStructure:
+class FOStructure(Record):
     """A finite domain with chain-valued predicate tables.
 
     Predicate tables map argument tuples (domain indices) to carrier
@@ -105,9 +98,9 @@ class FOStructure:
     """
     domain_size: int
     algebra: FiniteAlgebra
-    predicates: dict[str, dict] = field(default_factory=dict)
-    functions: dict[str, dict] = field(default_factory=dict)
-    constants: dict[str, int] = field(default_factory=dict)
+    predicates: dict[str, dict] = field(factory=dict)
+    functions: dict[str, dict] = field(factory=dict)
+    constants: dict[str, int] = field(factory=dict)
 
     def __post_init__(self):
         if self.domain_size < 1:

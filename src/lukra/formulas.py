@@ -26,47 +26,81 @@ from __future__ import annotations
 import operator
 import re
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, count, islice
 
 from .algebra import SizeGuardError
+from .records import Record
 
 
 class FormulaError(ValueError):
     """Raised for malformed formula text or evaluation errors."""
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
     pass
 
 
-@dataclass(frozen=True)
+# The nodes with fields write their own __init__, __eq__ and __hash__, the
+# record base's semantics at the speed of inline code: parsing and
+# substitution build a node per connective, and proof construction interns
+# whole formulas in dicts, where the generic methods took about twice as long.
+_set = object.__setattr__
+
+
 class Var(Formula):
     name: str
 
+    def __init__(self, name):
+        _set(self, "name", name)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
+
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Imp(Formula):
     left: Formula
     right: Formula
 
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+
 class Delta(Formula):
     child: Formula
+
+    def __init__(self, child):
+        _set(self, "child", child)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.child,) == (other.child,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.child,))
 
 
 TOP = Top()
@@ -428,8 +462,7 @@ def equation_violations(A, equations, every: bool = False,
     return batch.violations(A, range(len(batch.plans)), every)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """One interned equation.  `slab_var` is names[0], or None when no
     term sees position 0 (a repeated name binds its last position, as in
     `compile_term`); `space` names positions 1.. of an assignment, None
@@ -687,32 +720,34 @@ def eval_formula(f: Formula, algebra, valuation: dict[str, int]) -> int:
         raise FormulaError(TOO_DEEP) from None
 
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
-
-
 def rational_eval(f: Formula, valuation: dict[str, Fraction]) -> Fraction:
     """Exact evaluation over the unit interval with min{1, 1-x+y} implication.
 
     D is the crisp operator (1 at 1, else 0); floats are never involved
-    because D is discontinuous at 1.
+    because D is discontinuous at 1.  `fractions` is imported here, as no
+    CLI verb evaluates over the unit interval.
     """
-    if isinstance(f, Var):
-        try:
-            x = Fraction(valuation[f.name])
-        except KeyError:
-            raise FormulaError(f"unassigned variable {f.name!r}") from None
-        if not ZERO <= x <= ONE:
-            raise FormulaError(f"value of {f.name!r} outside [0, 1]")
-        return x
-    if isinstance(f, Top):
-        return ONE
-    if isinstance(f, Bot):
-        return ZERO
-    if isinstance(f, Imp):
-        x = rational_eval(f.left, valuation)
-        y = rational_eval(f.right, valuation)
-        return min(ONE, ONE - x + y)
-    if isinstance(f, Delta):
-        return ONE if rational_eval(f.child, valuation) == ONE else ZERO
-    raise FormulaError(f"not a formula node: {f!r}")
+    from fractions import Fraction
+
+    one, zero = Fraction(1), Fraction(0)
+
+    def value(g):
+        if isinstance(g, Var):
+            try:
+                x = Fraction(valuation[g.name])
+            except KeyError:
+                raise FormulaError(f"unassigned variable {g.name!r}") from None
+            if not zero <= x <= one:
+                raise FormulaError(f"value of {g.name!r} outside [0, 1]")
+            return x
+        if isinstance(g, Top):
+            return one
+        if isinstance(g, Bot):
+            return zero
+        if isinstance(g, Imp):
+            return min(one, one - value(g.left) + value(g.right))
+        if isinstance(g, Delta):
+            return one if value(g.child) == one else zero
+        raise FormulaError(f"not a formula node: {g!r}")
+
+    return value(f)

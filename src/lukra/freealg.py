@@ -20,7 +20,6 @@ adjudicates between them.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, log10
@@ -38,6 +37,7 @@ from .algebra import (
     subalgebra_closure,
     subuniverse,
 )
+from .records import Record
 
 # bound on the predicted implication table, in entries (carrier size squared)
 SIZE_GUARD = 10**7
@@ -47,8 +47,7 @@ class FormulaReadingError(AlgebraError):
     """A cardinality-recurrence mode produced an impossible intermediate."""
 
 
-@dataclass(frozen=True)
-class SizeBreakdown:
+class SizeBreakdown(Record):
     """Closed-form cardinality of the free algebra, with its ingredients.
 
     beta[(i, k)] is the exponent of i in |N_k|; nk[k-1] = |N_k|; the total
@@ -79,8 +78,7 @@ class SizeBreakdown:
         }
 
 
-@dataclass(frozen=True)
-class FreeAlgebra:
+class FreeAlgebra(Record):
     """The free algebra plus its concrete coordinates.
 
     `vectors[e]` is element e's tuple over the ambient product; coordinate

@@ -11,9 +11,13 @@ is tabulated once, one slab of a law's first variable at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import ConfigurationError, FiniteAlgebra, least_witness, tarskian_elements
+from .algebra import (
+    CheckReport,
+    ConfigurationError,
+    FiniteAlgebra,
+    least_witness,
+    tarskian_elements,
+)
 from .formulas import (
     TOP,
     Delta,
@@ -26,35 +30,12 @@ from .formulas import (
     or_,
     variables,
 )
+from .records import Record
 
 X, Y, Z, W = Var("x"), Var("y"), Var("z"), Var("w")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of an exhaustive check: law names with least witnesses."""
-    passed: bool
-    violations: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    @staticmethod
-    def from_violations(violations) -> "CheckReport":
-        vs = tuple(violations)
-        return CheckReport(passed=not vs, violations=vs)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violations": [
-                {"law": name, "witness": list(w)} for name, w in self.violations
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class Law:
+class Law(Record):
     name: str
     vars: tuple[str, ...]
     lhs: Formula

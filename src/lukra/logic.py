@@ -19,9 +19,7 @@ lexicographically least valuation, for stable goldens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import AlgebraError, make_chain
+from .algebra import AlgebraError, CheckReport, make_chain
 from .formulas import (
     BOT,
     TOP,
@@ -35,9 +33,14 @@ from .formulas import (
     or_,
     variables,
 )
-from .laws import CheckReport
+from .records import Record
 
 ALPHA, BETA, GAMMA = Var("alpha"), Var("beta"), Var("gamma")
+
+
+def _need_level(n: int) -> None:
+    if n < 2:
+        raise AlgebraError("level must be >= 2")
 
 
 def _implication_axioms() -> dict[str, Formula]:
@@ -53,8 +56,7 @@ def _implication_axioms() -> dict[str, Formula]:
 
 def axiom_schemas_n(n: int) -> dict[str, Formula]:
     """Axiom schemata of the n-valued calculus (metavariables alpha, beta)."""
-    if n < 2:
-        raise AlgebraError("level must be >= 2")
+    _need_level(n)
     a, b = ALPHA, BETA
     return {
         **_implication_axioms(),
@@ -78,8 +80,7 @@ def axiom_schemas_bot() -> dict[str, Formula]:
     }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Decision outcome; counterexample is (chain size, valuation) if any."""
     holds: bool
     counterexample: tuple[int, dict[str, int]] | None = None
@@ -105,8 +106,7 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
     counterexample is the smallest chain and then the least valuation of
     the sorted variable names.
     """
-    if n < 2:
-        raise AlgebraError("level must be >= 2")
+    _need_level(n)
     eqs = []
     for lhs, rhs, premises in equations:
         terms = [lhs, rhs, *(t for pair in premises for t in pair)]
@@ -240,6 +240,7 @@ def theorem_suite(n: int) -> CheckReport:
     consequences, the whole catalogue in one batch.  Witness tuples are
     (chain size, valuation values in sorted-variable order).
     """
+    _need_level(n)
     catalogue = _theorem_catalogue(n)
     verdicts = _decide([_entailment(premises, f) for _, premises, f in catalogue],
                        n, TABLE_GUARD)

@@ -16,10 +16,10 @@ Lines starting with '#' are comments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .formulas import Formula, Imp, Delta, mismatch, parse, substitute, to_text, uses_bot
 from .logic import axiom_schemas_bot, axiom_schemas_n
+from .records import Record, field
 
 SYSTEM_N = "n"
 SYSTEM_BOT = "bot"
@@ -29,40 +29,34 @@ class ProofSyntaxError(ValueError):
     """Malformed proof text or ill-formed proof object."""
 
 
-@dataclass(frozen=True)
-class ByAxiom:
+class ByAxiom(Record):
     name: str
     level: int | None = None
     substitution: dict | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class ByMP:
+class ByMP(Record):
     i: int
     j: int
 
 
-@dataclass(frozen=True)
-class ByHyp:
+class ByHyp(Record):
     k: int
 
 
-@dataclass(frozen=True)
-class ByQGen:
+class ByQGen(Record):
     i: int
     j: int
     k: int
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(Record):
     idx: int
     formula: Formula
     just: object
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(Record):
     system: str
     n: int | None
     lines: tuple[ProofLine, ...]
@@ -74,8 +68,7 @@ class Proof:
         return self.lines[-1].formula
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(Record):
     passed: bool
     failures: tuple[tuple[int, str], ...]
 

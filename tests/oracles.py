@@ -5,12 +5,15 @@ lives next to the tests rather than in the package.
 """
 
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from lukra.algebra import FiniteAlgebra, SizeGuardError, epimorphisms, imp_k
 from lukra.filters import Congruence
-from lukra.formulas import BOT, Delta, Formula, Imp, Var
+from lukra.fo import FOStructure
+from lukra.formulas import BOT, Bot, Delta, Formula, Imp, Top, Var
 from lukra.freealg import FreeAlgebra
+from lukra.proofs import ByAxiom
 
 
 def congruences(A: FiniteAlgebra, respect_delta: bool = True) -> list[Congruence]:
@@ -96,3 +99,82 @@ def random_formula(rng: random.Random, names, depth: int, allow_bot: bool = Fals
 def rational_grid(step_denominator: int):
     """The grid {0, 1/d, ..., 1} as exact fractions."""
     return [Fraction(i, step_denominator) for i in range(step_denominator + 1)]
+
+
+# -- the frozen dataclasses that lukra's records replace ------------------------
+#
+# Each twin is the `dataclass(frozen=True)` a record class of `lukra.records`
+# stands in for, with the record's __post_init__ and named like it, so that
+# construction, defaults, repr, == and hash can be compared one for one.
+
+def _twin(record):
+    def make(cls):
+        cls = dataclass(frozen=True)(cls)
+        cls.__qualname__ = record.__qualname__
+        return cls
+    return make
+
+
+@_twin(Var)
+class VarTwin:
+    name: str
+
+
+@_twin(Top)
+class TopTwin:
+    pass
+
+
+@_twin(Bot)
+class BotTwin:
+    pass
+
+
+@_twin(Imp)
+class ImpTwin:
+    left: object
+    right: object
+
+
+@_twin(Delta)
+class DeltaTwin:
+    child: object
+
+
+@_twin(FiniteAlgebra)
+class FiniteAlgebraTwin:
+    size: int
+    imp: tuple
+    top: int
+    delta: tuple | None = None
+    bottom: int | None = None
+    label: str = ""
+    __post_init__ = FiniteAlgebra.__post_init__
+
+
+@_twin(ByAxiom)
+class ByAxiomTwin:
+    name: str
+    level: int | None = None
+    substitution: dict | None = field(default=None, compare=False)
+
+
+@_twin(FOStructure)
+class FOStructureTwin:
+    domain_size: int
+    algebra: FiniteAlgebra
+    predicates: dict = field(default_factory=dict)
+    functions: dict = field(default_factory=dict)
+    constants: dict = field(default_factory=dict)
+    __post_init__ = FOStructure.__post_init__
+
+
+def formula_twin(f: Formula):
+    """The same term built from the dataclass twins of the formula nodes."""
+    if isinstance(f, Var):
+        return VarTwin(f.name)
+    if isinstance(f, Imp):
+        return ImpTwin(formula_twin(f.left), formula_twin(f.right))
+    if isinstance(f, Delta):
+        return DeltaTwin(formula_twin(f.child))
+    return TopTwin() if isinstance(f, Top) else BotTwin()

@@ -390,7 +390,7 @@ def test_unexpected_errors_exit_3(capsys, monkeypatch):
     assert captured.err == "internal error: TypeError: unsupported operand second line\n"
 
 
-# -- start-up: one verb's parser, fo and proofs only in their own verbs --------
+# -- start-up: one verb's parser, and only the modules that verb runs ----------
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -399,19 +399,27 @@ import contextlib, io, json, sys
 from lukra.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in ("lukra.fo", "lukra.proofs") if m in sys.modules]]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m in ("dataclasses", "fractions") or m.split(".")[0] == "lukra")]))
 """
+
+# every job loads these; no verb loads dataclasses or fractions
+CORE = ["lukra", "lukra.algebra", "lukra.cli", "lukra.records"]
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
-    (["logic", "taut", "--n", "3", "--formula", "p -> p"], 0, []),
-    (["free", "size", "--n", "2", "--m", "1"], 0, []),
+    (["logic", "taut", "--n", "3", "--formula", "p -> p"], 0, ["formulas", "logic"]),
+    (["free", "size", "--n", "2", "--m", "1"], 0, ["freealg"]),
     (["algebra", "homs", "--from", "@l3", "--to", "@l3"], 0, []),
-    (["filters", "list", "--in", "@l3"], 0, []),
-    (["logic", "fo-eval", "--structure", "@s", "--formula", "forall x P(x)"], 1, ["lukra.fo"]),
+    (["filters", "list", "--in", "@l3"], 0, ["filters"]),
+    (["logic", "fo-eval", "--structure", "@s", "--formula", "forall x P(x)"], 1,
+     ["fo", "formulas"]),
     (["logic", "prove-check", "--system", "n", "--n", "3",
-      "--in", str(FIXTURES / "proofs" / "lh20_n3.proof")], 0, ["lukra.proofs"]),
-], ids=["taut", "free-size", "homs", "filters-list", "fo-eval", "prove-check"])
+      "--in", str(FIXTURES / "proofs" / "lh20_n3.proof")], 0, ["formulas", "logic", "proofs"]),
+    (["algebra", "check", "--in", "@l3", "--suite", "--quasi"], 0, ["formulas", "laws"]),
+    (["algebra", "chain", "--n", "3"], 0, ["freealg"]),
+], ids=["taut", "free-size", "homs", "filters-list", "fo-eval", "prove-check",
+        "algebra-check", "algebra-chain"])
 def test_each_verb_loads_fo_and_proofs_only_for_itself(tmp_path, argv, code, loaded):
     L3 = make_chain(3, with_delta=True, with_bottom=True)
     (tmp_path / "l3").write_text(L3.to_json())
@@ -422,7 +430,7 @@ def test_each_verb_loads_fo_and_proofs_only_for_itself(tmp_path, argv, code, loa
     env = {**os.environ, "PYTHONPATH": str(Path(lukra.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
                           capture_output=True, text=True, env=env, timeout=30, check=True)
-    assert json.loads(done.stdout) == [code, loaded]
+    assert json.loads(done.stdout) == [code, sorted(CORE + [f"lukra.{m}" for m in loaded])]
 
 
 def test_fo_and_proofs_names_are_still_exported():
@@ -436,6 +444,9 @@ def test_fo_and_proofs_names_are_still_exported():
     assert {"FOStructure", "fo_eval", "check_proof", "parse_proof"} <= set(lukra.__all__)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         lukra.no_such_name
+    # every public name resolves, loading its module on first use
+    for name in lukra.__all__:
+        assert getattr(lukra, name) is not None, name
 
 
 def _verb_parsers(parser):

@@ -155,10 +155,17 @@ def test_bot_axioms_on_rational_grid():
             assert rational_eval(schema, val) == 1, (name, val)
 
 
-def test_equivalence_needs_a_level():
-    for n in (1, 0, -3):
-        with pytest.raises(AlgebraError, match="level must be >= 2"):
-            equivalent(parse("p"), parse("q"), n)
+@pytest.mark.parametrize("n", [1, 0, -3])
+@pytest.mark.parametrize("decide", [
+    lambda n: equivalent(parse("p"), parse("q"), n),
+    theorem_suite,
+    hierarchy_check,
+    lambda n: is_tautology(parse("p -> p"), n),
+], ids=["equivalent", "theorem_suite", "hierarchy_check", "is_tautology"])
+def test_every_decision_needs_a_level(decide, n):
+    # the level is checked first, before any formula of the level is built
+    with pytest.raises(AlgebraError, match="^level must be >= 2$"):
+        decide(n)
 
 
 # ---------------------------------------------------------------------------
