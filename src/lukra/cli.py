@@ -55,17 +55,15 @@ def _say(msg: str) -> None:
 
 # -- algebra ------------------------------------------------------------------
 
-def cmd_algebra_chain(args) -> int:
+def cmd_algebra_chain(args) -> tuple[dict, str, bool]:
     from .freealg import SIZE_GUARD
 
     alg.check_table_size(args.n, _guard(SIZE_GUARD))
     A = alg.make_chain(args.n, with_delta=args.delta, with_bottom=args.bottom)
-    _emit(A.to_dict(), args)
-    _say(f"chain of size {args.n}" + (" with delta" if args.delta else ""))
-    return OK
+    return A.to_dict(), f"chain of size {args.n}" + (" with delta" if args.delta else ""), True
 
 
-def cmd_algebra_check(args) -> int:
+def cmd_algebra_check(args) -> tuple[dict, str, bool]:
     from . import laws
 
     A = _load_algebra(args.infile)
@@ -82,40 +80,33 @@ def cmd_algebra_check(args) -> int:
     if args.quasi and A.delta is not None:
         checks["quasi"] = laws.check_LRdelta_quasi(A)
     passed = all(r.passed for r in checks.values())
-    _emit({"passed": passed, "level": n,
-           "checks": {k: r.to_dict() for k, r in checks.items()}}, args)
-    _say(("all checks passed" if passed else "violations found") + f" (level {n})")
-    return OK if passed else PROPERTY_FALSE
+    return ({"passed": passed, "level": n, "checks": {k: r.to_dict() for k, r in checks.items()}},
+            ("all checks passed" if passed else "violations found") + f" (level {n})", passed)
 
 
-def cmd_algebra_delta(args) -> int:
+def cmd_algebra_delta(args) -> tuple[dict, str, bool]:
     A = _load_algebra(args.infile)
     res = alg.delta_admissible(A)
-    report = {"admissible": res.admissible, "witness": res.witness,
-              "algebra": alg.with_delta(A, res.table).to_dict() if res.admissible else None}
-    _emit(report, args)
-    _say("admissible" if res.admissible else f"not admissible, witness {res.witness}")
-    return OK if res.admissible else PROPERTY_FALSE
+    return ({"admissible": res.admissible, "witness": res.witness,
+             "algebra": alg.with_delta(A, res.table).to_dict() if res.admissible else None},
+            "admissible" if res.admissible else f"not admissible, witness {res.witness}",
+            res.admissible)
 
 
-def cmd_algebra_product(args) -> int:
+def cmd_algebra_product(args) -> tuple[dict, str, bool]:
     from .freealg import SIZE_GUARD
 
     factors = [_load_algebra(p) for p in args.infile]
     alg.check_table_size(math.prod(A.size for A in factors), _guard(SIZE_GUARD))
     P = alg.product(factors)
-    _emit(P.to_dict(), args)
-    _say(f"product of {len(factors)} factors, size {P.size}")
-    return OK
+    return P.to_dict(), f"product of {len(factors)} factors, size {P.size}", True
 
 
-def cmd_algebra_homs(args) -> int:
-    A = _load_algebra(args.src)
-    B = _load_algebra(args.dst)
+def cmd_algebra_homs(args) -> tuple[dict, str, bool]:
+    A, B = _load_algebra(args.src), _load_algebra(args.dst)
     maps = alg.epimorphisms(A, B) if args.epi else alg.homomorphisms(A, B)
-    _emit({"count": len(maps), "maps": [list(h) for h in maps]}, args)
-    _say(f"{len(maps)} {'epimorphisms' if args.epi else 'homomorphisms'}")
-    return OK
+    return ({"count": len(maps), "maps": [list(h) for h in maps]},
+            f"{len(maps)} {'epimorphisms' if args.epi else 'homomorphisms'}", True)
 
 
 # -- filters ------------------------------------------------------------------
@@ -127,24 +118,18 @@ def _filter_guard(args) -> int | None:
     return None if args.force else _guard(FILTER_GUARD)
 
 
-def cmd_filters_list(args) -> int:
+def cmd_filters_list(args) -> tuple[dict, str, bool]:
     from . import filters as flt
 
-    A = _load_algebra(args.infile)
-    fs = flt.all_filters(A, guard=_filter_guard(args))
-    _emit({"filters": [list(f) for f in fs]}, args)
-    _say(f"{len(fs)} implicative filters")
-    return OK
+    fs = flt.all_filters(_load_algebra(args.infile), guard=_filter_guard(args))
+    return {"filters": [list(f) for f in fs]}, f"{len(fs)} implicative filters", True
 
 
-def cmd_filters_maximal(args) -> int:
+def cmd_filters_maximal(args) -> tuple[dict, str, bool]:
     from . import filters as flt
 
-    A = _load_algebra(args.infile)
-    fs = flt.maximal_filters(A, guard=_filter_guard(args))
-    _emit({"filters": [list(f) for f in fs]}, args)
-    _say(f"{len(fs)} maximal filters")
-    return OK
+    fs = flt.maximal_filters(_load_algebra(args.infile), guard=_filter_guard(args))
+    return {"filters": [list(f) for f in fs]}, f"{len(fs)} maximal filters", True
 
 
 def _parse_filter(text: str) -> tuple[int, ...]:
@@ -154,103 +139,84 @@ def _parse_filter(text: str) -> tuple[int, ...]:
         raise AlgebraError(f"bad filter spec {text!r}; want comma-separated indices")
 
 
-def cmd_filters_quotient(args) -> int:
+def cmd_filters_quotient(args) -> tuple[dict, str, bool]:
     from . import filters as flt
 
-    A = _load_algebra(args.infile)
-    Q, proj = flt.quotient(A, _parse_filter(args.filter))
-    report = Q.to_dict()
-    report["projection"] = list(proj)
-    _emit(report, args)
-    _say(f"quotient of size {Q.size}")
-    return OK
+    Q, proj = flt.quotient(_load_algebra(args.infile), _parse_filter(args.filter))
+    return {**Q.to_dict(), "projection": list(proj)}, f"quotient of size {Q.size}", True
 
 
-def cmd_filters_subdirect(args) -> int:
+def cmd_filters_subdirect(args) -> tuple[dict, str, bool]:
     from . import filters as flt
 
-    A = _load_algebra(args.infile)
-    P, emb = flt.subdirect_embedding(A, guard=_filter_guard(args))
-    _emit({"product": P.to_dict(), "embedding": list(emb)}, args)
-    _say(f"embedded into a product of size {P.size}")
-    return OK
+    P, emb = flt.subdirect_embedding(_load_algebra(args.infile), guard=_filter_guard(args))
+    return ({"product": P.to_dict(), "embedding": list(emb)},
+            f"embedded into a product of size {P.size}", True)
 
 
-def cmd_filters_classify(args) -> int:
+def cmd_filters_classify(args) -> tuple[dict, str, bool]:
     from . import filters as flt
 
-    A = _load_algebra(args.infile)
-    got = flt.classify_simple(A, guard=_filter_guard(args))
+    got = flt.classify_simple(_load_algebra(args.infile), guard=_filter_guard(args))
     if got is None:
-        _emit({"simple": False, "k": None, "isomorphism": None}, args)
-        _say("not simple")
-        return PROPERTY_FALSE
+        return {"simple": False, "k": None, "isomorphism": None}, "not simple", False
     k, iso = got
-    _emit({"simple": True, "k": k, "isomorphism": list(iso)}, args)
-    _say(f"simple: isomorphic to the {k}-chain with delta")
-    return OK
+    return ({"simple": True, "k": k, "isomorphism": list(iso)},
+            f"simple: isomorphic to the {k}-chain with delta", True)
 
 
 # -- free ---------------------------------------------------------------------
 
-def cmd_free_build(args) -> int:
+def cmd_free_build(args) -> tuple[dict, str, bool]:
     from . import freealg as fre
 
     F = fre.build_free(args.n, args.m, guard=_guard(fre.SIZE_GUARD))
-    report = F.algebra.to_dict()
-    report["generators"] = list(F.generators)
-    _emit(report, args)
-    _say(f"free algebra on {args.m} generators at level {args.n}: size {F.algebra.size}")
-    return OK
+    return ({**F.algebra.to_dict(), "generators": list(F.generators)},
+            f"free algebra on {args.m} generators at level {args.n}: size {F.algebra.size}", True)
 
 
-def cmd_free_size(args) -> int:
+def cmd_free_size(args) -> tuple[dict, str, bool]:
     from . import freealg as fre
 
     sb = fre.size_formula(args.n, args.m, mode=args.mode)
-    _emit(sb.to_dict(), args)
-    _say(f"size formula ({args.mode}): {sb.total}")
-    return OK
+    return sb.to_dict(), f"size formula ({args.mode}): {sb.total}", True
 
 
-def cmd_free_verify(args) -> int:
+def cmd_free_verify(args) -> tuple[dict, str, bool]:
     from . import freealg as fre
 
     sb = fre.size_formula(args.n, args.m, mode=args.mode)
     F = fre.build_free(args.n, args.m, guard=_guard(fre.SIZE_GUARD))
     fre.minimal_elements(F)
     match = sb.total == F.algebra.size
-    _emit({"formula": sb.total, "constructed": F.algebra.size, "match": match}, args)
-    _say(f"formula={sb.total} constructed={F.algebra.size} match={match}")
-    return OK if match else PROPERTY_FALSE
+    return ({"formula": sb.total, "constructed": F.algebra.size, "match": match},
+            f"formula={sb.total} constructed={F.algebra.size} match={match}", match)
 
 
 # -- logic ----------------------------------------------------------------------
 
-def cmd_logic_taut(args) -> int:
+def cmd_logic_taut(args) -> tuple[dict, str, bool]:
     from . import logic as lg
     from .formulas import TABLE_GUARD, parse as parse_formula
 
-    f = parse_formula(args.formula)
-    verdict = lg.is_tautology(f, args.n, guard=_guard(TABLE_GUARD))
-    _emit({"valid": verdict.holds, **verdict.to_dict()}, args)
-    _say("valid" if verdict.holds else f"counterexample {verdict.counterexample}")
-    return OK if verdict.holds else PROPERTY_FALSE
+    verdict = lg.is_tautology(parse_formula(args.formula), args.n, guard=_guard(TABLE_GUARD))
+    return ({"valid": verdict.holds, **verdict.to_dict()},
+            "valid" if verdict.holds else f"counterexample {verdict.counterexample}", verdict.holds)
 
 
-def cmd_logic_conseq(args) -> int:
+def cmd_logic_conseq(args) -> tuple[dict, str, bool]:
     from . import logic as lg
     from .formulas import TABLE_GUARD, parse as parse_formula
 
     hyps = [parse_formula(h) for h in args.hyp or []]
     f = parse_formula(args.formula)
     verdict = lg.consequence(hyps, f, args.n, guard=_guard(TABLE_GUARD))
-    _emit({"entails": verdict.holds, **verdict.to_dict()}, args)
-    _say("entailed" if verdict.holds else f"counterexample {verdict.counterexample}")
-    return OK if verdict.holds else PROPERTY_FALSE
+    return ({"entails": verdict.holds, **verdict.to_dict()},
+            "entailed" if verdict.holds else f"counterexample {verdict.counterexample}",
+            verdict.holds)
 
 
-def cmd_logic_prove_check(args) -> int:
+def cmd_logic_prove_check(args) -> tuple[dict, str, bool]:
     from .formulas import to_text
     from .proofs import check_proof, parse_proof
 
@@ -258,32 +224,26 @@ def cmd_logic_prove_check(args) -> int:
         text = fh.read()
     P = parse_proof(text, system=args.system, n=args.n)
     report = check_proof(P, qgen_reading=args.qgen)
-    out = report.to_dict()
-    out["conclusion"] = to_text(P.conclusion())
-    out["hypotheses"] = [to_text(h) for h in P.hypotheses()]
-    _emit(out, args)
-    _say("proof checks" if report.passed
-         else f"first failure at line {report.first_bad_line}")
-    return OK if report.passed else PROPERTY_FALSE
+    return ({**report.to_dict(), "conclusion": to_text(P.conclusion()),
+             "hypotheses": [to_text(h) for h in P.hypotheses()]},
+            "proof checks" if report.passed else f"first failure at line {report.first_bad_line}",
+            report.passed)
 
 
-def cmd_logic_refute(args) -> int:
+def cmd_logic_refute(args) -> tuple[dict, str, bool]:
     from . import logic as lg
     from .formulas import TABLE_GUARD, parse as parse_formula
 
-    f = parse_formula(args.formula)
-    hit = lg.refute_search(f, args.max_n, guard=_guard(TABLE_GUARD))
+    hit = lg.refute_search(parse_formula(args.formula), args.max_n, guard=_guard(TABLE_GUARD))
     if hit is None:
-        _emit({"refuted": False, "counterexample": None}, args)
-        _say(f"no refutation up to chain size {args.max_n}")
-        return OK
+        return ({"refuted": False, "counterexample": None},
+                f"no refutation up to chain size {args.max_n}", True)
     k, v = hit
-    _emit({"refuted": True, "counterexample": {"chain": k, "valuation": v}}, args)
-    _say(f"refuted on the {k}-chain at {v}")
-    return PROPERTY_FALSE
+    return ({"refuted": True, "counterexample": {"chain": k, "valuation": v}},
+            f"refuted on the {k}-chain at {v}", False)
 
 
-def cmd_logic_fo_eval(args) -> int:
+def cmd_logic_fo_eval(args) -> tuple[dict, str, bool]:
     from .fo import FOError, FOStructure, fo_eval, fo_parse
 
     with open(args.structure, "r", encoding="utf-8") as fh:
@@ -292,31 +252,33 @@ def cmd_logic_fo_eval(args) -> int:
     assignment = {}
     for item in args.assign or []:
         name, _, value = item.partition("=")
-        if not name or not value:
+        try:
+            assignment[name] = int(value)
+        except ValueError:
+            name = ""
+        if not name:
             raise FOError(f"bad assignment {item!r}; want name=index")
-        assignment[name] = int(value)
     value = fo_eval(f, S, assignment)
-    _emit({"value": value, "designated": value == S.algebra.top}, args)
-    _say(f"value {value} (top={S.algebra.top})")
-    return OK if value == S.algebra.top else PROPERTY_FALSE
+    top = S.algebra.top
+    return {"value": value, "designated": value == top}, f"value {value} (top={top})", value == top
 
 
-def cmd_logic_theorem_suite(args) -> int:
+def cmd_logic_theorem_suite(args) -> tuple[dict, str, bool]:
     from . import logic as lg
 
     rep = lg.theorem_suite(args.n)
-    _emit(rep.to_dict(), args)
-    _say("theorem suite passed" if rep.passed else f"{len(rep.violations)} violations")
-    return OK if rep.passed else PROPERTY_FALSE
+    return (rep.to_dict(),
+            "theorem suite passed" if rep.passed else f"{len(rep.violations)} violations",
+            rep.passed)
 
 
-def cmd_logic_hierarchy(args) -> int:
+def cmd_logic_hierarchy(args) -> tuple[dict, str, bool]:
     from . import logic as lg
 
     rep = lg.hierarchy_check(args.n)
-    _emit(rep.to_dict(), args)
-    _say("hierarchy strict at this level" if rep.passed else "hierarchy check failed")
-    return OK if rep.passed else PROPERTY_FALSE
+    return (rep.to_dict(),
+            "hierarchy strict at this level" if rep.passed else "hierarchy check failed",
+            rep.passed)
 
 
 # -- wiring --------------------------------------------------------------------
@@ -403,6 +365,9 @@ def build_parser(only: tuple[str, str] | None = None) -> argparse.ArgumentParser
 
 
 def main(argv=None) -> int:
+    """Run one verb: the one place that emits a result and picks the exit code.
+    Each handler returns (report, summary, holds): the JSON report, the stderr
+    line, and whether the checked property holds (True for a plain query)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # a job names its verb first, so only that verb's parser is built;
     # help, a group alone or a typo get the full tree
@@ -415,16 +380,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        report, summary, holds = args.fn(args)
+        _emit(report, args)
     except InternalConsistencyError as exc:
         _say(f"internal inconsistency: {exc}")
         return INTERNAL
-    except (AlgebraError, OSError, KeyError, ValueError) as exc:
+    except (AlgebraError, OSError, ValueError) as exc:
         _say(f"error: {exc}")
         return USAGE
     except RecursionError:
         # sugar such as `a | b` or `a ->[k] b` builds terms deeper than the
-        # parser recursed, and every walker over terms is recursive
+        # parser recursed, and most walkers over terms recurse
         from .formulas import TOO_DEEP
 
         _say(f"error: {TOO_DEEP}")
@@ -434,6 +400,8 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).splitlines())
         _say(f"internal error: {type(exc).__name__}: {message}")
         return INTERNAL
+    _say(summary)
+    return OK if holds else PROPERTY_FALSE
 
 
 if __name__ == "__main__":

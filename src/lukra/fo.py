@@ -276,6 +276,9 @@ class _FirstOrder(_Parser):
         if tok in ("forall", "exists"):
             self.next()
             var = self.next()
+            if not _NAME_RE.fullmatch(var):
+                where = self.tokens[self.pos - 1][1]
+                raise FOError(f"bad quantifier variable {var!r} at position {where}")
             body = self.formula()
             return (FForall if tok == "forall" else FExists)(var, body)
         return super().formula()

@@ -44,7 +44,9 @@ class Formula(Record):
 # The nodes with fields write their own __init__, __eq__ and __hash__, the
 # record base's semantics at the speed of inline code: parsing and
 # substitution build a node per connective, and proof construction interns
-# whole formulas in dicts, where the generic methods took about twice as long.
+# whole formulas in dicts.  Each node hashes the tuple of its fields once, when
+# built, so hashing is O(1) however deep the term; `_equal` compares with a
+# stack of node pairs, so neither walks the term by recursion.
 _set = object.__setattr__
 
 
@@ -53,6 +55,7 @@ class Var(Formula):
 
     def __init__(self, name):
         _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -60,7 +63,7 @@ class Var(Formula):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.name,))
+        return self._hash
 
 
 class Top(Formula):
@@ -78,14 +81,15 @@ class Imp(Formula):
     def __init__(self, left, right):
         _set(self, "left", left)
         _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
+            return _equal(self, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.left, self.right))
+        return self._hash
 
 
 class Delta(Formula):
@@ -93,14 +97,41 @@ class Delta(Formula):
 
     def __init__(self, child):
         _set(self, "child", child)
+        _set(self, "_hash", hash((child,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.child,) == (other.child,)
+            return _equal(self, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.child,))
+        return self._hash
+
+
+def _equal(a: Formula, b: Formula) -> bool:
+    """a == b, walking both terms with a stack of node pairs; unequal hashes
+    settle a pair of Imp or Delta nodes without looking below them."""
+    stack = [(a, b)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b = pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is Imp:
+            if a._hash != b._hash:
+                return False
+            push((a.right, b.right))
+            push((a.left, b.left))
+        elif cls is Delta:
+            if a._hash != b._hash:
+                return False
+            push((a.child, b.child))
+        elif a != b:
+            return False
+    return True
 
 
 TOP = Top()

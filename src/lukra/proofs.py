@@ -249,12 +249,15 @@ def _parse_just(text: str):
             raise ProofSyntaxError(f"bad axiom citation {text!r}")
         return ByAxiom(name=f"AX{m.group(1)}",
                        level=int(m.group(2)) if m.group(2) else None)
-    if head == "MP" and len(parts) == 3:
-        return ByMP(i=int(parts[1]), j=int(parts[2]))
-    if head == "HYP" and len(parts) == 2:
-        return ByHyp(k=int(parts[1]))
-    if head == "QGEN" and len(parts) == 4:
-        return ByQGen(i=int(parts[1]), j=int(parts[2]), k=int(parts[3]))
+    try:
+        if head == "MP" and len(parts) == 3:
+            return ByMP(i=int(parts[1]), j=int(parts[2]))
+        if head == "HYP" and len(parts) == 2:
+            return ByHyp(k=int(parts[1]))
+        if head == "QGEN" and len(parts) == 4:
+            return ByQGen(i=int(parts[1]), j=int(parts[2]), k=int(parts[3]))
+    except ValueError:  # a cited line that is not a number
+        pass
     raise ProofSyntaxError(f"bad justification {text!r}")
 
 

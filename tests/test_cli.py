@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lukra
 import lukra.cli as cli
@@ -353,8 +355,9 @@ def _structure(**change):
     (_structure(functions__f__table__1=2), [], "function f(1) must be an int in 0..1, got 2"),
     (_structure(constants__c=9), [], "constant c must be an int in 0..1, got 9"),
     (_structure(), ["--assign", "x=5"], "assignment x must be an int in 0..1, got 5"),
+    (_structure(), ["--assign", "x=abc"], "bad assignment 'x=abc'; want name=index"),
 ], ids=["value-7", "predicates-list", "true-entry", "string-domain", "missing-entry",
-        "bad-key", "function-value", "constant-9", "assign-5"])
+        "bad-key", "function-value", "constant-9", "assign-5", "assign-abc"])
 def test_malformed_structure_files_are_usage_errors(capsys, tmp_path, structure, assign, message):
     s = tmp_path / "s.json"
     s.write_text(json.dumps(structure))
@@ -377,17 +380,22 @@ def test_chain_and_product_tables_are_guarded(capsys, tmp_path, monkeypatch):
     assert code == 0 and report["size"] == 16
 
 
-def test_unexpected_errors_exit_3(capsys, monkeypatch):
+@pytest.mark.parametrize("error, message", [
+    (TypeError, "unsupported operand second line"),
+    (KeyError, r"'unsupported operand\nsecond line'"),   # str() of a KeyError is its key's repr
+], ids=["TypeError", "KeyError"])
+def test_unexpected_errors_exit_3(capsys, monkeypatch, error, message):
+    # no input check raises a KeyError, so one is an internal fault too
     import lukra.cli
 
     def broken(args):
-        raise TypeError("unsupported operand\nsecond line")
+        raise error("unsupported operand\nsecond line")
 
     monkeypatch.setattr(lukra.cli, "cmd_algebra_chain", broken)
     code = main(["algebra", "chain", "--n", "3"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert captured.err == "internal error: TypeError: unsupported operand second line\n"
+    assert captured.err == f"internal error: {error.__name__}: {message}\n"
 
 
 # -- start-up: one verb's parser, and only the modules that verb runs ----------
@@ -556,3 +564,106 @@ def test_help_is_unchanged(monkeypatch, capsys, argv, text):
     monkeypatch.setenv("COLUMNS", "80")
     assert main(argv) == 0
     assert capsys.readouterr().out == text
+
+
+# -- the exit contract on malformed input ---------------------------------------
+
+_MISSING = object()
+_JUNK = st.one_of(st.integers(-2, 7), st.booleans(), st.floats(),
+                  st.sampled_from(["", "1", "a\nb"]) | st.text(max_size=4),
+                  st.none(), st.lists(st.integers(-1, 6), max_size=6))
+
+
+def _paths(data, path=()):
+    """The path of every entry of nested dicts and lists, `data` itself first."""
+    yield path
+    if isinstance(data, (dict, list)):
+        for key, value in (data.items() if isinstance(data, dict) else enumerate(data)):
+            yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _spoiled(draw, data):
+    """A copy of `data` with up to two entries, at any depth, deleted or set to junk."""
+    data = json.loads(json.dumps(data))
+    for _ in range(draw(st.integers(0, 2))):
+        *where, last = draw(st.sampled_from(list(_paths(data))[1:]))
+        parent = data
+        for key in where:
+            parent = parent[key]
+        value = draw(st.just(_MISSING) | _JUNK)
+        if value is _MISSING:
+            del parent[last]
+        else:
+            parent[last] = value
+    return data
+
+
+@st.composite
+def _algebra_dicts(draw):
+    """A chain or a random table of size 6 or less, with or without delta and bottom."""
+    k = draw(st.integers(1, 6))
+    entry = st.integers(0, k - 1)
+    row = st.lists(entry, min_size=k, max_size=k)
+    if k > 1 and draw(st.booleans()):
+        return make_chain(k, with_delta=draw(st.booleans()), with_bottom=draw(st.booleans())).to_dict()
+    return {"size": k, "imp": draw(st.lists(row, min_size=k, max_size=k)), "top": draw(entry),
+            "delta": draw(st.none() | row), "bottom": draw(st.none() | entry), "label": "t"}
+
+
+def _soup(tokens, max_size=8):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map(" ".join)
+
+
+_FO_FORMULAS = st.sampled_from(["P(x)", "forall x P(x)", "exists y (f(y) = c)", "P(c) -> D P(c)"]) | _soup(
+    ["forall", "exists", "x", "y", "c", "P", "f", "(", ")", ",", "=", "->", "->[2]", "D", "~", "&", "|", "T"])
+_PROOF_LINES = st.sampled_from((FIXTURES / "proofs" / "lh20_n3.proof").read_text().splitlines()) | st.builds(
+    "{}. {} ; {} {}".format, st.sampled_from(["1", "2", "3", "0", "-1", "x"]),
+    _soup(["p", "q", "->", "->[2]", "D", "(", ")", "F", "T", "~", "|", "&"]),
+    st.sampled_from(["AX1", "AX8", "AX2[n=3]", "AX12", "MP", "HYP", "QGEN", "BOGUS", ""]),
+    _soup(["1", "2", "3", "a", "-1"], max_size=3))
+
+_ASSIGNMENTS = st.lists(st.sampled_from(["x=0", "x=1", "y=0"]), max_size=2) | st.lists(
+    st.sampled_from(["x=abc", "=1", "x=", "x=-1", "x=0"]), min_size=1, max_size=2)
+
+# each kind of input: (file text, argv with "@" for the file's path)
+_JOBS = {
+    "algebra": st.tuples(
+        _algebra_dicts().flatmap(_spoiled).map(json.dumps),
+        st.sampled_from([["algebra", "check", "--in", "@", "--suite", "--quasi"],
+                         ["algebra", "delta", "--in", "@"],
+                         ["filters", "list", "--in", "@", "--force"],
+                         ["filters", "quotient", "--in", "@", "--filter", "0"]])),
+    "structure": st.tuples(
+        _spoiled(_structure()).map(json.dumps),
+        st.builds(lambda formula, assign: ["logic", "fo-eval", "--structure", "@", f"--formula={formula}",
+                                           *(f"--assign={item}" for item in assign)],
+                  _FO_FORMULAS, _ASSIGNMENTS)),
+    "proof": st.tuples(
+        st.lists(_PROOF_LINES, max_size=6).map("\n".join),
+        st.sampled_from([["logic", "prove-check", "--in", "@", "--system", "n", "--n", "3"],
+                         ["logic", "prove-check", "--in", "@", "--system", "bot"]])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JOBS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_malformed_input_keeps_the_exit_contract(kind, data):
+    # hypothesis reruns the body, so it makes its own files and captures
+    # its own output instead of taking function-scoped fixtures
+    text, argv = data.draw(_JOBS[kind])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path if a == "@" else a for a in argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code in (2, 3):
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (code, err)
+        assert err.startswith(("error: ", "internal inconsistency: ", "internal error: ")), err
+    else:
+        json.loads(out)

@@ -48,6 +48,10 @@ def test_parser():
         fo_parse("P(x")
     with pytest.raises(FOError):
         fo_parse("x")          # a bare term is not a formula
+    # a quantifier binds a name, not whatever token follows it
+    for text in ("exists ( P(c)", "forall -> P(x)"):
+        with pytest.raises(FOError, match="bad quantifier variable"):
+            fo_parse(text)
 
 
 def test_parser_shares_the_propositional_grammar():

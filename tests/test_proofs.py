@@ -160,6 +160,8 @@ def test_wellformedness():
         parse_proof("1 p -> p ; AX1\n", system=SYSTEM_N, n=3)
     with pytest.raises(ProofSyntaxError):
         parse_proof("1. p -> p ; BOGUS\n", system=SYSTEM_N, n=3)
+    with pytest.raises(ProofSyntaxError, match="bad justification 'MP a b'"):
+        parse_proof("1. p -> p ; MP a b\n", system=SYSTEM_N, n=3)
     with pytest.raises(ProofSyntaxError):
         parse_proof("", system=SYSTEM_N, n=3)
     # forward references are per-line failures, not parse errors
@@ -173,6 +175,24 @@ def test_wellformedness():
     rep = check_proof(parse_proof("2. p -> (q -> p) ; AX1\n1. p -> (q -> p) ; AX1\n",
                                   system=SYSTEM_N, n=3))
     assert not rep.passed
+
+
+DEEP_MP = "1. p ->[600] q ; HYP 1\n2. p ; HYP 2\n3. p ->[599] q ; MP 2 1\n"
+
+
+@pytest.mark.parametrize("system, n", [(SYSTEM_N, 3), (SYSTEM_BOT, None)])
+def test_deep_iterated_implication_checks(tmp_path, capsys, system, n):
+    # ->[k] is documented up to k = 1000; comparing and hashing such a line
+    # may not run out of Python stack
+    P = parse_proof(DEEP_MP, system=system, n=n)
+    assert check_proof(P).passed
+    from lukra.cli import main
+
+    path = tmp_path / "deep.proof"
+    path.write_text(DEEP_MP)
+    argv = ["logic", "prove-check", "--system", system, "--in", str(path)]
+    assert main(argv + (["--n", str(n)] if n else [])) == 0
+    assert capsys.readouterr().err == "proof checks\n"
 
 
 def test_recorded_substitution_is_verified():
