@@ -39,14 +39,53 @@ def _load_algebra(path: str) -> FiniteAlgebra:
         return FiniteAlgebra.from_dict(json.load(fh))
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+def _chunks(value, pad: str = "\n"):
+    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces.
+
+    `pad` is the newline and indent of value's own level.  Non-empty lists,
+    tuples and str-keyed dicts are written here, a list of ints in one piece;
+    everything else is json.dumps'ed and re-indented.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        sep = "{"
+        for key in sorted(value):
+            yield sep + inner + json.dumps(key) + ": "
+            yield from _chunks(value[key], inner)
+            sep = ","
+        yield pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:     # not bools, which print as true/false
+            yield "[" + inner + ("," + inner).join(map(str, value)) + pad + "]"
+            return
+        sep = "["
+        for item in value:
+            yield sep + inner
+            yield from _chunks(item, inner)
+            sep = ","
+        yield pad + "]"
     else:
-        print(text)
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _emit(report: dict, args) -> None:
+    """Write the report as json.dumps(report, indent=2, sort_keys=True) would,
+    chunk by chunk, so the whole text is never held.  A report that fails to
+    serialize, or a failed write, removes the partly written --out file."""
+    if not getattr(args, "out", None):
+        sys.stdout.writelines(_chunks(report))
+        sys.stdout.write("\n")
+        return
+    fh = open(args.out, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(_chunks(report))
+            fh.write("\n")
+    except BaseException:
+        if os.path.isfile(args.out):     # never a device such as /dev/null
+            os.remove(args.out)
+        raise
+    print(f"wrote {args.out}", file=sys.stderr)
 
 
 def _say(msg: str) -> None:

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -396,6 +399,100 @@ def test_unexpected_errors_exit_3(capsys, monkeypatch, error, message):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == f"internal error: {error.__name__}: {message}\n"
+
+
+# -- the streamed report: json.dumps' bytes, never the whole text held ---------
+
+def _dumped(value):
+    """json.dumps(value, indent=2, sort_keys=True) plus print's newline, or the
+    type of the error it raises."""
+    try:
+        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _emitted(value):
+    """What _emit writes to stdout for `value`, or the type of the error it raises."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._emit(value, argparse.Namespace(out=None))
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    return out.getvalue()
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**29),
+    st.integers(max_value=-10**29), st.floats(), st.text(),
+    st.sampled_from(['"', "\\", "a\nb", "\x00\x1f\t\r", "é", "→", "\U0001d53d", "</"]))
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False))
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(st.integers(), max_size=6), st.lists(st.integers() | st.booleans(), max_size=6),
+    st.lists(st.integers(), max_size=6).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    st.dictionaries(_KEYS, inner, max_size=3)), max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_VALUES)
+def test_streamed_report_matches_json_dumps(value):
+    assert _emitted(value) == _dumped(value)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [1, True, 2], [False], [10**40, -10**35],
+    {"ké\n\"": "→\x01"}, {1: "a", 2: [3]}, {(1, 2): 0}, {1: 0, "1": 0}, [0.5, 1e300],
+    [float("nan"), float("inf")], {"x": [object()]}, [10**5000],
+])
+def test_streamed_report_matches_json_dumps_on_edge_values(value):
+    assert _emitted(value) == _dumped(value)
+
+
+@pytest.mark.parametrize("nm", [(2, 4), (3, 2)])
+def test_free_build_reports_are_byte_identical(tmp_path, capsys, nm):
+    from lukra.freealg import build_free
+
+    out = tmp_path / "free.json"
+    assert main(["free", "build", "--n", str(nm[0]), "--m", str(nm[1]), "--out", str(out)]) == 0
+    F = build_free(*nm)
+    want = json.dumps({**F.algebra.to_dict(), "generators": list(F.generators)},
+                      indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+
+
+def test_emitting_a_large_report_holds_no_copy_of_its_text(capsys):
+    # the (3, 2) report is 3.88 MB of text; json.dumps held it whole, and more
+    from lukra.freealg import build_free
+
+    F = build_free(3, 2)
+    report = {**F.algebra.to_dict(), "generators": list(F.generators)}
+    tracemalloc.start()
+    try:
+        cli._emit(report, argparse.Namespace(out=os.devnull))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert capsys.readouterr().err == f"wrote {os.devnull}\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_unserializable_report_exits_3_and_leaves_no_file(capsys, monkeypatch, tmp_path, to_file):
+    # the report fails part-way, after its first key is written
+    monkeypatch.setattr(cli, "cmd_algebra_chain", lambda args: ({"a": [1, 2], "b": object()}, "", True))
+    out = tmp_path / "report.json"
+    code = main(["algebra", "chain", "--n", "3", *(["--out", str(out)] if to_file else [])])
+    captured = capsys.readouterr()
+    assert code == 3 and not out.exists()
+    assert captured.err == "internal error: TypeError: Object of type object is not JSON serializable\n"
+    # stdout keeps what was written before the failure; a file is removed
+    if to_file:
+        assert captured.out == ""
+    else:
+        assert captured.out.startswith('{\n  "a": [\n    1,\n    2\n  ]')
 
 
 # -- start-up: one verb's parser, and only the modules that verb runs ----------

@@ -6,6 +6,7 @@ import pytest
 
 from lukra.algebra import (
     FiniteAlgebra,
+    InternalConsistencyError,
     SizeGuardError,
     make_chain,
     product,
@@ -13,6 +14,7 @@ from lukra.algebra import (
 )
 from lukra.formulas import eval_formula, parse
 from lukra.freealg import (
+    FreeAlgebra,
     _Packing,
     _build_free,
     beta_oracle,
@@ -223,6 +225,33 @@ def test_minimal_elements_at_two_valued_level():
     # delta is the identity on the free two-valued algebra
     F = build_free(2, 2)
     assert set(minimal_elements(F)) == set(F.generators)
+
+
+@pytest.mark.parametrize("nm", sorted(KNOWN_SIZES) + [(5, 1)])
+def test_minimal_elements_match_the_whole_order(nm):
+    # minimal_elements reads only the delta'd generators' rows and columns;
+    # the minimal elements of the whole derived order are its oracle
+    F = build_free(*nm)
+    assert minimal_elements(F) == F.algebra.minimal_elements()
+
+
+def test_minimal_elements_refuse_planted_generators():
+    F = build_free(2, 2)
+    A = F.algebra
+    mins = A.minimal_elements()
+
+    def planted(generators):
+        return FreeAlgebra(n=F.n, m=F.m, algebra=A, generators=generators,
+                           coord_sizes=F.coord_sizes, vectors=F.vectors)
+
+    # top covers only itself; one generator alone leaves the other's
+    # interval; with top added every element is covered, but top is not minimal
+    for generators, dgens in (((A.top,), (A.top,)), (F.generators[:1], mins[:1]),
+                              (F.generators + (A.top,), tuple(sorted(mins + (A.top,))))):
+        with pytest.raises(InternalConsistencyError) as exc:
+            minimal_elements(planted(generators))
+        assert str(exc.value) == (
+            f"minimal elements {mins} differ from delta'd generators {dgens}")
 
 
 def test_inclusion_exclusion_directly():
