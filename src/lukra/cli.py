@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import algebra as alg
@@ -34,9 +35,24 @@ def _guard(default: int) -> int:
         raise AlgebraError(f"LUKRA_GUARD must be an integer, got {env!r}")
 
 
-def _load_algebra(path: str) -> FiniteAlgebra:
+# json's decoder recurses per level, so an input file nesting deeper than
+# this (algebra and structure files nest 5 deep) is refused before decoding
+JSON_DEPTH = 100
+
+
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return FiniteAlgebra.from_dict(json.load(fh))
+        text = fh.read()
+    depth = 0
+    for bracket in re.findall(r"[\[\]{}]", re.sub(r'"(?:[^"\\]|\\.)*"', "", text)):
+        depth += 1 if bracket in "[{" else -1
+        if depth > JSON_DEPTH:
+            raise AlgebraError(f"{path}: JSON nested deeper than {JSON_DEPTH} levels")
+    return json.loads(text)
+
+
+def _load_algebra(path: str) -> FiniteAlgebra:
+    return FiniteAlgebra.from_dict(_load_json(path))
 
 
 def _chunks(value, pad: str = "\n"):
@@ -284,9 +300,9 @@ def cmd_logic_refute(args) -> tuple[dict, str, bool]:
 
 def cmd_logic_fo_eval(args) -> tuple[dict, str, bool]:
     from .fo import FOError, FOStructure, fo_eval, fo_parse
+    from .formulas import TABLE_GUARD
 
-    with open(args.structure, "r", encoding="utf-8") as fh:
-        S = FOStructure.from_dict(json.load(fh))
+    S = FOStructure.from_dict(_load_json(args.structure))
     f = fo_parse(args.formula)
     assignment = {}
     for item in args.assign or []:
@@ -297,7 +313,7 @@ def cmd_logic_fo_eval(args) -> tuple[dict, str, bool]:
             name = ""
         if not name:
             raise FOError(f"bad assignment {item!r}; want name=index")
-    value = fo_eval(f, S, assignment)
+    value = fo_eval(f, S, assignment, guard=_guard(TABLE_GUARD))
     top = S.algebra.top
     return {"value": value, "designated": value == top}, f"value {value} (top={top})", value == top
 
@@ -426,13 +442,6 @@ def main(argv=None) -> int:
         return INTERNAL
     except (AlgebraError, OSError, ValueError) as exc:
         _say(f"error: {exc}")
-        return USAGE
-    except RecursionError:
-        # sugar such as `a | b` or `a ->[k] b` builds terms deeper than the
-        # parser recursed, and most walkers over terms recurse
-        from .formulas import TOO_DEEP
-
-        _say(f"error: {TOO_DEEP}")
         return USAGE
     except Exception as exc:
         # exit 1 means "property false", so an unforeseen error may not end there

@@ -17,32 +17,35 @@ Unicode aliases work here too), with atoms and quantifiers added:
 
 ``D(...)`` is the delta of a parenthesised formula, not a predicate.
 Connectives and constants are the propositional nodes (FImp, FDelta, FTop
-and FBot are aliases of them), and `fo_eval` compiles formulas with
-`formulas.compile_term`.
+and FBot are aliases of them), and atoms, quantifiers and terms are nodes
+of the same kind, so `formulas.postorder` walks them all.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product as iter_product
+from operator import getitem as _getitem
 
 from .algebra import (
     AlgebraError,
     FiniteAlgebra,
+    SizeGuardError,
     check_entry,
     check_object,
     check_positive,
 )
 from .formulas import (
-    TOO_DEEP,
+    TABLE_GUARD,
     Bot,
     Delta,
     Formula,
-    FormulaError,
     Imp,
+    Node,
     Top,
     _NAME_RE,
     _Parser,
-    compile_term,
+    postorder,
 )
 from .records import Record, field
 
@@ -53,12 +56,12 @@ class FOError(ValueError):
 
 # -- terms -------------------------------------------------------------------
 
-class TermName(Record):
+class TermName(Node):
     """A variable or constant; which one is resolved against the structure."""
     name: str
 
 
-class TermApp(Record):
+class TermApp(Node):
     func: str
     args: tuple
 
@@ -131,6 +134,7 @@ class FOStructure(Record):
         check_object(data, "a structure", ("domain_size", "algebra"))
         d = check_positive(data["domain_size"], "domain_size")
         algebra = FiniteAlgebra.from_dict(data["algebra"])
+        digits = len(str(d - 1))
 
         def symbols(section, kind, n):
             out = {}
@@ -142,8 +146,9 @@ class FOStructure(Record):
                 table = {}
                 for key, value in check_object(spec["table"], f"{where} table").items():
                     key = str(key)
-                    args = tuple(int(p) if p.isascii() and p.isdigit() else -1
-                                 for p in (key.split(",") if key else ()))
+                    # int() refuses parts of over 4300 digits
+                    args = tuple(int(p) if p.isascii() and p.isdigit() and len(p) <= digits
+                                 else -1 for p in (key.split(",") if key else ()))
                     if len(args) != arity or ",".join(map(str, args)) != key or not all(
                             0 <= a < d for a in args):
                         raise AlgebraError(f"{where} key {key!r} must be {arity} "
@@ -178,88 +183,119 @@ def _table(symbols: dict, name: str, kind: str, arity: int) -> dict:
     return spec["table"]
 
 
-def _term(t, S: FOStructure, scope: dict[str, int]):
-    """Compile a term into a closure over value tuples of domain indices;
-    `scope` maps each variable in scope to its position in the tuple."""
-    if isinstance(t, TermName):
-        i = scope.get(t.name)
-        if i is not None:
-            return lambda e: e[i]
-        if t.name in S.constants:
-            c = S.constants[t.name]
-            return lambda e: c
-        raise FOError(f"unbound name {t.name!r}")
-    if isinstance(t, TermApp):
-        table = _table(S.functions, t.func, "function", len(t.args))
-        args = [_term(a, S, scope) for a in t.args]
-        return lambda e: table[tuple([a(e) for a in args])]
-    raise FOError(f"not a term: {t!r}")
-
-
 def eval_term(t, S: FOStructure, env: dict[str, int]) -> int:
-    return _term(t, S, {name: i for i, name in enumerate(env)})(tuple(env.values()))
+    return _values(t, S, env, TABLE_GUARD)[0]
 
 
-def fo_eval(f: FOFormula, S: FOStructure, assignment: dict[str, int] | None = None) -> int:
-    """Truth value (carrier index) of f under the assignment."""
+def fo_eval(f: FOFormula, S: FOStructure, assignment: dict[str, int] | None = None,
+            guard: int = TABLE_GUARD) -> int:
+    """Truth value (carrier index) of f under the assignment; SizeGuardError
+    when more than `guard` values are needed (see `_values`)."""
     env = dict(assignment or {})
     for name, d in env.items():
         check_entry(d, S.domain_size, f"assignment {name}")
-    A = S.algebra
+    return _values(f, S, env, guard)[0]
+
+
+_QUANTIFIERS = (FForall, FExists)
+
+
+def _values(f, S: FOStructure, env: dict[str, int], guard: int) -> list[int]:
+    """The value of f, a formula or term, as a list of one.  A node has a
+    list per scope (the names quantified above it) it occurs in, over that
+    scope's assignments, outermost name first, so a quantifier folds its
+    body's list in blocks of the domain size.  Other names are read from
+    `env`, then from the constants."""
+    D, A = S.domain_size, S.algebra
     rank = S.order_rank.__getitem__
     least = min(range(A.size), key=rank)
-    scope = {name: i for i, name in enumerate(env)}
+    bound = []      # the names quantified above the node `check` sees
 
-    def node(g, comp):
-        if isinstance(g, FPred):
-            table = _table(S.predicates, g.name, "predicate", len(g.args))
-            args = [_term(a, S, scope) for a in g.args]
-            return lambda e: table[tuple([a(e) for a in args])]
-        if isinstance(g, FEq):
-            left, right, top = _term(g.left, S, scope), _term(g.right, S, scope), A.top
-            return lambda e: top if left(e) == right(e) else least
-        if isinstance(g, Bot):
-            return lambda e: least
-        if isinstance(g, (FForall, FExists)):
-            # a quantifier rebinds its variable's slot, or opens the next one
-            outer = scope.get(g.var)
-            i = scope[g.var] = len(scope) if outer is None else outer
-            body = comp(g.body)
-            if outer is None:
-                del scope[g.var]
-            agg = max if isinstance(g, FExists) else min
-            domain = range(S.domain_size)
-            return lambda e: agg([body(e[:i] + (d,) + e[i + 1:]) for d in domain], key=rank)
-        return None
+    def check(g):
+        cls = g.__class__
+        if cls is FPred or cls is TermApp:
+            _table(S.predicates if cls is FPred else S.functions, g._head[0],
+                   "predicate" if cls is FPred else "function", len(g.args))
+        elif cls is TermName and g.name not in bound and g.name not in env \
+                and g.name not in S.constants:
+            raise FOError(f"unbound name {g.name!r}")
+        elif cls in _QUANTIFIERS:
+            bound.append(g.var)
+        elif cls not in (Imp, Delta, Top, Bot, FEq, TermName):
+            raise FOError(f"not a formula node: {g!r}")
 
-    try:
-        return compile_term(f, A, (), node)(tuple(env.values()))
-    except RecursionError:
-        raise FOError(TOO_DEEP) from None
-    except FormulaError as exc:
-        raise FOError(str(exc)) from None
+    order = []
+    for g in postorder(f, check):   # a quantifier after its body
+        if g.__class__ in _QUANTIFIERS:
+            bound.pop()
+        order.append(g)
+    # scope i is (outer scope, innermost name, depth); 0 is the empty one
+    scope, inside, scopes = [(0, None, 0)], {}, {id(f): {0}}
+    for g in reversed(order):       # parents first
+        for s in scopes[id(g)]:
+            if g.__class__ in _QUANTIFIERS:
+                if (s, g.var) not in inside:
+                    inside[s, g.var] = len(scope)
+                    scope.append((s, g.var, scope[s][2] + 1))
+                s = inside[s, g.var]
+            for k in g._kids:
+                scopes.setdefault(id(k), set()).add(s)
+    cells = 0       # the values to compute, shallowest scopes first
+    for s in (s for ss in scopes.values() for s in ss):
+        cells += D ** scope[s][2]
+        if cells > guard:
+            raise SizeGuardError(f"first-order evaluation needs more values than the guard {guard}")
+
+    values = {}     # (id, scope) -> list
+    for g in order:
+        cls = g.__class__
+        for s in scopes[id(g)]:
+            n = D ** scope[s][2]
+            inner = inside[s, g.var] if cls in _QUANTIFIERS else s
+            kids = [values[id(k), inner] for k in g._kids]
+            if cls is Imp:
+                v = list(map(_getitem, map(A.imp.__getitem__, kids[0]), kids[1]))
+            elif cls is FPred or cls is TermApp:
+                table = (S.predicates if cls is FPred else S.functions)[g._head[0]]["table"]
+                v = list(map(table.__getitem__, zip(*kids))) if kids else [table[()]] * n
+            elif cls is TermName:
+                j, run = s, 1   # the innermost scope binding the name
+                while j and scope[j][1] != g.name:
+                    j, run = scope[j][0], run * D
+                if j:
+                    v = [d for d in range(D) for _ in range(run)] * (n // (run * D))
+                elif g.name in env or g.name in S.constants:
+                    v = [env.get(g.name, S.constants.get(g.name))] * n
+                else:
+                    raise FOError(f"unbound name {g.name!r}")
+            elif cls is FEq:
+                v = [A.top if a == b else least for a, b in zip(*kids)]
+            elif cls is Delta:
+                v = list(map(A.delta.__getitem__, kids[0]))
+            elif cls is Top or cls is Bot:
+                v = [A.top if cls is Top else least] * n
+            else:
+                agg = max if cls is FExists else min
+                v = [agg(kids[0][i:i + D], key=rank) for i in range(0, n * D, D)]
+            values[id(g), s] = v
+    return values[id(f), 0]
 
 
 def substitute_term(f: FOFormula, var: str, t) -> FOFormula:
     """f with every free occurrence of `var` replaced by the term t."""
-    def in_term(u):
-        if isinstance(u, TermName):
-            return t if u.name == var else u
-        return TermApp(u.func, tuple(in_term(a) for a in u.args))
-
-    if isinstance(f, FPred):
-        return FPred(f.name, tuple(in_term(a) for a in f.args))
-    if isinstance(f, FEq):
-        return FEq(in_term(f.left), in_term(f.right))
-    if isinstance(f, FImp):
-        return FImp(substitute_term(f.left, var, t), substitute_term(f.right, var, t))
-    if isinstance(f, FDelta):
-        return FDelta(substitute_term(f.child, var, t))
-    if isinstance(f, (FForall, FExists)):
-        if f.var == var:
-            return f
-        return type(f)(f.var, substitute_term(f.body, var, t))
-    return f
+    out = {}
+    for g in postorder(f):
+        cls = g.__class__
+        kids = [out[id(k)] for k in g._kids]
+        if cls is TermName:
+            out[id(g)] = t if g.name == var else g
+        elif cls is TermApp or cls is FPred:
+            out[id(g)] = cls(g._head[0], tuple(kids))
+        elif cls is Imp or cls is FEq or cls is Delta:
+            out[id(g)] = cls(*kids)
+        else:   # a quantifier that binds `var` shields its body
+            out[id(g)] = cls(g.var, *kids) if cls in _QUANTIFIERS and g.var != var else g
+    return out[id(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,48 +307,50 @@ class _FirstOrder(_Parser):
 
     error = FOError
 
-    def formula(self) -> Formula:
+    def opening(self):
         tok = self.peek()
-        if tok in ("forall", "exists"):
-            self.next()
-            var = self.next()
-            if not _NAME_RE.fullmatch(var):
-                where = self.tokens[self.pos - 1][1]
-                raise FOError(f"bad quantifier variable {var!r} at position {where}")
-            body = self.formula()
-            return (FForall if tok == "forall" else FExists)(var, body)
-        return super().formula()
+        if tok != "forall" and tok != "exists":
+            return None
+        self.next()
+        var = self.next()
+        if not _NAME_RE.fullmatch(var):
+            where = self.tokens[self.pos - 1][1]
+            raise FOError(f"bad quantifier variable {var!r} at position {where}")
+        return partial(FForall if tok == "forall" else FExists, var)
 
     def name(self, tok: str) -> Formula:
         # predicate, or a term followed by '='
         if self.peek() == "(" and tok[0].isupper():
-            args = self.term_args()
-            return FPred(tok, args)
-        term = self.term_from(tok)
+            return FPred(tok, self.term(tok).args)
+        left = self.term(tok)
         self.expect("=")
-        right = self.term()
-        return FEq(term, right)
+        return FEq(left, self.term())
 
-    def term_args(self):
-        self.expect("(")
-        args = [self.term()]
-        while self.peek() == ",":
-            self.next()
-            args.append(self.term())
-        self.expect(")")
-        return tuple(args)
-
-    def term(self):
-        tok = self.next()
-        if not _NAME_RE.fullmatch(tok):
-            where = self.tokens[self.pos - 1][1]
-            raise FOError(f"bad term {tok!r} at position {where}")
-        return self.term_from(tok)
-
-    def term_from(self, tok):
-        if self.peek() == "(":
-            return TermApp(tok, self.term_args())
-        return TermName(tok)
+    def term(self, tok: str | None = None):
+        """The term that starts with the name `tok`, read already, or at the
+        next token; a stack holds the open applications, each as
+        (function, arguments so far)."""
+        apps = []
+        while True:
+            if tok is None and not _NAME_RE.fullmatch(tok := self.next()):
+                where = self.tokens[self.pos - 1][1]
+                raise FOError(f"bad term {tok!r} at position {where}")
+            if self.peek() == "(":
+                self.next()
+                apps.append((tok, []))
+                tok = None
+                continue
+            out, tok = TermName(tok), None
+            while apps:
+                apps[-1][1].append(out)
+                if self.peek() == ",":
+                    self.next()
+                    break
+                self.expect(")")
+                func, args = apps.pop()
+                out = TermApp(func, tuple(args))
+            else:
+                return out
 
 
 def fo_parse(text: str) -> FOFormula:

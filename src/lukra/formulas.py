@@ -11,14 +11,15 @@ algebras and as the formula language of the Hilbert calculi.  Connectives:
   for k <= IMP_K_LIMIT.
 
 Sugar is eliminated at parse time; the core AST has exactly Var, Top, Bot,
-Imp and Delta nodes.  This module is the one term engine: the parser (which
-`fo` extends with first-order atoms and quantifiers), the compiler from
-terms to evaluation closures (`compile_term`, behind `eval_formula` and
-`fo`), the evaluator of equations on value tables of terms and the schema
-matcher.  The evaluator interns a batch of equations once
-(`EquationBatch`) and tabulates it on any algebra of its signature:
-`equation_violations`, behind the law checks, on one algebra, and the
-decisions of `logic` on each chain in turn.
+Imp and Delta nodes, and repeats an operand of the sugar by reference, so
+every walk is a loop over `postorder`, which visits each distinct node once.
+This module is the one term engine: the parser (which `fo` extends with
+first-order atoms and quantifiers), the compiler from terms to flat
+programs (`compile_term`, behind `eval_formula`), the evaluator of
+equations on value tables of terms and the schema matcher.  The evaluator
+interns a batch of equations once (`EquationBatch`) and tabulates it on any
+algebra of its signature: `equation_violations`, behind the law checks, on
+one algebra, and the decisions of `logic` on each chain in turn.
 """
 
 from __future__ import annotations
@@ -37,17 +38,40 @@ class FormulaError(ValueError):
     """Raised for malformed formula text or evaluation errors."""
 
 
-class Formula(Record):
-    pass
-
-
-# The nodes with fields write their own __init__, __eq__ and __hash__, the
-# record base's semantics at the speed of inline code: parsing and
-# substitution build a node per connective, and proof construction interns
-# whole formulas in dicts.  Each node hashes the tuple of its fields once, when
-# built, so hashing is O(1) however deep the term; `_equal` compares with a
-# stack of node pairs, so neither walks the term by recursion.
+# A node keeps from its construction `_kids` (its subterms, which every walk
+# reads), `_head` (its other fields), its hash and `_size` (its expanded
+# tree's node count), so hashing is O(1) however deep the term.  Var, Imp and
+# Delta, which parsing builds most, write their own __init__ for speed.
 _set = object.__setattr__
+
+
+class Node(Record):
+    """A node of a term, in `fo` also of a first-order term: a field that
+    holds a node or a tuple of nodes holds subterms."""
+
+    _kids = _head = ()
+    _size = 1
+
+    def __post_init__(self):
+        fields = self._key(self)
+        kids = tuple(k for v in fields for k in (v if isinstance(v, (tuple, list)) else (v,))
+                     if isinstance(k, Node))
+        _set(self, "_head", tuple(v for v in fields if not isinstance(v, (Node, tuple, list))))
+        _set(self, "_kids", kids)
+        _set(self, "_hash", hash(self._head + kids))
+        _set(self, "_size", 1 + sum(k._size for k in kids))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _equal(self, other)
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+
+class Formula(Node):
+    pass
 
 
 class Var(Formula):
@@ -55,15 +79,8 @@ class Var(Formula):
 
     def __init__(self, name):
         _set(self, "name", name)
-        _set(self, "_hash", hash((name,)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
+        _set(self, "_head", (name,))
+        _set(self, "_hash", hash(self._head))
 
 
 class Top(Formula):
@@ -81,15 +98,9 @@ class Imp(Formula):
     def __init__(self, left, right):
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "_hash", hash((left, right)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return _equal(self, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
+        _set(self, "_kids", (left, right))
+        _set(self, "_hash", hash(self._kids))
+        _set(self, "_size", left._size + right._size + 1)
 
 
 class Delta(Formula):
@@ -97,40 +108,27 @@ class Delta(Formula):
 
     def __init__(self, child):
         _set(self, "child", child)
-        _set(self, "_hash", hash((child,)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return _equal(self, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
+        _set(self, "_kids", (child,))
+        _set(self, "_hash", hash(self._kids))
+        _set(self, "_size", child._size + 1)
 
 
-def _equal(a: Formula, b: Formula) -> bool:
-    """a == b, walking both terms with a stack of node pairs; unequal hashes
-    settle a pair of Imp or Delta nodes without looking below them."""
-    stack = [(a, b)]
-    pop, push = stack.pop, stack.append
+def _equal(a: Node, b: Node) -> bool:
+    """a == b by a stack of node pairs, each pair expanded once, so the work
+    is bounded by pairs of distinct subterms, not by the expanded trees;
+    unequal hashes settle a pair without looking below it."""
+    stack, seen = [(a, b)], set()
     while stack:
-        a, b = pop()
+        a, b = stack.pop()
         if a is b:
             continue
-        cls = a.__class__
-        if cls is not b.__class__:
+        if a.__class__ is not b.__class__ or a._hash != b._hash or a._head != b._head:
             return False
-        if cls is Imp:
-            if a._hash != b._hash:
+        if a._kids and (id(a), id(b)) not in seen:
+            seen.add((id(a), id(b)))
+            if len(a._kids) != len(b._kids):
                 return False
-            push((a.right, b.right))
-            push((a.left, b.left))
-        elif cls is Delta:
-            if a._hash != b._hash:
-                return False
-            push((a.child, b.child))
-        elif a != b:
-            return False
+            stack.extend(zip(a._kids, b._kids))
     return True
 
 
@@ -138,16 +136,31 @@ TOP = Top()
 BOT = Bot()
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def imp(a: Formula, b: Formula) -> Imp:
-    return Imp(a, b)
-
-
-def delta(a: Formula) -> Delta:
-    return Delta(a)
+def postorder(f: Node, enter=None):
+    """Each distinct node of f once, by identity, children before parents,
+    left to right, from a stack of (node, iterator over its subterms).
+    `enter(g)`, when given, sees each node before its subterms, so in
+    pre-order, its calls interleaving with the yields as a depth-first
+    walk's visits do."""
+    seen = {id(f)}
+    if enter is not None:
+        enter(f)
+    stack = [(f, iter(f._kids))]
+    while stack:
+        g, kids = stack[-1]
+        for k in kids:
+            if id(k) in seen:
+                continue
+            seen.add(id(k))
+            if enter is not None:
+                enter(k)
+            if k._kids:
+                stack.append((k, iter(k._kids)))
+                break
+            yield k
+        else:
+            stack.pop()
+            yield g
 
 
 def imp_k(a: Formula, b: Formula, k: int) -> Formula:
@@ -178,34 +191,21 @@ def and_(a: Formula, b: Formula) -> Formula:
 
 
 def variables(f: Formula) -> set[str]:
-    if isinstance(f, Var):
-        return {f.name}
-    if isinstance(f, Imp):
-        return variables(f.left) | variables(f.right)
-    if isinstance(f, Delta):
-        return variables(f.child)
-    return set()
+    return {g.name for g in postorder(f) if g.__class__ is Var}
 
 
 def uses_bot(f: Formula) -> bool:
-    if isinstance(f, Bot):
-        return True
-    if isinstance(f, Imp):
-        return uses_bot(f.left) or uses_bot(f.right)
-    if isinstance(f, Delta):
-        return uses_bot(f.child)
-    return False
+    return Bot in map(type, postorder(f))
 
 
 def substitute(f: Formula, subst: dict[str, Formula]) -> Formula:
     """Simultaneous substitution of formulas for variables."""
-    if isinstance(f, Var):
-        return subst.get(f.name, f)
-    if isinstance(f, Imp):
-        return Imp(substitute(f.left, subst), substitute(f.right, subst))
-    if isinstance(f, Delta):
-        return Delta(substitute(f.child, subst))
-    return f
+    out = {}
+    for g in postorder(f):
+        cls = g.__class__
+        out[id(g)] = (subst.get(g.name, g) if cls is Var else
+                      cls(*[out[id(k)] for k in g._kids]) if cls in (Imp, Delta) else g)
+    return out[id(f)]
 
 
 def match(pattern: Formula, target: Formula, subst: dict[str, Formula] | None = None) -> dict[str, Formula] | None:
@@ -220,27 +220,21 @@ def match(pattern: Formula, target: Formula, subst: dict[str, Formula] | None = 
 
 
 def mismatch(pattern: Formula, target: Formula, subst: dict[str, Formula]) -> str:
-    """Match like `match`, extending `subst` in place.
-
-    Returns "" on a match, else the reason the first subterm (left to
-    right) where the match breaks down gives.
-    """
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            subst[pattern.name] = target
-            return ""
-        if bound == target:
-            return ""
-        return (f"metavariable {pattern.name} bound to "
-                f"{to_text(bound)!r} but found {to_text(target)!r}")
-    if type(pattern) is not type(target):
-        return f"expected {to_text(pattern)!r}, found {to_text(target)!r}"
-    if isinstance(pattern, Imp):
-        return (mismatch(pattern.left, target.left, subst)
-                or mismatch(pattern.right, target.right, subst))
-    if isinstance(pattern, Delta):
-        return mismatch(pattern.child, target.child, subst)
+    """Match like `match`, extending `subst` in place, by a stack of
+    (pattern, target) pairs.  Returns "" on a match, else the reason the
+    first subterm (left to right) where the match breaks down gives."""
+    stack = [(pattern, target)]
+    while stack:
+        p, t = stack.pop()
+        if p.__class__ is Var:
+            bound = subst.setdefault(p.name, t)
+            if bound is not t and bound != t:
+                return (f"metavariable {p.name} bound to "
+                        f"{to_text(bound)!r} but found {to_text(t)!r}")
+        elif p.__class__ is not t.__class__:
+            return f"expected {to_text(p)!r}, found {to_text(t)!r}"
+        else:
+            stack.extend(zip(reversed(p._kids), reversed(t._kids)))
     return ""
 
 
@@ -257,8 +251,6 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # nested implications, so k bounds the size of the term.
 IMP_K_LIMIT = 1000
 
-TOO_DEEP = "formula nested too deeply for the Python recursion limit"
-
 _UNICODE_ALIASES = {
     "→": "->",   # arrow
     "↣": "->",   # rightarrowtail
@@ -272,7 +264,8 @@ _UNICODE_ALIASES = {
 
 
 class _Parser:
-    """Tokenizer and precedence parser; subclasses extend the atoms."""
+    """Tokenizer and precedence parser; subclasses extend the atoms
+    (`name`) and what may open a formula (`opening`)."""
 
     error = FormulaError
 
@@ -298,10 +291,7 @@ class _Parser:
 
     def run(self) -> Formula:
         """Parse the whole input as one formula."""
-        try:
-            out = self.formula()
-        except RecursionError:
-            raise self.error(TOO_DEEP) from None
+        out = self.formula()
         if self.peek() is not None:
             tok, where = self.tokens[self.pos]
             raise self.error(f"trailing input {tok!r} at position {where}")
@@ -324,54 +314,59 @@ class _Parser:
             raise self.error(f"expected {tok!r} at position {where}, got {got!r}")
 
     def formula(self) -> Formula:
-        left = self.or_level()
-        tok = self.peek()
-        if tok is not None and tok.startswith("->"):
-            self.next()
-            if tok == "->":
-                return Imp(left, self.formula())
-            k = int(tok[3:-1])
-            return imp_k(left, self.formula(), k)
-        return left
+        """The formula at the current token.  Loosest first: -> and ->[k]
+        (right associative), | and & (left associative), the prefixes D and
+        ~.  One loop reads it with a stack of the open constructs: ("(",),
+        ("D",), ("~",), (kind, left, token) for kind &, | and ->, and
+        ("wrap", wrap, None) for what `opening` read where a formula starts."""
+        pending = []
+        starts = True
+        while True:
+            wrap = self.opening() if starts else None
+            if wrap is not None:
+                pending.append(("wrap", wrap, None))
+                continue
+            tok = self.next()
+            starts = tok == "("
+            if tok == "D" or tok == "~" or starts:
+                pending.append((tok,))
+                continue
+            if tok == "T" or tok == "F":
+                out = TOP if tok == "T" else BOT
+            elif _NAME_RE.fullmatch(tok):
+                out = self.name(tok)
+            else:
+                where = self.tokens[self.pos - 1][1]
+                raise self.error(f"unexpected token {tok!r} at position {where}")
+            while True:     # close what the atom `out` completes
+                kind = pending[-1][0] if pending else None
+                if kind == "D" or kind == "~":
+                    pending.pop()
+                    out = Delta(out) if kind == "D" else not_(out)
+                    continue
+                if kind == "&":
+                    out = and_(pending.pop()[1], out)
+                    kind = pending[-1][0] if pending else None
+                tok = self.peek()
+                if kind == "|" and tok != "&":
+                    out = or_(pending.pop()[1], out)
+                if tok == "&" or tok == "|" or tok is not None and tok.startswith("->"):
+                    pending.append((self.next()[:2], out, tok))
+                    starts = tok[0] == "-"
+                    break
+                while pending and pending[-1][0] in ("->", "wrap"):
+                    kind, left, tok = pending.pop()
+                    out = (left(out) if kind == "wrap" else Imp(left, out) if tok == "->"
+                           else imp_k(left, out, int(tok[3:-1])))
+                if not pending:
+                    return out
+                self.expect(")")
+                pending.pop()
 
-    def or_level(self) -> Formula:
-        out = self.and_level()
-        while self.peek() == "|":
-            self.next()
-            out = or_(out, self.and_level())
-        return out
-
-    def and_level(self) -> Formula:
-        out = self.unary()
-        while self.peek() == "&":
-            self.next()
-            out = and_(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "D":
-            self.next()
-            return Delta(self.unary())
-        if tok == "~":
-            self.next()
-            return not_(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.next()
-        if tok == "(":
-            out = self.formula()
-            self.expect(")")
-            return out
-        if tok == "T":
-            return TOP
-        if tok == "F":
-            return BOT
-        if _NAME_RE.fullmatch(tok):
-            return self.name(tok)
-        where = self.tokens[self.pos - 1][1]
-        raise self.error(f"unexpected token {tok!r} at position {where}")
+    def opening(self):
+        """Read a prefix that opens the formula starting here and return
+        the function that wraps that formula, or None."""
+        return None
 
     def name(self, tok: str) -> Formula:
         """The atom that starts with the name `tok`."""
@@ -383,77 +378,84 @@ def parse(text: str) -> Formula:
     return _Parser(text).run()
 
 
+# Most nodes `to_text` writes out; a short text can stand for a huge tree.
+TEXT_NODES = 10**6
+
+
 def to_text(f: Formula) -> str:
-    """Render the core AST; parse(to_text(f)) == f."""
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Bot):
-        return "F"
-    if isinstance(f, Delta):
-        child = to_text(f.child)
-        if isinstance(f.child, Imp):
-            return f"D ({child})"
-        return f"D {child}"
-    if isinstance(f, Imp):
-        left = to_text(f.left)
-        if isinstance(f.left, Imp):
-            left = f"({left})"
-        return f"{left} -> {to_text(f.right)}"
-    raise FormulaError(f"not a formula node: {f!r}")
+    """Render the core AST, from a stack of pieces; parse(to_text(f)) == f.
+    More than TEXT_NODES nodes raise FormulaError before any is written."""
+    if f._size > TEXT_NODES:
+        raise FormulaError(f"formula of {f._size} nodes written out exceeds "
+                           f"TEXT_NODES = {TEXT_NODES}")
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        cls = g.__class__
+        if cls is Imp:
+            left = g.left
+            stack += ((g.right, ") -> ", left, "(") if left.__class__ is Imp
+                      else (g.right, " -> ", left))
+        elif cls is Delta:
+            stack += (")", g.child, "D (") if g.child.__class__ is Imp else (g.child, "D ")
+        elif cls is str or cls is Var:
+            out.append(g if cls is str else g.name)
+        elif cls is Top or cls is Bot:
+            out.append("T" if cls is Top else "F")
+        else:
+            raise FormulaError(f"not a formula node: {g!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def compile_term(f: Formula, A, names, node=None):
-    """Compile a term into a closure over value tuples (the hot path).
+def _checker(names, delta: bool, bottom: bool):
+    """The `postorder` hook that refuses, with FormulaError at the first
+    offending node in pre-order, a variable not in `names`, D without a
+    delta, F without a bottom and a node that is no connective."""
+    def check(g):
+        cls = g.__class__
+        if cls is Var and g.name not in names:
+            raise FormulaError(f"unassigned variable {g.name!r}")
+        if cls is Delta and not delta:
+            raise FormulaError("formula uses D but the algebra has no delta")
+        if cls is Bot and not bottom:
+            raise FormulaError("formula uses F but the algebra has no bottom")
+        if cls not in (Var, Imp, Delta, Top, Bot):
+            raise FormulaError(f"not a formula node: {g!r}")
+    return check
 
-    The closure maps a tuple e, where e[i] is the carrier index of the
-    variable names[i], to the value of f in the algebra A.  Each node
-    becomes one closure with A's tables captured as locals.  When given,
-    `node(g, compile)` is tried first on every subterm g and may return its
-    closure, which is how first-order atoms and quantifiers compile.
 
-    Raises FormulaError, at the first offending node in pre-order, for a
-    variable not in `names`, F without a bottom or D without a delta, and
-    for a term nested beyond the recursion limit.
-    """
+def compile_term(f: Formula, A, names):
+    """Compile a term into a function mapping a tuple e, where e[i] is the
+    carrier index of names[i], to the value of f in A: one loop over a
+    program of a step per distinct node.  Raises as `_checker` does."""
     pos = {name: i for i, name in enumerate(names)}
-    imp, delta, top, bottom = A.imp, A.delta, A.top, A.bottom
+    imp, delta = A.imp, A.delta
+    # a step (kind, a, b) is e[a] (kind 0), imp of the values of steps a
+    # and b (1), delta of step a's value (2) or the constant a (3)
+    step, program = {}, []
+    for g in postorder(f, _checker(pos, delta is not None, A.bottom is not None)):
+        step[id(g)] = len(program)
+        cls = g.__class__
+        if cls is Imp:
+            program.append((1, step[id(g.left)], step[id(g.right)]))
+        elif cls is Delta:
+            program.append((2, step[id(g.child)], 0))
+        else:
+            program.append((0, pos[g.name], 0) if cls is Var
+                           else (3, A.top if cls is Top else A.bottom, 0))
 
-    def comp(g):
-        if node is not None:
-            out = node(g, comp)
-            if out is not None:
-                return out
-        if isinstance(g, Var):
-            i = pos.get(g.name)
-            if i is None:
-                raise FormulaError(f"unassigned variable {g.name!r}")
-            return lambda e: e[i]
-        if isinstance(g, Imp):
-            left, right = comp(g.left), comp(g.right)
-            return lambda e: imp[left(e)][right(e)]
-        if isinstance(g, Delta):
-            if delta is None:
-                raise FormulaError("formula uses D but the algebra has no delta")
-            child = comp(g.child)
-            return lambda e: delta[child(e)]
-        if isinstance(g, Top):
-            return lambda e: top
-        if isinstance(g, Bot):
-            if bottom is None:
-                raise FormulaError("formula uses F but the algebra has no bottom")
-            return lambda e: bottom
-        raise FormulaError(f"not a formula node: {g!r}")
+    def run(e):
+        values = []
+        for kind, a, b in program:
+            values.append(imp[values[a]][values[b]] if kind == 1 else e[a] if kind == 0
+                          else delta[values[a]] if kind == 2 else a)
+        return values[-1]
 
-    try:
-        return comp(f)
-    except RecursionError:
-        raise FormulaError(TOO_DEEP) from None
+    return run
 
 
 # bound on the table entries equation_violations holds at once
@@ -520,15 +522,12 @@ class EquationBatch:
     def __init__(self, equations, delta: bool, bottom: bool):
         self.delta, self.bottom = delta, bottom
         self.ids, self.keys, self.vars = {}, [], []     # key -> id, id -> key, id -> names
-        try:
-            self.plans = [self._plan(*equation) for equation in equations]
-        except RecursionError:
-            raise FormulaError(TOO_DEEP) from None
+        self.plans = [self._plan(*equation) for equation in equations]
 
     def _plan(self, names, lhs, rhs, premises=()) -> _Plan:
         pos = {name: i for i, name in enumerate(names)}
         nodes: dict = {}
-        ids = [self._intern(t, pos, nodes) for pair in [(lhs, rhs), *premises] for t in pair]
+        ids = self._intern([t for pair in [(lhs, rhs), *premises] for t in pair], pos, nodes)
         s = names[0] if names and pos[names[0]] == 0 else None
         return _Plan(
             slab_var=s, width=len(names),
@@ -537,34 +536,33 @@ class EquationBatch:
             slab_nodes=tuple(i for i in nodes if s in self.vars[i]),
             lhs=ids[0], rhs=ids[1], premises=tuple(zip(ids[2::2], ids[3::2])))
 
-    def _intern(self, f, pos, nodes) -> int:
-        if isinstance(f, Var):
-            if f.name not in pos:
-                raise FormulaError(f"unassigned variable {f.name!r}")
-            key, names = ("v", f.name), (f.name,)
-        elif isinstance(f, Imp):
-            left, right = self._intern(f.left, pos, nodes), self._intern(f.right, pos, nodes)
-            key, names = ("i", left, right), tuple(sorted({*self.vars[left], *self.vars[right]}))
-        elif isinstance(f, Delta):
-            if not self.delta:
-                raise FormulaError("formula uses D but the algebra has no delta")
-            child = self._intern(f.child, pos, nodes)
-            key, names = ("d", child), self.vars[child]
-        elif isinstance(f, Top):
-            key, names = ("t",), ()
-        elif isinstance(f, Bot):
-            if not self.bottom:
-                raise FormulaError("formula uses F but the algebra has no bottom")
-            key, names = ("f",), ()
-        else:
-            raise FormulaError(f"not a formula node: {f!r}")
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            self.vars.append(names)
-        nodes[i] = None
-        return i
+    def _intern(self, terms, pos, nodes) -> list[int]:
+        """The node ids of the terms, interning their distinct subterms,
+        whose ids `nodes` gets in post-order."""
+        ids, keys, vars_ = self.ids, self.keys, self.vars
+        local = {}      # id(subterm) -> node id
+        for f in terms:
+            for g in postorder(f):
+                cls = g.__class__
+                if cls is Imp:
+                    key = ("i", local[id(g.left)], local[id(g.right)])
+                elif cls is Var and g.name in pos:
+                    key = ("v", g.name)
+                elif cls is Delta and self.delta:
+                    key = ("d", local[id(g.child)])
+                elif cls is Top or cls is Bot and self.bottom:
+                    key = ("t",) if cls is Top else ("f",)
+                else:   # raise at the first offending node in pre-order
+                    list(postorder(f, _checker(pos, self.delta, self.bottom)))
+                i = ids.get(key)
+                if i is None:
+                    i = ids[key] = len(keys)
+                    keys.append(key)
+                    vars_.append((g.name,) if cls is Var else
+                                 tuple(sorted({x for k in key[1:] for x in vars_[k]})))
+                nodes[i] = None
+                local[id(g)] = i
+        return [local[id(f)] for f in terms]
 
     def check_guard(self, n: int, guard: int) -> None:
         """Raise SizeGuardError when the plans' tables on an n-element
@@ -745,10 +743,7 @@ class _TermTables:
 
 def eval_formula(f: Formula, algebra, valuation: dict[str, int]) -> int:
     """Evaluate over a FiniteAlgebra; valuation maps variable names to indices."""
-    try:
-        return compile_term(f, algebra, list(valuation))(tuple(valuation.values()))
-    except RecursionError:
-        raise FormulaError(TOO_DEEP) from None
+    return compile_term(f, algebra, list(valuation))(tuple(valuation.values()))
 
 
 def rational_eval(f: Formula, valuation: dict[str, Fraction]) -> Fraction:
@@ -761,24 +756,18 @@ def rational_eval(f: Formula, valuation: dict[str, Fraction]) -> Fraction:
     from fractions import Fraction
 
     one, zero = Fraction(1), Fraction(0)
-
-    def value(g):
-        if isinstance(g, Var):
-            try:
-                x = Fraction(valuation[g.name])
-            except KeyError:
-                raise FormulaError(f"unassigned variable {g.name!r}") from None
+    value = {}
+    for g in postorder(f, _checker(valuation, True, True)):
+        cls = g.__class__
+        if cls is Var:
+            x = Fraction(valuation[g.name])
             if not zero <= x <= one:
                 raise FormulaError(f"value of {g.name!r} outside [0, 1]")
-            return x
-        if isinstance(g, Top):
-            return one
-        if isinstance(g, Bot):
-            return zero
-        if isinstance(g, Imp):
-            return min(one, one - value(g.left) + value(g.right))
-        if isinstance(g, Delta):
-            return one if value(g.child) == one else zero
-        raise FormulaError(f"not a formula node: {g!r}")
-
-    return value(f)
+        elif cls is Imp:
+            x = min(one, one - value[id(g.left)] + value[id(g.right)])
+        elif cls is Delta:
+            x = one if value[id(g.child)] == one else zero
+        else:
+            x = one if cls is Top else zero
+        value[id(g)] = x
+    return value[id(f)]

@@ -198,25 +198,91 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("verb, formula", [
-    ("taut", "p ->[99999999] q"),           # refused before any expansion
-    ("taut", "D " * 3000 + "p"),
-    ("taut", "(" * 1200 + "p" + ")" * 1200),
-    ("taut", "p" + " | p" * 600),          # sugar nests deeper than the parser
-    ("fo-eval", "forall x " * 3000 + "P(x)"),
-], ids=["k-limit", "deep-delta", "deep-parens", "deep-sugar", "fo-deep-quantifiers"])
-def test_oversized_formulas_are_usage_errors(capsys, tmp_path, verb, formula):
-    s = tmp_path / "s.json"
-    s.write_text(json.dumps({
-        "domain_size": 2,
-        "algebra": make_chain(3, with_delta=True, with_bottom=True).to_dict(),
-        "predicates": {"P": {"arity": 1, "table": {"0": 1, "1": 2}}},
-    }))
-    where = ["--n", "3"] if verb == "taut" else ["--structure", str(s)]
+def answer(capsys, verb, where, formula):
     code = main(["logic", verb, *where, "--formula", formula])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "Traceback" not in captured.err and captured.err.startswith("error:")
+    return code, captured.out, captured.err
+
+
+# depth alone is bounded only by memory: each case with a shallow formula
+# is answered as that formula, the others are refused within a second
+@pytest.mark.parametrize("verb, formula, shallow", [
+    ("taut", "p ->[99999999] q", None),           # refused before any expansion
+    ("taut", "D " * 3000 + "p", "D p"),
+    ("taut", "(" * 1200 + "p" + ")" * 1200, "p"),
+    ("taut", "p" + " | p" * 600, "p"),            # sugar nests deeper than the text
+    ("fo-eval", "forall x " * 3000 + "P(x)", None),   # 2^3000 values
+    ("taut", "p ->[1000] q", "p -> q"),
+    ("taut", "D " * 5000 + "p", "D p"),
+    ("taut", "(" * 5000 + "p" + ")" * 5000, "p"),
+    ("fo-eval", "P(c) ->[1000] P(c)", "P(c) -> P(c)"),
+    ("fo-eval", "P(" + "f(" * 3000 + "c" + ")" * 3001, "P(c)"),    # f is its own inverse
+], ids=["k-limit", "deep-delta", "deep-parens", "deep-sugar", "fo-deep-quantifiers",
+        "k-1000", "delta-5000", "parens-5000", "fo-k-1000", "fo-deep-term"])
+def test_oversized_formulas_are_usage_errors(capsys, tmp_path, verb, formula, shallow):
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps(_structure()))
+    where = ["--n", "3"] if verb == "taut" else ["--structure", str(s)]
+    start = time.perf_counter()
+    code, out, err = answer(capsys, verb, where, formula)
+    if shallow is not None:
+        assert (code, out, err) == answer(capsys, verb, where, shallow)
+        return
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.startswith("error:")
+    if verb == "fo-eval":
+        assert f"guard {TABLE_GUARD}" in err
+
+
+def test_first_order_guard_counts_values(capsys, tmp_path, monkeypatch):
+    # the nodes of forall x forall y P(x) hold 1 + 2 + 4 + 4 values on two elements
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps(_structure()))
+    where = ["--structure", str(s)]
+    monkeypatch.setenv("LUKRA_GUARD", "10")
+    code, out, err = answer(capsys, "fo-eval", where, "forall x forall y P(x)")
+    assert (code, out, err) == (2, "", "error: first-order evaluation needs more values "
+                                       "than the guard 10\n")
+    monkeypatch.setenv("LUKRA_GUARD", "11")
+    assert answer(capsys, "fo-eval", where, "forall x forall y P(x)")[0] == 1
+    monkeypatch.delenv("LUKRA_GUARD")
+    s.write_text(json.dumps(_structure(domain_size=1, predicates__P__table={"0": 2},
+                                       functions__f__table={"0": 0})))
+    # scopes are interned, so nesting costs linear time and memory
+    start = time.perf_counter()
+    assert answer(capsys, "fo-eval", where, "forall x " * 20_000 + "P(x)") == \
+        answer(capsys, "fo-eval", where, "forall x P(x)")
+    assert time.perf_counter() - start < 2
+
+
+def test_prove_check_writes_out_conclusions_within_a_bound(capsys, tmp_path):
+    from lukra.formulas import TEXT_NODES
+
+    p = tmp_path / "deep.proof"
+    p.write_text("1. p ->[1000] q ; HYP 1\n")
+    code, report = run(capsys, "logic", "prove-check", "--system", "n", "--n", "3", "--in", str(p))
+    assert code == 0 and report["conclusion"] == "p -> " * 1000 + "q"
+    # about 2 * 10^9 nodes written out
+    p.write_text("1. ((p ->[1000] q) ->[1000] r) ->[1000] s ; HYP 1\n")
+    start = time.perf_counter()
+    code = main(["logic", "prove-check", "--system", "n", "--n", "3", "--in", str(p)])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert (code, captured.out) == (2, "")
+    assert f"TEXT_NODES = {TEXT_NODES}" in captured.err
+
+
+def test_suite_at_a_high_level_is_linear_in_the_shared_laws(capsys, tmp_path):
+    # L17-L23 nest ->[n-1] in ->[n-1]; their expanded trees grow as n^3
+    p = tmp_path / "l3.json"
+    p.write_text(make_chain(3, with_delta=True).to_json())
+    start = time.perf_counter()
+    code, report = run(capsys, "algebra", "check", "--in", str(p), "--n", "300", "--suite")
+    assert time.perf_counter() - start < 2
+    passed = {"passed": True, "violations": []}
+    assert (code, report) == (0, {"passed": True, "level": 300, "checks": {
+        "LR": passed, "LRn[n=300]": passed, "delta[n=300]": passed, "suite[n=300]": passed}})
 
 
 @pytest.mark.parametrize("level", [5000, 30_000_000])
@@ -252,6 +318,19 @@ def test_malformed_algebra_files_are_usage_errors(capsys, tmp_path, imp, message
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--in", "--structure"])
+def test_deeply_nested_json_files_are_usage_errors(capsys, tmp_path, flag):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    argv = (["algebra", "check", "--in", str(p)] if flag == "--in" else
+            ["logic", "fo-eval", "--structure", str(p), "--formula", "P(c)"])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {p}: JSON nested deeper than {cli.JSON_DEPTH} levels\n"
+    assert "formula" not in captured.err
 
 
 def test_guard_env_override(capsys, tmp_path, monkeypatch):

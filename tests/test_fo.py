@@ -62,8 +62,10 @@ def test_parser_shares_the_propositional_grammar():
     assert fo_parse("D(P(x))") == FDelta(FPred("P", (TermName("x"),)))
     with pytest.raises(FOError):
         fo_parse("P(x) ->[99999999] P(x)")
-    with pytest.raises(FOError):
-        fo_parse("D " * 3000 + "P(x)")
+    deep = FPred("P", (TermName("x"),))
+    for _ in range(3000):
+        deep = FDelta(deep)
+    assert fo_parse("D " * 3000 + "P(x)") == deep
 
 
 def test_basic_evaluation():
@@ -120,6 +122,11 @@ def test_structure_validation_and_errors():
         fo_eval(fo_parse("P(x, y)"), S, {"x": 0, "y": 0})
     with pytest.raises(FOError):
         fo_eval(fo_parse("P(w)"), S)       # unbound name
+    # a key part longer than the largest index is refused before int() reads it
+    table = {"0": 1, "1": 2, "1" * 5000: 0}
+    with pytest.raises(AlgebraError, match="must be 1 comma-separated indices in 0..1"):
+        FOStructure.from_dict({"domain_size": 2, "algebra": L3.to_dict(),
+                               "predicates": {"P": {"arity": 1, "table": table}}})
 
 
 def test_from_dict_roundtrip():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from lukra.formulas import (
     Delta,
     FormulaError,
     Imp,
+    TEXT_NODES,
     Top,
     Var,
     compile_term,
@@ -25,6 +27,7 @@ from lukra.formulas import (
 )
 from lukra.algebra import make_chain, product
 from lukra.freealg import build_free
+from lukra.logic import is_tautology
 
 
 def test_precedence_and_associativity():
@@ -72,19 +75,33 @@ def test_iterated_implication_is_bounded_before_expansion():
         assert str(k) in str(exc.value) and str(IMP_K_LIMIT) in str(exc.value)
 
 
-def test_deep_nesting_is_a_formula_error():
-    with pytest.raises(FormulaError):
-        parse("D " * 3000 + "p")
-    with pytest.raises(FormulaError):
-        parse("(" * 1200 + "p" + ")" * 1200)
+def test_deep_nesting_is_answered():
     deep = Var("p")
     for _ in range(3000):
         deep = Delta(deep)
+    assert parse("D " * 3000 + "p") == deep
+    assert parse("(" * 1200 + "p" + ")" * 1200) == Var("p")
     A = make_chain(3, with_delta=True)
-    with pytest.raises(FormulaError):
-        compile_term(deep, A, ["p"])
-    with pytest.raises(FormulaError):
-        eval_formula(deep, A, {"p": 0})
+    for p in range(3):
+        assert compile_term(deep, A, ["p"])((p,)) == A.delta[p]
+        assert eval_formula(deep, A, {"p": p}) == A.delta[p]
+
+
+NESTED = "((((p ->[20] q) ->[20] r) ->[20] s) ->[20] t) ->[20] u"
+SHARED = "((p ->[1000] q) ->[1000] r) ->[1000] s"
+
+
+def test_work_is_linear_in_the_shared_term():
+    # the sugar repeats its left operand by reference, so these trees have
+    # about 20^5 and 2 * 10^9 nodes; every walk visits each distinct node once
+    start = time.perf_counter()
+    verdict = is_tautology(parse(NESTED), 3)
+    assert verdict.counterexample == (2, {"p": 0, "q": 0, "r": 0, "s": 0, "t": 1, "u": 0})
+    assert parse(SHARED) == parse(SHARED)
+    assert variables(parse(SHARED)) == {"p", "q", "r", "s"}
+    with pytest.raises(FormulaError, match=f"exceeds TEXT_NODES = {TEXT_NODES}"):
+        to_text(parse(SHARED))
+    assert time.perf_counter() - start < 1
 
 
 formulas = st.recursive(
