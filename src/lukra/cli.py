@@ -10,6 +10,7 @@ environment variable LUKRA_GUARD overrides enumeration size guards.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -452,5 +453,26 @@ def main(argv=None) -> int:
     return OK if holds else PROPERTY_FALSE
 
 
+def run() -> None:
+    """The process entry of `python -m lukra.cli` and the `lukra` script:
+    main() on sys.argv, then exit with its code.
+
+    Everything alive when main() starts or returns is moved to the collector's
+    permanent generation, so the collections at interpreter shutdown skip the
+    loaded modules, classes and functions instead of tearing down memory that
+    the exit frees anyway.  Atexit handlers, flushing and reference counting
+    are unchanged; only cyclic garbage left at exit is not collected.  That is
+    safe because src/lukra has no __del__, weakref.finalize or atexit, and
+    every file a job opens (_load_json, _emit's --out handle and
+    cmd_logic_prove_check) is closed in a `with` block before main() returns;
+    keep it so.  In-process callers call main(), which never freezes: each
+    freeze pins every cycle made so far.
+    """
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

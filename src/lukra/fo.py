@@ -231,6 +231,7 @@ def _values(f, S: FOStructure, env: dict[str, int], guard: int) -> list[int]:
         order.append(g)
     # scope i is (outer scope, innermost name, depth); 0 is the empty one
     scope, inside, scopes = [(0, None, 0)], {}, {id(f): {0}}
+    reads = {}      # (id, scope) -> parent reads of its list still to come
     for g in reversed(order):       # parents first
         for s in scopes[id(g)]:
             if g.__class__ in _QUANTIFIERS:
@@ -240,19 +241,25 @@ def _values(f, S: FOStructure, env: dict[str, int], guard: int) -> list[int]:
                 s = inside[s, g.var]
             for k in g._kids:
                 scopes.setdefault(id(k), set()).add(s)
+                reads[id(k), s] = reads.get((id(k), s), 0) + 1
     cells = 0       # the values to compute, shallowest scopes first
     for s in (s for ss in scopes.values() for s in ss):
         cells += D ** scope[s][2]
         if cells > guard:
             raise SizeGuardError(f"first-order evaluation needs more values than the guard {guard}")
 
-    values = {}     # (id, scope) -> list
+    values = {}     # (id, scope) -> list, freed once its last parent read it
     for g in order:
         cls = g.__class__
         for s in scopes[id(g)]:
             n = D ** scope[s][2]
             inner = inside[s, g.var] if cls in _QUANTIFIERS else s
             kids = [values[id(k), inner] for k in g._kids]
+            for k in g._kids:
+                key = id(k), inner
+                reads[key] -= 1
+                if not reads[key]:
+                    del values[key]
             if cls is Imp:
                 v = list(map(_getitem, map(A.imp.__getitem__, kids[0]), kids[1]))
             elif cls is FPred or cls is TermApp:

@@ -380,6 +380,8 @@ def parse(text: str) -> Formula:
 
 # Most nodes `to_text` writes out; a short text can stand for a huge tree.
 TEXT_NODES = 10**6
+# Pieces `to_text` joins into one chunk, so its list of pieces stays short.
+TEXT_CHUNK = 4096
 
 
 def to_text(f: Formula) -> str:
@@ -388,7 +390,7 @@ def to_text(f: Formula) -> str:
     if f._size > TEXT_NODES:
         raise FormulaError(f"formula of {f._size} nodes written out exceeds "
                            f"TEXT_NODES = {TEXT_NODES}")
-    out, stack = [], [f]
+    chunks, out, stack = [], [], [f]
     while stack:
         g = stack.pop()
         cls = g.__class__
@@ -400,11 +402,15 @@ def to_text(f: Formula) -> str:
             stack += (")", g.child, "D (") if g.child.__class__ is Imp else (g.child, "D ")
         elif cls is str or cls is Var:
             out.append(g if cls is str else g.name)
+            if len(out) >= TEXT_CHUNK:
+                chunks.append("".join(out))
+                out.clear()
         elif cls is Top or cls is Bot:
             out.append("T" if cls is Top else "F")
         else:
             raise FormulaError(f"not a formula node: {g!r}")
-    return "".join(out)
+    chunks.append("".join(out))
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ them as proof files.
 
 from __future__ import annotations
 
-from .formulas import Delta, Formula, Imp, Var, imp_k, substitute
-from .logic import axiom_schemas_n
-from .proofs import ByAxiom, ByHyp, ByMP, Proof, ProofLine, SYSTEM_N
+from lukra.formulas import Delta, Formula, Imp, Var, imp_k, substitute
+from lukra.logic import axiom_schemas_n
+from lukra.proofs import ByAxiom, ByHyp, ByMP, Proof, ProofLine, SYSTEM_N
 
 
 class ProofBuilder:

@@ -21,7 +21,6 @@ from lukra.algebra import (
     subalgebra_closure,
 )
 from lukra.catalog import five_element_non_admissible
-from lukra.derivations import classic_delta_derivations
 from lukra.filters import (
     all_filters,
     congruence_of,
@@ -48,6 +47,7 @@ from lukra.logic import (
 )
 from lukra.proofs import Proof, ProofLine, check_proof, parse_proof
 from lukra.algebra import delta_admissible, tarskian_elements
+from derivations import classic_delta_derivations
 from oracles import congruences, random_formula, rational_grid
 
 FIXTURES = Path(__file__).parent / "fixtures" / "proofs"

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -591,7 +592,8 @@ print(json.dumps([code, sorted(m for m in sys.modules
 CORE = ["lukra", "lukra.algebra", "lukra.cli", "lukra.records"]
 
 
-@pytest.mark.parametrize("argv, code, loaded", [
+# one job per group and exit code, with its exit code and the modules it loads
+JOBS = pytest.mark.parametrize("argv, code, loaded", [
     (["logic", "taut", "--n", "3", "--formula", "p -> p"], 0, ["formulas", "logic"]),
     (["free", "size", "--n", "2", "--m", "1"], 0, ["freealg"]),
     (["algebra", "homs", "--from", "@l3", "--to", "@l3"], 0, []),
@@ -602,19 +604,74 @@ CORE = ["lukra", "lukra.algebra", "lukra.cli", "lukra.records"]
       "--in", str(FIXTURES / "proofs" / "lh20_n3.proof")], 0, ["formulas", "logic", "proofs"]),
     (["algebra", "check", "--in", "@l3", "--suite", "--quasi"], 0, ["formulas", "laws"]),
     (["algebra", "chain", "--n", "3"], 0, ["freealg"]),
+    (["logic", "taut", "--n", "3", "--formula", "p ->"], 2, ["formulas", "logic"]),
+    (["filters", "classify", "--in", "@no-such-file"], 2, ["filters"]),
 ], ids=["taut", "free-size", "homs", "filters-list", "fo-eval", "prove-check",
-        "algebra-check", "algebra-chain"])
-def test_each_verb_loads_fo_and_proofs_only_for_itself(tmp_path, argv, code, loaded):
+        "algebra-check", "algebra-chain", "taut-unparsable", "classify-missing-file"])
+
+
+def _job(tmp_path, argv):
+    """argv with each "@name" a file under tmp_path (l3 and s are written),
+    and the environment in which a subprocess imports this lukra."""
     L3 = make_chain(3, with_delta=True, with_bottom=True)
     (tmp_path / "l3").write_text(L3.to_json())
     (tmp_path / "s").write_text(json.dumps({
         "domain_size": 2, "algebra": L3.to_dict(),
         "predicates": {"P": {"arity": 1, "table": {"0": 1, "1": 2}}}}))
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
-    env = {**os.environ, "PYTHONPATH": str(Path(lukra.__file__).parents[1])}
+    return argv, {**os.environ, "PYTHONPATH": str(Path(lukra.__file__).parents[1])}
+
+
+@JOBS
+def test_each_verb_loads_fo_and_proofs_only_for_itself(tmp_path, argv, code, loaded):
+    argv, env = _job(tmp_path, argv)
     done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
                           capture_output=True, text=True, env=env, timeout=30, check=True)
     assert json.loads(done.stdout) == [code, sorted(CORE + [f"lukra.{m}" for m in loaded])]
+
+
+# -- the process entry: run() freezes the heap, main() does not ----------------
+
+@JOBS
+def test_a_process_answers_as_main_does_in_process(tmp_path, capsys, argv, code, loaded):
+    argv, env = _job(tmp_path, argv)
+    out = tmp_path / "report.json"
+    for job in (argv, argv + ["--out", str(out)]):
+        done = subprocess.run([sys.executable, "-m", "lukra.cli", *job],
+                              capture_output=True, env=env, timeout=30)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        assert main(job) == done.returncode == code
+        # in-process callers (tests, the benchmark's shim) never freeze
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        captured = capsys.readouterr()
+        assert (captured.out.encode(), captured.err.encode()) == (done.stdout, done.stderr)
+        assert (out.read_bytes() if out.exists() else None) == written
+        out.unlink(missing_ok=True)
+
+
+def test_run_exits_with_mains_code_after_atexit_and_flushing(tmp_path):
+    _, env = _job(tmp_path, [])
+    script = ("import atexit, gc, sys\n"
+              "from lukra import cli\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+              "sys.argv[1:] = ['logic', 'refute', '--formula', 'p -> q', '--max-n', '2']\n"
+              "cli.run()\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["refuted"] is True
+    assert done.stderr.splitlines()[-1] == "frozen True"
+
+
+def test_the_console_script_is_the_process_entry():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", text, re.M).group(1)
+    assert re.findall(r'^(\w+)\s*=\s*"([\w.]+):(\w+)"', scripts, re.M) == [
+        ("lukra", "lukra.cli", "run")]
+    assert callable(cli.run)
 
 
 def test_fo_and_proofs_names_are_still_exported():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from lukra.fo import (
     fo_parse,
     substitute_term,
 )
+import oracles
 
 L3 = make_chain(3, with_delta=True, with_bottom=True)
 
@@ -142,3 +144,19 @@ def test_from_dict_roundtrip():
     assert fo_eval(fo_parse("forall x P(x)"), S) == 1
     assert fo_eval(fo_parse("forall x D P(x)"), S) == 0
     assert fo_eval(fo_parse("P(f(c))"), S) == 2
+
+
+def test_value_lists_are_freed_once_their_parents_read_them():
+    # each of the 18 nodes under the three quantifiers has a list of 8 * d**3
+    # bytes; a list freed once its parents have read it leaves about six alive
+    d = 30
+    S = structure(random.Random(d), d)
+    f = fo_parse("forall x exists y forall z (R(x, f(y)) -> R(f(z), y) & R(z, x))")
+    tracemalloc.start()
+    try:
+        value = fo_eval(f, S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == oracles.fo_eval(f, S, {})
+    assert peak < 10 * 8 * d ** 3

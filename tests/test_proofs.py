@@ -2,7 +2,6 @@ from pathlib import Path
 
 import pytest
 
-from lukra.derivations import classic_delta_derivations
 from lukra.formulas import parse
 from lukra.logic import consequence, is_tautology
 from lukra.proofs import (
@@ -15,6 +14,7 @@ from lukra.proofs import (
     parse_proof,
     serialize_proof,
 )
+from derivations import classic_delta_derivations
 
 FIXTURES = Path(__file__).parent / "fixtures" / "proofs"
 CLASSIC = ["LH20", "LH21", "LH24", "LH25", "LH26", "LH27"]
