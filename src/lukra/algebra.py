@@ -23,7 +23,9 @@ from .records import Record
 
 
 class AlgebraError(Exception):
-    """Base error for algebra construction and queries."""
+    """The root of every refusal of outside input: a malformed table, file,
+    formula, structure or proof, or a request past a guard.  The CLI exits 2
+    on it and 3 on every other exception."""
 
 
 class SignatureError(AlgebraError):
@@ -42,8 +44,9 @@ class DegenerateInputError(AlgebraError):
     """The operation needs a nontrivial algebra."""
 
 
-class InternalConsistencyError(AlgebraError):
-    """A structural fact that should hold by construction failed to hold."""
+class InternalConsistencyError(Exception):
+    """A structural fact that should hold by construction failed to hold;
+    an internal fault, not a refusal of input."""
 
 
 class FiniteAlgebra(Record):

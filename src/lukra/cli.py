@@ -5,6 +5,11 @@ report on stdout (or --out).  Exit codes: 0 when the checked property
 holds (or the query succeeded), 1 when a checked property is false, 2 for
 usage errors, 3 for internal inconsistencies and any unexpected error.  The
 environment variable LUKRA_GUARD overrides enumeration size guards.
+
+A usage error is a bad argument, an OSError or an AlgebraError, the root of
+every refusal of outside input; an input file that is not UTF-8 or not JSON
+is refused naming its path.  Every other exception, ValueError included, is
+internal.  --help prints every paragraph above this one.
 """
 
 from __future__ import annotations
@@ -41,15 +46,26 @@ def _guard(default: int) -> int:
 JSON_DEPTH = 100
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at `path`, closed before this returns."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise AlgebraError(f"{path}: {exc}") from exc
+
+
+def _load_json(path: str):
+    text = _read_text(path)
     depth = 0
     for bracket in re.findall(r"[\[\]{}]", re.sub(r'"(?:[^"\\]|\\.)*"', "", text)):
         depth += 1 if bracket in "[{" else -1
         if depth > JSON_DEPTH:
             raise AlgebraError(f"{path}: JSON nested deeper than {JSON_DEPTH} levels")
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except ValueError as exc:   # malformed JSON, or an int past Python's digit limit
+        raise AlgebraError(f"{path}: {exc}") from exc
 
 
 def _load_algebra(path: str) -> FiniteAlgebra:
@@ -276,9 +292,7 @@ def cmd_logic_prove_check(args) -> tuple[dict, str, bool]:
     from .formulas import to_text
     from .proofs import check_proof, parse_proof
 
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    P = parse_proof(text, system=args.system, n=args.n)
+    P = parse_proof(_read_text(args.infile), system=args.system, n=args.n)
     report = check_proof(P, qgen_reading=args.qgen)
     return ({**report.to_dict(), "conclusion": to_text(P.conclusion()),
              "hypotheses": [to_text(h) for h in P.hypotheses()]},
@@ -402,7 +416,7 @@ def build_parser(only: tuple[str, str] | None = None) -> argparse.ArgumentParser
     still names every group, so its top-level usage and errors are the
     full tree's; handlers are looked up in the module when this runs.
     """
-    top = argparse.ArgumentParser(prog="lukra", description=__doc__)
+    top = argparse.ArgumentParser(prog="lukra", description=__doc__.rpartition("\n\n")[0])
     groups = top.add_subparsers(dest="group", required=True)
     for group, verbs in _VERBS.items():
         g = groups.add_parser(group)
@@ -438,12 +452,12 @@ def main(argv=None) -> int:
     try:
         report, summary, holds = args.fn(args)
         _emit(report, args)
+    except (AlgebraError, OSError) as exc:
+        _say(f"error: {exc}")
+        return USAGE
     except InternalConsistencyError as exc:
         _say(f"internal inconsistency: {exc}")
         return INTERNAL
-    except (AlgebraError, OSError, ValueError) as exc:
-        _say(f"error: {exc}")
-        return USAGE
     except Exception as exc:
         # exit 1 means "property false", so an unforeseen error may not end there
         message = " ".join(str(exc).splitlines())
@@ -463,8 +477,8 @@ def run() -> None:
     the exit frees anyway.  Atexit handlers, flushing and reference counting
     are unchanged; only cyclic garbage left at exit is not collected.  That is
     safe because src/lukra has no __del__, weakref.finalize or atexit, and
-    every file a job opens (_load_json, _emit's --out handle and
-    cmd_logic_prove_check) is closed in a `with` block before main() returns;
+    every file a job opens (_read_text, behind every input file, and _emit's
+    --out handle) is closed in a `with` block before main() returns;
     keep it so.  In-process callers call main(), which never freezes: each
     freeze pins every cycle made so far.
     """

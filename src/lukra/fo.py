@@ -50,7 +50,7 @@ from .formulas import (
 from .records import Record, field
 
 
-class FOError(ValueError):
+class FOError(AlgebraError):
     """Malformed first-order input or evaluation failure."""
 
 

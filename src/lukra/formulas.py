@@ -30,11 +30,11 @@ from array import array
 from functools import partial
 from itertools import chain, compress, count, islice
 
-from .algebra import SizeGuardError
+from .algebra import AlgebraError, SizeGuardError
 from .records import Record
 
 
-class FormulaError(ValueError):
+class FormulaError(AlgebraError):
     """Raised for malformed formula text or evaluation errors."""
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 
+from .algebra import AlgebraError
 from .formulas import Formula, Imp, Delta, mismatch, parse, substitute, to_text, uses_bot
 from .logic import axiom_schemas_bot, axiom_schemas_n
 from .records import Record, field
@@ -25,7 +26,7 @@ SYSTEM_N = "n"
 SYSTEM_BOT = "bot"
 
 
-class ProofSyntaxError(ValueError):
+class ProofSyntaxError(AlgebraError):
     """Malformed proof text or ill-formed proof object."""
 
 
@@ -222,23 +223,33 @@ _AX_RE = re.compile(r"^AX(\w+?)(?:\[n=(\d+)\])?$")
 
 def parse_proof(text: str, system: str, n: int | None = None) -> Proof:
     lines = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         m = _LINE_RE.match(stripped)
         if m is None:
             raise ProofSyntaxError(f"bad proof line: {raw!r}")
-        idx = int(m.group(1))
+        idx = _number(m.group(1), "line index", lineno)
         formula = parse(m.group(2))
-        just = _parse_just(m.group(3))
+        just = _parse_just(m.group(3), lineno)
         lines.append(ProofLine(idx=idx, formula=formula, just=just))
     if not lines:
         raise ProofSyntaxError("empty proof")
     return Proof(system=system, n=n, lines=tuple(lines))
 
 
-def _parse_just(text: str):
+def _number(digits: str, what: str, lineno: int) -> int:
+    """int(digits) for a run of digits, which int() refuses only past its limit
+    on the length of the text it reads."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ProofSyntaxError(
+            f"{what} on text line {lineno} has {len(digits)} digits, too many to read") from exc
+
+
+def _parse_just(text: str, lineno: int):
     parts = text.split()
     if not parts:
         raise ProofSyntaxError("missing justification")
@@ -248,7 +259,7 @@ def _parse_just(text: str):
         if m is None or len(parts) != 1:
             raise ProofSyntaxError(f"bad axiom citation {text!r}")
         return ByAxiom(name=f"AX{m.group(1)}",
-                       level=int(m.group(2)) if m.group(2) else None)
+                       level=_number(m.group(2), "axiom level", lineno) if m.group(2) else None)
     try:
         if head == "MP" and len(parts) == 3:
             return ByMP(i=int(parts[1]), j=int(parts[2]))

@@ -466,9 +466,12 @@ def test_chain_and_product_tables_are_guarded(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("error, message", [
     (TypeError, "unsupported operand second line"),
     (KeyError, r"'unsupported operand\nsecond line'"),   # str() of a KeyError is its key's repr
-], ids=["TypeError", "KeyError"])
+    (ValueError, "unsupported operand second line"),
+    (IndexError, "unsupported operand second line"),
+], ids=["TypeError", "KeyError", "ValueError", "IndexError"])
 def test_unexpected_errors_exit_3(capsys, monkeypatch, error, message):
-    # no input check raises a KeyError, so one is an internal fault too
+    # every refusal of input is an AlgebraError, so any builtin error,
+    # ValueError included, is an internal fault
     import lukra.cli
 
     def broken(args):
@@ -479,6 +482,37 @@ def test_unexpected_errors_exit_3(capsys, monkeypatch, error, message):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == f"internal error: {error.__name__}: {message}\n"
+
+
+_LONG = b"9" * 5000      # past the 4300 digits int() reads from text
+
+
+@pytest.mark.parametrize("text, argv, start", [
+    (b'{"size": 2,', ["algebra", "check", "--in", "@"],
+     "@: Expecting property name enclosed in double quotes"),
+    (b"\xff", ["algebra", "check", "--in", "@"], "@: 'utf-8' codec can't decode byte 0xff"),
+    (b"\xff", ["logic", "fo-eval", "--structure", "@", "--formula", "P(c)"],
+     "@: 'utf-8' codec can't decode byte 0xff"),
+    (b"1. p -> q -> p ; AX1\n\xff", ["logic", "prove-check", "--system", "n", "--n", "3", "--in", "@"],
+     "@: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"size": ' + _LONG + b', "top": 0, "imp": [[0]]}', ["algebra", "check", "--in", "@"],
+     "@: Exceeds the limit"),
+    (json.dumps(_structure()).encode().replace(b'"domain_size": 2', b'"domain_size": ' + _LONG),
+     ["logic", "fo-eval", "--structure", "@", "--formula", "P(c)"], "@: Exceeds the limit"),
+    (b"# a comment\n" + _LONG + b". p -> q -> p ; AX1", ["logic", "prove-check", "--system", "bot", "--in", "@"],
+     "line index on text line 2 has 5000 digits, too many to read"),
+    (b"1. p -> q -> p ; AX1[n=" + _LONG + b"]", ["logic", "prove-check", "--system", "n", "--n", "3", "--in", "@"],
+     "axiom level on text line 1 has 5000 digits, too many to read"),
+], ids=["truncated-json", "algebra-not-utf8", "structure-not-utf8", "proof-not-utf8",
+        "algebra-long-int", "structure-long-int", "proof-long-index", "proof-long-level"])
+def test_unreadable_input_is_refused_naming_its_file_or_line(capsys, tmp_path, text, argv, start):
+    p = tmp_path / "input"
+    p.write_bytes(text)
+    code = main([str(p) if a == "@" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: " + start.replace("@", str(p))), captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 # -- the streamed report: json.dumps' bytes, never the whole text held ---------
@@ -897,6 +931,8 @@ def test_every_malformed_input_keeps_the_exit_contract(kind, data):
     assert code in (0, 1, 2, 3) and "Traceback" not in err
     if code in (2, 3):
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (code, err)
-        assert err.startswith(("error: ", "internal inconsistency: ", "internal error: ")), err
+        # malformed input is refused or fails a consistency check; it never
+        # reaches the branch of unexpected errors
+        assert err.startswith("error: " if code == 2 else "internal inconsistency: "), err
     else:
         json.loads(out)
