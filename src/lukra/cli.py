@@ -14,13 +14,13 @@ internal.  --help prints every paragraph above this one.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import os
 import re
 import sys
+import types
 
 from . import algebra as alg
 from .algebra import AlgebraError, FiniteAlgebra, InternalConsistencyError
@@ -105,7 +105,7 @@ def _emit(report: dict, args) -> None:
     """Write the report as json.dumps(report, indent=2, sort_keys=True) would,
     chunk by chunk, so the whole text is never held.  A report that fails to
     serialize, or a failed write, removes the partly written --out file."""
-    if not getattr(args, "out", None):
+    if args.out is None:
         sys.stdout.writelines(_chunks(report))
         sys.stdout.write("\n")
         return
@@ -356,9 +356,14 @@ def cmd_logic_hierarchy(args) -> tuple[dict, str, bool]:
 # Every verb as {group: {verb: (help, options)}}, each option a (flag,
 # add_argument keywords) pair after the --out that every verb takes.  The
 # handler of (group, verb) is cmd_<group>_<verb> with "-" read as "_".
+# _read_argv reads a job's argv from this table without argparse; it
+# interprets the keywords dest, action (store_true or append), type (int),
+# choices, required, default and help, and leaves an option with any other
+# keyword to argparse.
 _FLAG = {"action": "store_true"}
 _INT = {"type": int, "required": True}
 _TEXT = {"required": True}
+_OUT = ("--out", {"help": "write the JSON report to this file"})
 _IN = ("--in", {"dest": "infile", "required": True})
 _FORCE = ("--force", _FLAG)
 _MODE = ("--mode", {"choices": ["repaired", "literal"], "default": "repaired"})
@@ -408,28 +413,76 @@ _VERBS = {
     },
 }
 
+_READ_KEYWORDS = {"dest", "action", "type", "choices", "required", "default", "help"}
 
-def build_parser(only: tuple[str, str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or only of the (group, verb) pair `only`.
 
-    Both read _VERBS, so a verb parses alike in either.  The one-verb tree
-    still names every group, so its top-level usage and errors are the
-    full tree's; handlers are looked up in the module when this runs.
+def _handler(group: str, verb: str):
+    """cmd_<group>_<verb>, looked up in the module when called."""
+    return globals()[f"cmd_{group}_{verb.replace('-', '_')}"]
+
+
+def _read_argv(argv: list[str]):
+    """The namespace build_parser().parse_args(argv) gives, read straight from
+    _VERBS, or None to leave argv to argparse.
+
+    It reads exactly `group verb` followed by declared flags spelled in full,
+    each with its value.  It returns None for help, abbreviations,
+    --flag=value, --, a value starting with "-" (argparse takes --n -1), a
+    missing value, a value int() or the choices refuse, a missing required
+    flag, and an option with a keyword it does not interpret.
     """
+    if len(argv) < 2 or argv[1] not in _VERBS.get(argv[0], {}):
+        return None
+    group, verb = argv[0], argv[1]
+    ns = {"group": group, "verb": verb, "fn": _handler(group, verb)}
+    options, required = {}, set()
+    for flag, kwargs in (_OUT, *_VERBS[group][verb][1]):
+        action = kwargs.get("action", "store")
+        if (kwargs.keys() - _READ_KEYWORDS or action not in ("store", "store_true", "append")
+                or kwargs.get("type", int) is not int):
+            return None
+        dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+        ns[dest] = kwargs.get("default", False if action == "store_true" else None)
+        options[flag] = dest, action, kwargs
+        if kwargs.get("required"):
+            required.add(flag)
+    tokens = iter(argv[2:])
+    for flag in tokens:
+        if flag not in options:
+            return None
+        dest, action, kwargs = options[flag]
+        required.discard(flag)
+        if action == "store_true":
+            ns[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in kwargs:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        ns[dest] = [*(ns[dest] or ()), value] if action == "append" else value
+    return None if required else types.SimpleNamespace(**ns)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every verb, read from _VERBS.  main builds it
+    only for an argv _read_argv leaves: help, usage errors and the forms that
+    reader declines; argparse is imported here, off a job's path."""
+    import argparse
+
     top = argparse.ArgumentParser(prog="lukra", description=__doc__.rpartition("\n\n")[0])
     groups = top.add_subparsers(dest="group", required=True)
     for group, verbs in _VERBS.items():
-        g = groups.add_parser(group)
-        if only is not None and group != only[0]:
-            continue
-        subs = g.add_subparsers(dest="verb", required=True)
+        subs = groups.add_parser(group).add_subparsers(dest="verb", required=True)
         for verb, (help_text, options) in verbs.items():
-            if only is not None and verb != only[1]:
-                continue
             p = subs.add_parser(verb, help=help_text)
-            p.set_defaults(fn=globals()[f"cmd_{group}_{verb.replace('-', '_')}"])
-            p.add_argument("--out", help="write the JSON report to this file")
-            for flag, kwargs in options:
+            p.set_defaults(fn=_handler(group, verb))
+            for flag, kwargs in (_OUT, *options):
                 p.add_argument(flag, **kwargs)
     return top
 
@@ -439,16 +492,12 @@ def main(argv=None) -> int:
     Each handler returns (report, summary, holds): the JSON report, the stderr
     line, and whether the checked property holds (True for a plain query)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a job names its verb first, so only that verb's parser is built;
-    # help, a group alone or a typo get the full tree
-    only = tuple(argv[:2])
-    if len(only) < 2 or only[1] not in _VERBS.get(only[0], {}):
-        only = None
-    parser = build_parser(only)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else 0
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return USAGE if exc.code not in (0, None) else 0
     try:
         report, summary, holds = args.fn(args)
         _emit(report, args)

@@ -197,6 +197,10 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["filters", "list", "--in", str(big)]) == 2
     assert main(["filters", "list", "--in", str(big), "--force"]) == 0
     capsys.readouterr()
+    # an empty --out path is read as argparse reads it, and is unwritable
+    assert cli._read_argv(["algebra", "chain", "--n", "3", "--out", ""]).out == ""
+    assert main(["algebra", "chain", "--n", "3", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def answer(capsys, verb, where, formula):
@@ -609,7 +613,7 @@ def test_unserializable_report_exits_3_and_leaves_no_file(capsys, monkeypatch, t
         assert captured.out.startswith('{\n  "a": [\n    1,\n    2\n  ]')
 
 
-# -- start-up: one verb's parser, and only the modules that verb runs ----------
+# -- start-up: no parser for a job, and only the modules its verb runs --------
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -619,10 +623,12 @@ from lukra.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m in ("dataclasses", "fractions") or m.split(".")[0] == "lukra")]))
+                               if m in ("argparse", "dataclasses", "fractions", "gettext", "locale")
+                               or m.split(".")[0] == "lukra")]))
 """
 
-# every job loads these; no verb loads dataclasses or fractions
+# every job loads these; no job loads argparse, gettext or locale, and no
+# verb loads dataclasses or fractions
 CORE = ["lukra", "lukra.algebra", "lukra.cli", "lukra.records"]
 
 
@@ -753,40 +759,112 @@ def _parse_failure(parser, argv):
     return exc.value.code, err.getvalue()
 
 
-FULL_VERBS = [(g, v) for g, v, _ in _verb_parsers(cli.build_parser())]
+PARSER = cli.build_parser()
+FULL_VERBS = [(g, v) for g, v, _ in _verb_parsers(PARSER)]
 
 
+def _named(ns):
+    """vars(ns) with the handler by name."""
+    return {**vars(ns), "fn": ns.fn.__name__}
+
+
+def _parsed(argv):
+    """What argparse makes of argv, fn by name, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _named(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# the reader of a job's argv is one verb's parser: for each verb it gives the
+# full argparse tree's namespace, and leaves every usage error to that tree
 @pytest.mark.parametrize("group, verb", FULL_VERBS, ids=[f"{g}-{v}" for g, v in FULL_VERBS])
 def test_one_verb_parser_matches_the_full_tree(group, verb):
-    full = cli.build_parser()
-    one = cli.build_parser((group, verb))
-    vp = next(p for g, v, p in _verb_parsers(full) if (g, v) == (group, verb))
+    vp = next(p for g, v, p in _verb_parsers(PARSER) if (g, v) == (group, verb))
     argv = [group, verb, *_valid_argv(vp)]
-
-    def parsed(parser):
-        ns = vars(parser.parse_args(argv))
-        return {**ns, "fn": ns["fn"].__name__}
-
-    assert parsed(one) == parsed(full)
-    assert parsed(full)["fn"] == f"cmd_{group}_{verb.replace('-', '_')}"
+    assert _named(cli._read_argv(argv)) == _parsed(argv)
+    assert _parsed(argv)["fn"] == f"cmd_{group}_{verb.replace('-', '_')}"
     required = next(a for a in vp._actions if a.required)
     flag = argv.index(required.option_strings[0])
     missing = argv[:flag] + argv[flag + (1 if required.nargs == 0 else 2):]
     for bad in (missing, argv + ["--bogus"]):
-        code, err = _parse_failure(full, bad)
+        code, err = _parse_failure(PARSER, bad)
         assert code == 2 and err.startswith("usage: lukra")
-        assert _parse_failure(one, bad) == (code, err)
+        assert cli._read_argv(bad) is None
 
 
-def test_main_builds_only_the_named_verb(monkeypatch, capsys):
+@JOBS
+def test_every_job_argv_is_read_without_argparse(argv, code, loaded):
+    assert _named(cli._read_argv(argv)) == _parsed(argv)
+
+
+# values argparse reads in its own way: "" is a value, "-1" a negative number,
+# int() strips spaces and reads underscores and non-ASCII digits
+_ODD_VALUES = ["", "-1", "-x", " 3", "3_0", "\u0663", "x", "3", "0"]
+_STRAY = ["-h", "--help", "--", "--bogus", "stray", "-n"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one verb: its declared flags in random order and subsets,
+    duplicated, joined with `=`, abbreviated or left without a value, with
+    odd values, choice typos, stray tokens and now and then a broken head."""
+    group, verb, vp = draw(st.sampled_from(_verb_parsers(PARSER)))
+    head = draw(st.sampled_from([[group, verb]] * 8 + [
+        [group], [group, verb[:-1]], [verb, group], ["-h", group, verb], [group, "--help", verb]]))
+    actions = [a for a in vp._actions if a.option_strings and a.dest != "help"]
+    chosen = [a for a in actions if draw(st.integers(0, 9)) < 8]
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=2))
+    tokens = []
+    for action in draw(st.permutations(chosen)):
+        flag = action.option_strings[0]
+        good = action.choices or ["3" if action.type is int else "x"]
+        odd = _ODD_VALUES + [c[:-1] for c in action.choices or []] + [c + "x" for c in action.choices or []]
+        value = draw(st.sampled_from(good * len(odd) + odd))
+        form = draw(st.sampled_from(["plain"] * 24 + ["joined", "abbreviated", "bare", "stray"]))
+        if form == "stray":
+            tokens.append(draw(st.sampled_from(_STRAY)))
+        elif form == "joined":
+            tokens.append(f"{flag}={value}")
+        elif form == "abbreviated":
+            tokens += [flag[:max(3, len(flag) - 1)], value][:1 if action.nargs == 0 else 2]
+        elif form == "bare" or action.nargs == 0:
+            tokens.append(flag)
+        else:
+            tokens += [flag, value]
+    return head + tokens
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_reader_gives_argparses_namespace_or_declines(argv):
+    got, want = cli._read_argv(argv), _parsed(argv)
+    if want is None:
+        assert got is None
+    elif got is not None:
+        assert _named(got) == want
+
+
+def test_main_builds_a_parser_only_off_a_jobs_path(monkeypatch, capsys):
     built = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
-    main(["logic", "taut", "--n", "3", "--formula", "p -> p"])
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert main(["logic", "taut", "--n", "3", "--formula", "p -> p"]) == 0
+    assert built == []
     for argv in (["--help"], ["logic", "--help"], ["logic"], ["logic", "tuat"], []):
         assert main(argv) in (0, 2)
+        assert len(built) == 1
+        built.clear()
     capsys.readouterr()
-    assert built == [("logic", "taut"), None, None, None, None, None]
+
+
+def test_help_loads_argparse(tmp_path):
+    _, env = _job(tmp_path, [])
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, "--help"],
+                          capture_output=True, text=True, env=env, timeout=30, check=True)
+    code, loaded = json.loads(done.stdout)
+    assert code == 0 and {"argparse", "gettext", "locale"} <= set(loaded)
 
 
 TOP_HELP = """\
