@@ -194,13 +194,19 @@ def check_object(value, where: str, required=()) -> dict:
     return value
 
 
+def _count_text(x: int) -> str:
+    """x in decimal for a refusal's message, or "more than 10^2700" past
+    9000 bits, below the 4300 digits the interpreter converts by default."""
+    return str(x) if x.bit_length() <= 9000 else "more than 10^2700"
+
+
 def check_table_size(size: int, guard: int) -> None:
     """Refuse, with SizeGuardError, an algebra of `size` elements whose
     implication table of size^2 entries would exceed `guard`."""
     entries = size * size
     if entries > guard:
-        raise SizeGuardError(
-            f"predicted table of {entries} entries ({size} elements) exceeds guard {guard}")
+        raise SizeGuardError(f"predicted table of {_count_text(entries)} entries "
+                             f"({size} elements) exceeds guard {guard}")
 
 
 # ---------------------------------------------------------------------------

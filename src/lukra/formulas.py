@@ -19,7 +19,9 @@ programs (`compile_term`, behind `eval_formula`), the evaluator of
 equations on value tables of terms and the schema matcher.  The evaluator
 interns a batch of equations once (`EquationBatch`) and tabulates it on any
 algebra of its signature: `equation_violations`, behind the law checks, on
-one algebra, and the decisions of `logic` on each chain in turn.
+one algebra, and the decisions of `logic` on each chain in turn.  A carrier
+of at most 16 elements is tabulated whole, one `bytes.translate` per
+subterm; a larger one slab by slab.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from array import array
 from functools import partial
 from itertools import chain, compress, count, islice
 
-from .algebra import AlgebraError, SizeGuardError
+from .algebra import AlgebraError, SizeGuardError, _count_text
 from .records import Record
 
 
@@ -479,18 +481,25 @@ def equation_violations(A, equations, every: bool = False,
     violating assignments in lexicographic order: the least one only, or
     all of them with `every`.
 
-    Every distinct subterm of the equations is tabulated once, as a
-    row-major table over the variables it uses, sorted by name.  The search
-    goes slab by slab of each equation's first variable, in increasing
-    order: the subterms that use that variable are tabulated per slab over
-    their other variables, shared by every equation with the same first
-    variable, and the others are tabulated once and kept across slabs.  So
-    a k-variable equation holds about N^(k-1) entries per subterm, and
-    without `every` it stops at its first violating slab.  Before any table
-    is built, the entries held at once are predicted (every table kept
-    across slabs, one slab table of each other subterm, and each equation's
-    sides and premises spread over its slab); more than `guard` of them
-    raise SizeGuardError.
+    Before any table is built, the entries the slab-by-slab search holds
+    at once are predicted (every table kept across slabs, one slab table
+    of each other subterm, and each equation's sides and premises spread
+    over its slab); more than `guard` of them raise SizeGuardError.
+
+    On a carrier of at most 16 elements the equations go by their axes,
+    the positions of their names, and every distinct subterm of a group is
+    tabulated once over all of its axes, each step one `bytes.translate`
+    or big-int sum: a k-variable equation holds N^k entries per subterm.
+    A group whose tables, distinct subterms times N^k, would exceed `guard`
+    takes the slab-by-slab search instead, as every larger carrier does.
+    There every distinct subterm is tabulated once, as a row-major table
+    over the variables it uses, sorted by name, slab by slab of each
+    equation's first variable, in increasing order: the subterms that use
+    that variable are tabulated per slab over their other variables,
+    shared by every equation with the same first variable, and the others
+    are tabulated once and kept across slabs.  So a k-variable equation
+    holds about N^(k-1) entries per subterm, and without `every` it stops
+    at its first violating slab.  Both searches list the same assignments.
 
     Raises FormulaError as `compile_term` does, at the first offending node
     in pre-order of the first offending equation (lhs, rhs, then the
@@ -498,7 +507,7 @@ def equation_violations(A, equations, every: bool = False,
     """
     batch = EquationBatch(equations, A.delta is not None, A.bottom is not None)
     batch.check_guard(A.size, guard)
-    return batch.violations(A, range(len(batch.plans)), every)
+    return batch.violations(A, range(len(batch.plans)), every, guard)
 
 
 class _Plan(Record):
@@ -523,6 +532,8 @@ class EquationBatch:
     `equation_violations` does.  Each distinct subterm is one node: its key
     is ("v", name), ("t",), ("f",), ("i", left, right) or ("d", child),
     children by node id, and `vars` holds the sorted names it uses.
+    `violations` tabulates whole tables on carriers of at most 16 elements
+    when they fit its guard, and slab by slab otherwise.
     """
 
     def __init__(self, equations, delta: bool, bottom: bool):
@@ -583,12 +594,103 @@ class EquationBatch:
                    + sum((2 + 2 * len(plan.premises)) * n ** len(plan.space)
                          for plan in self.plans))
         if entries > guard:
-            raise SizeGuardError(
-                f"predicted {entries} table entries held at once exceed guard {guard}")
+            raise SizeGuardError(f"predicted {_count_text(entries)} table entries "
+                                 f"held at once exceed guard {guard}")
 
-    def violations(self, A, which, every: bool = False) -> list[list[tuple[int, ...]]]:
+    def violations(self, A, which, every: bool = False,
+                   guard: int = TABLE_GUARD) -> list[list[tuple[int, ...]]]:
         """The assignments of A, an algebra of the batch's signature, that
-        violate each plan in `which`, as `equation_violations` lists them."""
+        violate each plan in `which`, as `equation_violations` lists them.
+
+        On a carrier of at most 16 elements, where a pair of carrier indices
+        fits one byte, the plans go by their axes (slab variable, then
+        space): each group whose tables, one per distinct node over all of
+        its axes, fit `guard` is tabulated whole (`_violations_whole`);
+        every other plan goes slab by slab (`_violations_by_slab`), whose
+        tables `check_guard` bounds.
+        """
+        which = list(which)
+        plans = [self.plans[i] for i in which]
+        out: list = [None] * len(plans)
+        by_slab = range(len(plans))
+        if A.size * A.size <= 256:
+            maps = _byte_maps(A)
+            by_slab, groups = [], {}
+            for j, plan in enumerate(plans):
+                groups.setdefault((plan.slab_var, *plan.space) if plan.width else (), []).append(j)
+            for axes, members in groups.items():
+                group = [plans[j] for j in members]
+                nodes = {i for plan in group for i in chain(plan.fixed_nodes, plan.slab_nodes)}
+                if len(nodes) * A.size ** len(axes) > guard:
+                    by_slab += members
+                    continue
+                for j, hits in zip(members, self._violations_whole(A, maps, axes, group, every)):
+                    out[j] = hits
+        if by_slab:
+            found = self._violations_by_slab(A, [which[j] for j in by_slab], every)
+            for j, hits in zip(by_slab, found):
+                out[j] = hits
+        return out
+
+    def _violations_whole(self, A, maps, axes, plans, every: bool) -> list[list[tuple[int, ...]]]:
+        """`violations` of `plans`, all over `axes`, on A of at most 16
+        elements, whose `_byte_maps` are `maps`, with every table over all
+        of `axes`.
+
+        A table is `bytes`, row-major over `axes`, shared by the plans in one
+        memo.  A variable is its coordinate table and a constant one byte
+        repeated; D translates its child by delta.  For a -> b, the bytes
+        a * N + b form the pair code (each below N * N <= 256, so the sum of
+        a's table times N and b's table, read as big-endian ints, never
+        carries), which one translate maps by imp.  The violation mask is
+        the (lhs, rhs) pair code mapped by `!=`, ANDed as an int with each
+        premise's `==` mask, and its ones are the violating assignments.
+        """
+        n = A.size
+        size = n ** len(axes)
+        times, by_imp, ne, eq, delta = maps
+
+        def code(left, right) -> bytes:
+            return (int.from_bytes(left.translate(times), "big")
+                    + int.from_bytes(right, "big")).to_bytes(size, "big")
+
+        keys, memo = self.keys, {}
+        out = []
+        for plan in plans:
+            for i in chain(plan.fixed_nodes, plan.slab_nodes):
+                if i in memo:
+                    continue
+                key = keys[i]
+                kind = key[0]
+                if kind == "i":
+                    data = code(memo[key[1]], memo[key[2]]).translate(by_imp)
+                elif kind == "d":
+                    data = memo[key[1]].translate(delta)
+                elif kind == "v":
+                    inner = n ** (len(axes) - 1 - axes.index(key[1]))
+                    data = b"".join(bytes([x]) * inner for x in range(n)) * (size // (n * inner))
+                else:
+                    data = bytes([A.top if kind == "t" else A.bottom]) * size
+                memo[i] = data
+            hits = []
+            out.append(hits)
+            left, right = memo[plan.lhs], memo[plan.rhs]
+            if left == right:
+                continue
+            mask = code(left, right).translate(ne)
+            if plan.premises:
+                bits = int.from_bytes(mask, "big")
+                for a, b in plan.premises:
+                    bits &= int.from_bytes(code(memo[a], memo[b]).translate(eq), "big")
+                mask = bits.to_bytes(size, "big")
+            h = mask.find(1)
+            while h >= 0:
+                hits.append(_digits(h, n, plan.width))
+                h = mask.find(1, h + 1) if every else -1
+        return out
+
+    def _violations_by_slab(self, A, which, every: bool = False) -> list[list[tuple[int, ...]]]:
+        """`violations` slab by slab of each plan's first variable, on any A."""
         tables = _TermTables(self, A)
         plans = [self.plans[i] for i in which]
         out = [[] for _ in plans]
@@ -619,6 +721,20 @@ class EquationBatch:
                 if not every and all(out[i] for i in members):
                     break
         return out
+
+
+def _byte_maps(A):
+    """The `bytes.translate` tables of A, at most 16 elements: x -> x * N,
+    the pair code a * N + b -> imp, != and ==, and delta (None without)."""
+    n = A.size
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+
+    def lookup(values) -> bytes:
+        return bytes(values).ljust(256, b"\0")
+
+    return (lookup(a * n for a in range(n)), lookup(A.imp[a][b] for a, b in pairs),
+            lookup(a != b for a, b in pairs), lookup(a == b for a, b in pairs),
+            lookup(A.delta) if A.delta is not None else None)
 
 
 class _TermTables:
@@ -738,13 +854,16 @@ class _TermTables:
 
     def decode(self, v, h, width) -> tuple[int, ...]:
         """The assignment at index h of slab v of a `width`-variable equation."""
-        if not width:
-            return ()
-        digits = []
-        for _ in range(width - 1):
-            h, d = divmod(h, self.n)
-            digits.append(d)
-        return (v, *reversed(digits))
+        return (v, *_digits(h, self.n, width - 1)) if width else ()
+
+
+def _digits(h, n, width) -> tuple[int, ...]:
+    """The `width` base-n digits of h, most significant first."""
+    digits = []
+    for _ in range(width):
+        h, d = divmod(h, n)
+        digits.append(d)
+    return tuple(reversed(digits))
 
 
 def eval_formula(f: Formula, algebra, valuation: dict[str, int]) -> int:

@@ -9,9 +9,12 @@ A tautology is the identity f ~ T, a matrix consequence the
 quasi-identity "if every hypothesis ~ T then f ~ T", and an equivalence
 the identity f ~ g.  All three are decided on value tables of subterms:
 one `formulas.EquationBatch` per decision, its table guard predicted once
-at level n, then the chains built one at a time, smallest first.  The
-theorem suite and the hierarchy check send their whole catalogue through
-one batch, so a subterm shared by many entries is tabulated once per chain.
+at level n, then the chains built one at a time, smallest first, each
+chain's k^2 implication entries counted against the same guard.  The chains
+up to L_16 are tabulated whole, one `bytes.translate` per subterm, and
+larger ones slab by slab.  The theorem suite and the hierarchy check send
+their whole catalogue through one batch, so a subterm shared by many
+entries is tabulated once per chain.
 
 Counterexamples report the smallest chain size first and then the
 lexicographically least valuation, for stable goldens.
@@ -19,7 +22,7 @@ lexicographically least valuation, for stable goldens.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, CheckReport, make_chain
+from .algebra import AlgebraError, CheckReport, SizeGuardError, _count_text, make_chain
 from .formulas import (
     BOT,
     TOP,
@@ -99,12 +102,15 @@ class Verdict(Record):
 def _decide(equations, n: int, guard: int) -> list[Verdict]:
     """Decide each (lhs, rhs, premises) quasi-equation at level n.
 
-    The equations are interned once, and the guard is checked at level n,
-    whose chain holds the largest tables, before any chain is built.  Then
-    the chains are built and tabulated one at a time in increasing size,
-    each over the equations no smaller chain has violated, so a
-    counterexample is the smallest chain and then the least valuation of
-    the sorted variable names.
+    The equations are interned once, and the table guard is checked at
+    level n, whose chain holds the largest tables, before any chain is
+    built.  Then the chains are built and tabulated one at a time in
+    increasing size, each over the equations no smaller chain has violated,
+    so a counterexample is the smallest chain and then the least valuation
+    of the sorted variable names.  The k^2 implication entries of each
+    chain L_k count against `guard` too: the sweep raises SizeGuardError at
+    the first chain that would take the running count past it, so a
+    counterexample on a smaller chain is still answered.
     """
     _need_level(n)
     eqs = []
@@ -115,11 +121,18 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
     batch.check_guard(n, guard)
     out = [Verdict(True)] * len(eqs)
     pending = list(range(len(eqs)))
+    built = 0
     for k in range(2, n + 1):
         if not pending:
             break
+        built += k * k
+        if built > guard:
+            total = n * (n + 1) * (2 * n + 1) // 6 - 1     # sum of k^2 over k = 2..n
+            raise SizeGuardError(
+                f"the chains L_2..L_{n} hold {_count_text(total)} table entries in all; "
+                f"their running count passes guard {guard} at level {k}")
         chain = make_chain(k, with_delta=True, with_bottom=True)
-        found = batch.violations(chain, pending)
+        found = batch.violations(chain, pending, guard=guard)
         for i, ws in zip(pending, found):
             if ws:
                 out[i] = Verdict(False, (k, dict(zip(eqs[i][0], ws[0]))))

@@ -370,6 +370,37 @@ def test_logic_table_guard(capsys, monkeypatch):
     capsys.readouterr()
 
 
+
+def test_logic_chain_sweep_guard(capsys, monkeypatch):
+    # the chains L_2..L_n count k^2 entries each against the guard, so a huge
+    # level is refused instead of swept; a counterexample before it answers
+    huge = "99999999999999999999"
+    total = int(huge) * (int(huge) + 1) * (2 * int(huge) + 1) // 6 - 1
+    monkeypatch.setenv("LUKRA_GUARD", "100")
+    assert main(["logic", "taut", "--n", huge, "--formula", "p -> p"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the chains L_2..L_{huge} hold {total} table entries in all; "
+        "their running count passes guard 100 at level 7\n")
+    code, report = run(capsys, "logic", "refute", "--max-n", huge, "--formula", "p")
+    assert code == 1 and report["counterexample"] == {"chain": 2, "valuation": {"p": 0}}
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["logic", "taut", "--n", "1" + "0" * 1500, "--formula", "p -> q -> r -> s"],
+    ["logic", "taut", "--n", "1" + "0" * 1500, "--formula", "p -> p"],
+    ["algebra", "chain", "--n", "1" + "0" * 2500],
+])
+def test_a_refused_count_past_the_printable_digits(capsys, monkeypatch, argv):
+    # a predicted count of more digits than the interpreter converts to text
+    # is named by a bound, so the refusal exits 2, not 3
+    monkeypatch.setenv("LUKRA_GUARD", "100")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and " more than 10^2700 " in captured.err
+
 def usage_error(capsys, argv, message):
     """main(argv) exits 2 with `message` as its one stderr line and no report."""
     code = main(argv)

@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import product as iter_product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,14 @@ from lukra.algebra import (
     product,
     with_delta,
 )
+from lukra import formulas
 from lukra.catalog import chain_with_broken_delta, five_element_non_admissible
 from lukra.formulas import (
     BOT,
     TABLE_GUARD,
     TOP,
     Delta,
+    EquationBatch,
     FormulaError,
     Imp,
     Var,
@@ -189,9 +192,9 @@ terms = st.recursive(
 
 
 @st.composite
-def random_tables(draw):
+def random_tables(draw, max_size=6):
     """Any in-range tables, mostly not algebras of the variety."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_size))
     cell = st.integers(0, n - 1)
     imp = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
     top = draw(cell)
@@ -279,3 +282,62 @@ def test_table_guard_refuses_before_tabulating():
     with pytest.raises(SizeGuardError, match=rf"predicted \d+ table entries held at once "
                                              rf"exceed guard {TABLE_GUARD}$"):
         check_identity(A, parse("x -> y -> z -> w -> x"), TOP)
+
+
+# ---------------------------------------------------------------------------
+# The two tabulations of `EquationBatch.violations`: whole tables on carriers
+# of at most 16 elements against the slab-by-slab path every carrier takes.
+# ---------------------------------------------------------------------------
+
+# chains 2..16 and any in-range tables of at most 16 elements
+small_algebras = st.one_of(
+    st.builds(make_chain, st.integers(2, 16), with_delta=st.booleans(),
+              with_bottom=st.booleans()),
+    random_tables(16),
+)
+
+
+@st.composite
+def equations_over(draw, delta, bottom):
+    """(names, lhs, rhs, premises) in the signature of an algebra: premises,
+    unused and repeated names, and laws over no variable at all."""
+    atoms = [Var(x) for x in NAMES[:3]] + [TOP] + ([BOT] if bottom else [])
+    law_terms = st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(st.builds(Imp, inner, inner),
+                                *([st.builds(Delta, inner)] if delta else [])),
+        max_leaves=6)
+    lhs, rhs = draw(law_terms), draw(law_terms)
+    premises = tuple(draw(st.lists(st.tuples(law_terms, law_terms), max_size=2)))
+    used = set().union(*(variables(t) for pair in [(lhs, rhs), *premises] for t in pair))
+    names = list(draw(st.permutations(sorted(used | set(draw(st.lists(
+        st.sampled_from(NAMES[:3]), max_size=1)))))))
+    if names and draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+    return tuple(names), lhs, rhs, premises
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_whole_tables_match_the_slabs(data):
+    A = data.draw(small_algebras)
+    delta, bottom = A.delta is not None, A.bottom is not None
+    equations = data.draw(st.lists(equations_over(delta, bottom), min_size=1, max_size=4))
+    which = data.draw(st.permutations(range(len(equations))))[:data.draw(
+        st.integers(1, len(equations)))]
+    every = data.draw(st.booleans())
+    batch = EquationBatch(equations, delta, bottom)
+    with mock.patch.object(formulas, "_TermTables", side_effect=AssertionError("slab path")):
+        whole = batch.violations(A, which, every)
+    assert whole == batch._violations_by_slab(A, which, every)
+
+
+def test_whole_tables_fall_back_to_slabs_past_the_guard():
+    # four distinct subterms (x, y, x -> y, y -> x), each a whole table of 16^2
+    A = make_chain(16, with_delta=True)
+    batch = EquationBatch([(("x", "y"), parse("x -> y"), parse("y -> x"), ())], True, False)
+    with mock.patch.object(formulas, "_TermTables", side_effect=AssertionError("slab path")):
+        assert batch.violations(A, [0], guard=4 * 16**2) == [[(0, 1)]]
+        with pytest.raises(AssertionError, match="slab path"):
+            batch.violations(A, [0], guard=4 * 16**2 - 1)
+    assert batch.violations(A, [0], guard=4 * 16**2 - 1) == [[(0, 1)]]

@@ -6,9 +6,10 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lukra.algebra import AlgebraError, make_chain
+from lukra.algebra import AlgebraError, SizeGuardError, make_chain
 from lukra.formulas import (
     BOT,
+    TABLE_GUARD,
     TOP,
     Delta,
     Imp,
@@ -286,3 +287,50 @@ def test_a_decision_holds_one_chain_at_a_time():
         tracemalloc.stop()
     assert verdict.holds
     assert peak < 2 * 10**6
+
+
+def test_small_chains_are_tabulated_whole(monkeypatch):
+    # L_2..L_16 never build the slab path's tables; L_17 does
+    def slabs(*args):
+        raise AssertionError("slab path")
+
+    monkeypatch.setattr("lukra.formulas._TermTables", slabs)
+    f = parse("(p -> q) | (q -> p)")
+    assert is_tautology(f, 16).holds
+    assert theorem_suite(12).passed
+    with pytest.raises(AssertionError, match="slab path"):
+        is_tautology(f, 17)
+
+
+def test_theorem_suite_tables_stay_small():
+    # three variables over L_12: a whole table holds 1728 entries, one byte each
+    tracemalloc.start()
+    try:
+        report = theorem_suite(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 10**6
+
+
+def test_the_chain_sweep_is_bounded():
+    # the chains L_2..L_n hold sum k^2 = n(n+1)(2n+1)/6 - 1 implication entries
+    f = parse("p -> p")
+    within = 10 * 11 * 21 // 6 - 1
+    assert is_tautology(f, 10, guard=within).holds
+    message = (rf"^the chains L_2..L_11 hold {within + 121} table entries in all; "
+               rf"their running count passes guard {within} at level 11$")
+    with pytest.raises(SizeGuardError, match=message):
+        is_tautology(f, 11, guard=within)
+    # a counterexample found within the count is still the answer
+    assert refute_search(parse("p"), 10**20, guard=within) == (2, {"p": 0})
+    assert consequence([parse("p -> D p")], parse("p"), 10**20, guard=within) == \
+        Verdict(False, (2, {"p": 0}))
+
+
+def test_the_default_guard_answers_up_to_level_390():
+    # 2^2 + ... + 390^2 = 19 849 114 entries fit TABLE_GUARD; level 391 passes it
+    assert 390 * 391 * 781 // 6 - 1 <= TABLE_GUARD < 391 * 392 * 783 // 6 - 1
+    with pytest.raises(SizeGuardError, match=rf"guard {TABLE_GUARD} at level 391$"):
+        is_tautology(parse("p -> p"), 10**20)
