@@ -336,7 +336,7 @@ def cmd_logic_fo_eval(args) -> tuple[dict, str, bool]:
 def cmd_logic_theorem_suite(args) -> tuple[dict, str, bool]:
     from . import logic as lg
 
-    rep = lg.theorem_suite(args.n)
+    rep = lg.theorem_suite(args.n, guard=_guard(lg.TABLE_GUARD))
     return (rep.to_dict(),
             "theorem suite passed" if rep.passed else f"{len(rep.violations)} violations",
             rep.passed)
@@ -345,7 +345,7 @@ def cmd_logic_theorem_suite(args) -> tuple[dict, str, bool]:
 def cmd_logic_hierarchy(args) -> tuple[dict, str, bool]:
     from . import logic as lg
 
-    rep = lg.hierarchy_check(args.n)
+    rep = lg.hierarchy_check(args.n, guard=_guard(lg.TABLE_GUARD))
     return (rep.to_dict(),
             "hierarchy strict at this level" if rep.passed else "hierarchy check failed",
             rep.passed)

@@ -24,7 +24,7 @@ of the same kind, so `formulas.postorder` walks them all.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 from operator import getitem as _getitem
 
 from .algebra import (
@@ -205,86 +205,87 @@ def _values(f, S: FOStructure, env: dict[str, int], guard: int) -> list[int]:
     list per scope (the names quantified above it) it occurs in, over that
     scope's assignments, outermost name first, so a quantifier folds its
     body's list in blocks of the domain size.  Other names are read from
-    `env`, then from the constants."""
+    `env`, then from the constants.  Each (node, scope) pair is checked
+    once, before its subterms, so the first offending occurrence raises."""
     D, A = S.domain_size, S.algebra
     rank = S.order_rank.__getitem__
     least = min(range(A.size), key=rank)
-    bound = []      # the names quantified above the node `check` sees
+    # scope i is (outer scope, innermost name, depth); 0 is the empty one
+    scope, inside = [(0, None, 0)], {}
 
-    def check(g):
+    def binder(s, name):
+        """The innermost scope of s's chain that quantifies name (0 for
+        none), and how many equal entries in a row name has in s's lists."""
+        run = 1
+        while s and scope[s][1] != name:
+            s, run = scope[s][0], run * D
+        return s, run
+
+    def enter(g, s):
+        """Check g, met in scope s, and return the scope of its subterms."""
         cls = g.__class__
-        if cls is FPred or cls is TermApp:
-            _table(S.predicates if cls is FPred else S.functions, g._head[0],
-                   "predicate" if cls is FPred else "function", len(g.args))
-        elif cls is TermName and g.name not in bound and g.name not in env \
+        if cls is FPred:
+            _table(S.predicates, g.name, "predicate", len(g.args))
+        elif cls is TermApp:
+            _table(S.functions, g.func, "function", len(g.args))
+        elif cls is TermName and not binder(s, g.name)[0] and g.name not in env \
                 and g.name not in S.constants:
             raise FOError(f"unbound name {g.name!r}")
         elif cls in _QUANTIFIERS:
-            bound.append(g.var)
+            if (s, g.var) not in inside:
+                inside[s, g.var] = len(scope)
+                scope.append((s, g.var, scope[s][2] + 1))
+            return inside[s, g.var]
         elif cls not in (Imp, Delta, Top, Bot, FEq, TermName):
             raise FOError(f"not a formula node: {g!r}")
+        return s
 
-    order = []
-    for g in postorder(f, check):   # a quantifier after its body
-        if g.__class__ in _QUANTIFIERS:
-            bound.pop()
-        order.append(g)
-    # scope i is (outer scope, innermost name, depth); 0 is the empty one
-    scope, inside, scopes = [(0, None, 0)], {}, {id(f): {0}}
+    order = []      # each (node, scope, scope of its subterms) once, after its subterms
     reads = {}      # (id, scope) -> parent reads of its list still to come
-    for g in reversed(order):       # parents first
-        for s in scopes[id(g)]:
-            if g.__class__ in _QUANTIFIERS:
-                if (s, g.var) not in inside:
-                    inside[s, g.var] = len(scope)
-                    scope.append((s, g.var, scope[s][2] + 1))
-                s = inside[s, g.var]
-            for k in g._kids:
-                scopes.setdefault(id(k), set()).add(s)
-                reads[id(k), s] = reads.get((id(k), s), 0) + 1
-    cells = 0       # the values to compute, shallowest scopes first
-    for s in (s for ss in scopes.values() for s in ss):
-        cells += D ** scope[s][2]
-        if cells > guard:
-            raise SizeGuardError(f"first-order evaluation needs more values than the guard {guard}")
+    stack = [(f, 0, enter(f, 0), iter(f._kids))]
+    while stack:
+        g, s, inner, kids = stack[-1]
+        for k in kids:
+            key = id(k), inner
+            reads[key] = reads.get(key, 0) + 1
+            if reads[key] == 1:     # first met: check it and walk below it
+                stack.append((k, inner, enter(k, inner), iter(k._kids)))
+                break
+        else:
+            stack.pop()
+            order.append((g, s, inner))
+    if any(cells > guard for cells in accumulate(D ** scope[s][2] for _, s, _ in order)):
+        raise SizeGuardError(f"first-order evaluation needs more values than the guard {guard}")
 
     values = {}     # (id, scope) -> list, freed once its last parent read it
-    for g in order:
+    for g, s, inner in order:
         cls = g.__class__
-        for s in scopes[id(g)]:
-            n = D ** scope[s][2]
-            inner = inside[s, g.var] if cls in _QUANTIFIERS else s
-            kids = [values[id(k), inner] for k in g._kids]
-            for k in g._kids:
-                key = id(k), inner
-                reads[key] -= 1
-                if not reads[key]:
-                    del values[key]
-            if cls is Imp:
-                v = list(map(_getitem, map(A.imp.__getitem__, kids[0]), kids[1]))
-            elif cls is FPred or cls is TermApp:
-                table = (S.predicates if cls is FPred else S.functions)[g._head[0]]["table"]
-                v = list(map(table.__getitem__, zip(*kids))) if kids else [table[()]] * n
-            elif cls is TermName:
-                j, run = s, 1   # the innermost scope binding the name
-                while j and scope[j][1] != g.name:
-                    j, run = scope[j][0], run * D
-                if j:
-                    v = [d for d in range(D) for _ in range(run)] * (n // (run * D))
-                elif g.name in env or g.name in S.constants:
-                    v = [env.get(g.name, S.constants.get(g.name))] * n
-                else:
-                    raise FOError(f"unbound name {g.name!r}")
-            elif cls is FEq:
-                v = [A.top if a == b else least for a, b in zip(*kids)]
-            elif cls is Delta:
-                v = list(map(A.delta.__getitem__, kids[0]))
-            elif cls is Top or cls is Bot:
-                v = [A.top if cls is Top else least] * n
-            else:
-                agg = max if cls is FExists else min
-                v = [agg(kids[0][i:i + D], key=rank) for i in range(0, n * D, D)]
-            values[id(g), s] = v
+        n = D ** scope[s][2]
+        kids = [values[id(k), inner] for k in g._kids]
+        for k in g._kids:
+            key = id(k), inner
+            reads[key] -= 1
+            if not reads[key]:
+                del values[key]
+        if cls is Imp:
+            v = list(map(_getitem, map(A.imp.__getitem__, kids[0]), kids[1]))
+        elif cls is FPred or cls is TermApp:
+            table = (S.predicates[g.name] if cls is FPred else S.functions[g.func])["table"]
+            v = list(map(table.__getitem__, zip(*kids))) if kids else [table[()]] * n
+        elif cls is TermName:
+            j, run = binder(s, g.name)
+            v = ([d for d in range(D) for _ in range(run)] * (n // (run * D)) if j
+                 else [env.get(g.name, S.constants.get(g.name))] * n)
+        elif cls is FEq:
+            v = [A.top if a == b else least for a, b in zip(*kids)]
+        elif cls is Delta:
+            v = list(map(A.delta.__getitem__, kids[0]))
+        elif cls is Top or cls is Bot:
+            v = [A.top if cls is Top else least] * n
+        else:
+            agg = max if cls is FExists else min
+            v = [agg(kids[0][i:i + D], key=rank) for i in range(0, n * D, D)]
+        values[id(g), s] = v
     return values[id(f), 0]
 
 
@@ -297,7 +298,7 @@ def substitute_term(f: FOFormula, var: str, t) -> FOFormula:
         if cls is TermName:
             out[id(g)] = t if g.name == var else g
         elif cls is TermApp or cls is FPred:
-            out[id(g)] = cls(g._head[0], tuple(kids))
+            out[id(g)] = cls(g.name if cls is FPred else g.func, tuple(kids))
         elif cls is Imp or cls is FEq or cls is Delta:
             out[id(g)] = cls(*kids)
         else:   # a quantifier that binds `var` shields its body

@@ -11,7 +11,7 @@ algebras and as the formula language of the Hilbert calculi.  Connectives:
   for k <= IMP_K_LIMIT.
 
 Sugar is eliminated at parse time; the core AST has exactly Var, Top, Bot,
-Imp and Delta nodes, and repeats an operand of the sugar by reference, so
+Imp and Delta nodes, one per distinct term, so `==` on terms is `is` and
 every walk is a loop over `postorder`, which visits each distinct node once.
 This module is the one term engine: the parser (which `fo` extends with
 first-order atoms and quantifiers), the compiler from terms to flat
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import operator
 import re
+import weakref
 from array import array
 from functools import partial
 from itertools import chain, compress, count, islice
@@ -40,36 +41,62 @@ class FormulaError(AlgebraError):
     """Raised for malformed formula text or evaluation errors."""
 
 
-# A node keeps from its construction `_kids` (its subterms, which every walk
-# reads), `_head` (its other fields), its hash and `_size` (its expanded
-# tree's node count), so hashing is O(1) however deep the term.  Var, Imp and
-# Delta, which parsing builds most, write their own __init__ for speed.
+# Each distinct term is one node (hash-consing): `Node.__new__` returns the
+# node the weak table `_CONS` holds for (class, *fields), or builds it there,
+# so `==` is `is`.  A node keeps `_kids` (its subterms, which every walk
+# reads), a structural hash, so sets of terms iterate alike in every run, and
+# `_size` (its expanded tree's node count).  Var, Imp and Delta, which parsing
+# builds most, have their own `_build` for speed.
 _set = object.__setattr__
+_CONS: dict = {}    # (class, *fields) -> _Ref to the node
+
+
+class _Ref(weakref.ref):
+    """A weak reference that knows its node's key: a third of the cost of a WeakValueDictionary entry."""
+    __slots__ = ("key",)
+
+    def forget(self) -> None:     # called when the node dies
+        if _CONS.get(self.key) is self:     # not when a new node took the key
+            del _CONS[self.key]
 
 
 class Node(Record):
     """A node of a term, in `fo` also of a first-order term: a field that
     holds a node or a tuple of nodes holds subterms."""
 
-    _kids = _head = ()
+    _kids = ()
     _size = 1
 
-    def __post_init__(self):
-        fields = self._key(self)
-        kids = tuple(k for v in fields for k in (v if isinstance(v, (tuple, list)) else (v,))
-                     if isinstance(k, Node))
-        _set(self, "_head", tuple(v for v in fields if not isinstance(v, (Node, tuple, list))))
-        _set(self, "_kids", kids)
-        _set(self, "_hash", hash(self._head + kids))
-        _set(self, "_size", 1 + sum(k._size for k in kids))
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = tuple(cls._bind(args, kwargs))
+        key = (cls,) + args
+        ref = _CONS.get(key)
+        if ref is None or (node := ref()) is None:
+            node = object.__new__(cls)
+            node._build(*args)
+            ref = _CONS[key] = _Ref(node, _Ref.forget)
+            ref.key = key
+        return node
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return _equal(self, other)
-        return NotImplemented
+    __init__ = object.__init__      # __new__ has built the node
+    __eq__ = object.__eq__          # one node per term
+
+    def _build(self, *fields):
+        """Set the fields of a new node and what it keeps from them."""
+        for name, value in zip(self._fields, fields):
+            _set(self, name, value)
+        kids = tuple(k for v in fields for k in (v if isinstance(v, tuple) else (v,))
+                     if isinstance(k, Node))
+        _set(self, "_kids", kids)
+        _set(self, "_hash", hash(fields))
+        _set(self, "_size", 1 + sum(k._size for k in kids))
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
 
 
 class Formula(Node):
@@ -79,10 +106,9 @@ class Formula(Node):
 class Var(Formula):
     name: str
 
-    def __init__(self, name):
+    def _build(self, name):
         _set(self, "name", name)
-        _set(self, "_head", (name,))
-        _set(self, "_hash", hash(self._head))
+        _set(self, "_hash", hash((name,)))
 
 
 class Top(Formula):
@@ -97,7 +123,7 @@ class Imp(Formula):
     left: Formula
     right: Formula
 
-    def __init__(self, left, right):
+    def _build(self, left, right):
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "_kids", (left, right))
@@ -108,30 +134,11 @@ class Imp(Formula):
 class Delta(Formula):
     child: Formula
 
-    def __init__(self, child):
+    def _build(self, child):
         _set(self, "child", child)
         _set(self, "_kids", (child,))
         _set(self, "_hash", hash(self._kids))
         _set(self, "_size", child._size + 1)
-
-
-def _equal(a: Node, b: Node) -> bool:
-    """a == b by a stack of node pairs, each pair expanded once, so the work
-    is bounded by pairs of distinct subterms, not by the expanded trees;
-    unequal hashes settle a pair without looking below it."""
-    stack, seen = [(a, b)], set()
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.__class__ is not b.__class__ or a._hash != b._hash or a._head != b._head:
-            return False
-        if a._kids and (id(a), id(b)) not in seen:
-            seen.add((id(a), id(b)))
-            if len(a._kids) != len(b._kids):
-                return False
-            stack.extend(zip(a._kids, b._kids))
-    return True
 
 
 TOP = Top()
@@ -229,10 +236,9 @@ def mismatch(pattern: Formula, target: Formula, subst: dict[str, Formula]) -> st
     while stack:
         p, t = stack.pop()
         if p.__class__ is Var:
-            bound = subst.setdefault(p.name, t)
-            if bound is not t and bound != t:
+            if subst.setdefault(p.name, t) is not t:
                 return (f"metavariable {p.name} bound to "
-                        f"{to_text(bound)!r} but found {to_text(t)!r}")
+                        f"{to_text(subst[p.name])!r} but found {to_text(t)!r}")
         elif p.__class__ is not t.__class__:
             return f"expected {to_text(p)!r}, found {to_text(t)!r}"
         else:
@@ -276,11 +282,7 @@ class _Parser:
             text = text.replace(uni, ascii_)
         self.text = text
         self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                break
+        for m in _TOKEN_RE.finditer(text):
             tok = m.group(1)
             if tok.startswith("->["):
                 k = tok[3:-1].strip().lstrip("0") or "0"
@@ -288,7 +290,6 @@ class _Parser:
                     raise self.error(f"iterated implication ->[{k}] at position "
                                      f"{m.start(1)} exceeds the limit k <= {IMP_K_LIMIT}")
             self.tokens.append((tok, m.start(1)))
-            pos = m.end()
         self.pos = 0
 
     def run(self) -> Formula:
@@ -529,8 +530,8 @@ class _Plan(Record):
 class EquationBatch:
     """Equations interned once, to be tabulated on any finite algebra with
     a delta iff `delta` and a bottom iff `bottom`; raises FormulaError as
-    `equation_violations` does.  Each distinct subterm is one node: its key
-    is ("v", name), ("t",), ("f",), ("i", left, right) or ("d", child),
+    `equation_violations` does.  Each distinct subterm gets a node id and a
+    key ("v", name), ("t",), ("f",), ("i", left, right) or ("d", child),
     children by node id, and `vars` holds the sorted names it uses.
     `violations` tabulates whole tables on carriers of at most 16 elements
     when they fit its guard, and slab by slab otherwise.
@@ -538,7 +539,7 @@ class EquationBatch:
 
     def __init__(self, equations, delta: bool, bottom: bool):
         self.delta, self.bottom = delta, bottom
-        self.ids, self.keys, self.vars = {}, [], []     # key -> id, id -> key, id -> names
+        self.ids, self.keys, self.vars = {}, [], []     # node -> id, id -> key, id -> names
         self.plans = [self._plan(*equation) for equation in equations]
 
     def _plan(self, names, lhs, rhs, premises=()) -> _Plan:
@@ -557,29 +558,27 @@ class EquationBatch:
         """The node ids of the terms, interning their distinct subterms,
         whose ids `nodes` gets in post-order."""
         ids, keys, vars_ = self.ids, self.keys, self.vars
-        local = {}      # id(subterm) -> node id
         for f in terms:
             for g in postorder(f):
                 cls = g.__class__
                 if cls is Imp:
-                    key = ("i", local[id(g.left)], local[id(g.right)])
+                    key = ("i", ids[g.left], ids[g.right])
                 elif cls is Var and g.name in pos:
                     key = ("v", g.name)
                 elif cls is Delta and self.delta:
-                    key = ("d", local[id(g.child)])
+                    key = ("d", ids[g.child])
                 elif cls is Top or cls is Bot and self.bottom:
                     key = ("t",) if cls is Top else ("f",)
                 else:   # raise at the first offending node in pre-order
                     list(postorder(f, _checker(pos, self.delta, self.bottom)))
-                i = ids.get(key)
+                i = ids.get(g)
                 if i is None:
-                    i = ids[key] = len(keys)
+                    i = ids[g] = len(keys)
                     keys.append(key)
                     vars_.append((g.name,) if cls is Var else
                                  tuple(sorted({x for k in key[1:] for x in vars_[k]})))
                 nodes[i] = None
-                local[id(g)] = i
-        return [local[id(f)] for f in terms]
+        return [ids[f] for f in terms]
 
     def check_guard(self, n: int, guard: int) -> None:
         """Raise SizeGuardError when the plans' tables on an n-element

@@ -246,7 +246,7 @@ def _witness(verdict: Verdict) -> tuple[int, ...]:
     return (k, *v.values())
 
 
-def theorem_suite(n: int) -> CheckReport:
+def theorem_suite(n: int, guard: int = TABLE_GUARD) -> CheckReport:
     """Semantically verify the derived-theorem catalogue at level n.
 
     Theorems are checked as tautologies, derived rules as matrix
@@ -255,8 +255,7 @@ def theorem_suite(n: int) -> CheckReport:
     """
     _need_level(n)
     catalogue = _theorem_catalogue(n)
-    verdicts = _decide([_entailment(premises, f) for _, premises, f in catalogue],
-                       n, TABLE_GUARD)
+    verdicts = _decide([_entailment(premises, f) for _, premises, f in catalogue], n, guard)
     return CheckReport.from_violations(
         (name, _witness(v)) for (name, _, _), v in zip(catalogue, verdicts) if not v.holds)
 
@@ -266,7 +265,7 @@ def canonical_level_counterexample(n: int) -> tuple[int, dict[str, int]]:
     return (n + 1, {"alpha": n - 1, "beta": 0})
 
 
-def hierarchy_check(n: int) -> CheckReport:
+def hierarchy_check(n: int, guard: int = TABLE_GUARD) -> CheckReport:
     """The level hierarchy is strict at n.
 
     (a) every axiom of the (n+1)-level calculus is a tautology at level n;
@@ -274,10 +273,10 @@ def hierarchy_check(n: int) -> CheckReport:
     counterexample (the reported one is the minimal one).
     """
     axioms = axiom_schemas_n(n + 1)
-    verdicts = _decide([_entailment((), f) for f in axioms.values()], n, TABLE_GUARD)
+    verdicts = _decide([_entailment((), f) for f in axioms.values()], n, guard)
     violations = [(f"{name}[n={n + 1}]@{n}", _witness(v))
                   for name, v in zip(axioms, verdicts) if not v.holds]
-    verdict = is_tautology(axiom_schemas_n(n)["AX5"], n + 1)
+    verdict = is_tautology(axiom_schemas_n(n)["AX5"], n + 1, guard)
     if verdict.holds:
         violations.append((f"AX5[n={n}]-not-refuted@{n + 1}", ()))
     elif verdict.counterexample != canonical_level_counterexample(n):

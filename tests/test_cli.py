@@ -367,6 +367,15 @@ def test_logic_table_guard(capsys, monkeypatch):
         monkeypatch.setenv("LUKRA_GUARD", predicted)
         assert main(["logic", *verb, "--formula", "q -> p"]) in (0, 1)
         monkeypatch.setenv("LUKRA_GUARD", "5")
+    # and for theorem-suite and hierarchy, which answer under the default guard
+    for verb in (["theorem-suite", "--n", "3"], ["hierarchy", "--n", "3"]):
+        capsys.readouterr()
+        assert main(["logic", *verb]) == 2
+        assert re.fullmatch(r"error: predicted \d+ table entries held at once exceed guard 5\n",
+                            capsys.readouterr().err)
+        monkeypatch.delenv("LUKRA_GUARD")
+        assert main(["logic", *verb]) == 0
+        monkeypatch.setenv("LUKRA_GUARD", "5")
     capsys.readouterr()
 
 

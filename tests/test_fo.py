@@ -111,6 +111,19 @@ def test_bound_variables_shielded():
     assert substitute_term(phi, "x", TermName("c")) == phi
 
 
+def test_a_node_in_several_scopes_is_checked_in_each():
+    # the two P(x) are one node, bound under the quantifier and free after it,
+    # so the free x is the first unbound name, before y
+    S = structure(random.Random(0))
+    f = fo_parse("(forall x P(x)) -> (P(x) -> P(y))")
+    assert f.left.body is f.right.left
+    with pytest.raises(FOError, match="unbound name 'x'"):
+        fo_eval(f, S)
+    with pytest.raises(FOError, match="unbound name 'x'"):
+        oracles.fo_eval(f, S, {})
+    assert fo_eval(f, S, {"x": 1, "y": 0}) == oracles.fo_eval(f, S, {"x": 1, "y": 0})
+
+
 def test_structure_validation_and_errors():
     with pytest.raises(AlgebraError):
         FOStructure(domain_size=2, algebra=five_element_non_admissible())

@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +29,9 @@ from lukra.formulas import (
     to_text,
     variables,
 )
+from lukra import formulas as fml
 from lukra.algebra import make_chain, product
+from lukra.fo import FEq, FForall, FPred, TermApp, fo_parse
 from lukra.freealg import build_free
 from lukra.logic import is_tautology
 import oracles
@@ -223,3 +228,31 @@ def test_variables_and_impk():
     f = imp_k(Var("x"), Var("y"), 3)
     assert variables(f) == {"x", "y"}
     assert f == parse("x ->[3] y")
+
+
+def test_every_construction_returns_the_one_node_of_its_term():
+    a, b = Var("p"), parse("D q -> F")
+    assert Var(name="p") is Var("p") is a
+    assert Imp(left=a, right=b) is Imp(a, b)
+    assert Top() is TOP and Bot() is BOT
+    f = parse("(p -> D q) | ~(r & T)")
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert parse(to_text(f)) is f
+    text = "forall x (P(f(x), c) -> exists y g(y, x) = c)"
+    g = fo_parse(text)
+    assert fo_parse(text) is g
+    assert {FPred, TermApp, FEq, FForall} <= {type(h) for h in fml.postorder(g)}
+    assert copy.deepcopy(g) is g and pickle.loads(pickle.dumps(g)) is g
+
+
+def test_the_node_table_lets_go_of_unheld_terms():
+    gc.collect()
+    before = len(fml._CONS)
+    f = Var("leak0")
+    for i in range(1, 3400):
+        f = Imp(f, Delta(Var(f"leak{i}")))
+    assert len(fml._CONS) > before + 10_000
+    del f
+    gc.collect()
+    assert len(fml._CONS) == before

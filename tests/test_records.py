@@ -49,12 +49,15 @@ def assert_same_classes(records, twins):
 def test_random_formulas_match_their_twins():
     rng = random.Random(14)
     formulas = [random_formula(rng, "pq", rng.randint(0, 3), allow_bot=True) for _ in range(120)]
-    # re-parsed copies are equal to the originals but share no node with them
+    # re-parsed copies are built anew from text, and come back as the originals
     formulas += [parse(to_text(f)) for f in formulas[:20]]
     twins = [formula_twin(f) for f in formulas]
     for f, t in zip(formulas, twins):
         assert_alike(f, t)
     assert_same_classes(formulas, twins)
+    # every distinct term is one node: identity is the twins' structural ==
+    for (a, ta), (b, tb) in combinations(zip(formulas, twins), 2):
+        assert (a is b) == (ta == tb)
     assert len(set(formulas)) == len(set(twins)) < len(formulas) - 20
 
 
