@@ -200,6 +200,10 @@ def _count_text(x: int) -> str:
     return str(x) if x.bit_length() <= 9000 else "more than 10^2700"
 
 
+# bound on the predicted implication table, in entries (carrier size squared)
+SIZE_GUARD = 10**7
+
+
 def check_table_size(size: int, guard: int) -> None:
     """Refuse, with SizeGuardError, an algebra of `size` elements whose
     implication table of size^2 entries would exceed `guard`."""

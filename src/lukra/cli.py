@@ -128,9 +128,7 @@ def _say(msg: str) -> None:
 # -- algebra ------------------------------------------------------------------
 
 def cmd_algebra_chain(args) -> tuple[dict, str, bool]:
-    from .freealg import SIZE_GUARD
-
-    alg.check_table_size(args.n, _guard(SIZE_GUARD))
+    alg.check_table_size(args.n, _guard(alg.SIZE_GUARD))
     A = alg.make_chain(args.n, with_delta=args.delta, with_bottom=args.bottom)
     return A.to_dict(), f"chain of size {args.n}" + (" with delta" if args.delta else ""), True
 
@@ -166,10 +164,8 @@ def cmd_algebra_delta(args) -> tuple[dict, str, bool]:
 
 
 def cmd_algebra_product(args) -> tuple[dict, str, bool]:
-    from .freealg import SIZE_GUARD
-
     factors = [_load_algebra(p) for p in args.infile]
-    alg.check_table_size(math.prod(A.size for A in factors), _guard(SIZE_GUARD))
+    alg.check_table_size(math.prod(A.size for A in factors), _guard(alg.SIZE_GUARD))
     P = alg.product(factors)
     return P.to_dict(), f"product of {len(factors)} factors, size {P.size}", True
 
@@ -242,7 +238,7 @@ def cmd_filters_classify(args) -> tuple[dict, str, bool]:
 def cmd_free_build(args) -> tuple[dict, str, bool]:
     from . import freealg as fre
 
-    F = fre.build_free(args.n, args.m, guard=_guard(fre.SIZE_GUARD))
+    F = fre.build_free(args.n, args.m, guard=_guard(alg.SIZE_GUARD))
     return ({**F.algebra.to_dict(), "generators": list(F.generators)},
             f"free algebra on {args.m} generators at level {args.n}: size {F.algebra.size}", True)
 
@@ -258,7 +254,7 @@ def cmd_free_verify(args) -> tuple[dict, str, bool]:
     from . import freealg as fre
 
     sb = fre.size_formula(args.n, args.m, mode=args.mode)
-    F = fre.build_free(args.n, args.m, guard=_guard(fre.SIZE_GUARD))
+    F = fre.build_free(args.n, args.m, guard=_guard(alg.SIZE_GUARD))
     fre.minimal_elements(F)
     match = sb.total == F.algebra.size
     return ({"formula": sb.total, "constructed": F.algebra.size, "match": match},

@@ -24,7 +24,7 @@ of the same kind, so `formulas.postorder` walks them all.
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, product as iter_product
+from itertools import accumulate
 from operator import getitem as _getitem
 
 from .algebra import (
@@ -34,6 +34,7 @@ from .algebra import (
     check_entry,
     check_object,
     check_positive,
+    least_witness,
 )
 from .formulas import (
     TABLE_GUARD,
@@ -157,8 +158,7 @@ class FOStructure(Record):
                 if not table:
                     raise AlgebraError(f"{where} table is empty")
                 # every key has `arity` parts, so the table's size bounds the search
-                missing = next((t for t in iter_product(range(d), repeat=arity)
-                                if t not in table), None)
+                missing = least_witness(d, arity, lambda *t: t in table)
                 if missing is not None:
                     raise AlgebraError(f"{where}({','.join(map(str, missing))}) is missing")
                 out[name] = {"arity": arity, "table": table}

@@ -42,13 +42,14 @@ class FormulaError(AlgebraError):
 
 
 # Each distinct term is one node (hash-consing): `Node.__new__` returns the
-# node the weak table `_CONS` holds for (class, *fields), or builds it there,
-# so `==` is `is`.  A node keeps `_kids` (its subterms, which every walk
+# node the weak table `_CONS` holds for (class, *fields, *their types), or
+# builds it there, so `==` is `is`; Imp and Delta, whose fields are nodes,
+# leave the types out.  A node keeps `_kids` (its subterms, which every walk
 # reads), a structural hash, so sets of terms iterate alike in every run, and
 # `_size` (its expanded tree's node count).  Var, Imp and Delta, which parsing
 # builds most, have their own `_build` for speed.
 _set = object.__setattr__
-_CONS: dict = {}    # (class, *fields) -> _Ref to the node
+_CONS: dict = {}    # key -> _Ref to the node
 
 
 class _Ref(weakref.ref):
@@ -66,11 +67,12 @@ class Node(Record):
 
     _kids = ()
     _size = 1
+    _typed = True       # key the fields with their types: Var(1) is not Var(True)
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):
             args = tuple(cls._bind(args, kwargs))
-        key = (cls,) + args
+        key = (cls, *args, *map(type, args)) if cls._typed else (cls,) + args
         ref = _CONS.get(key)
         if ref is None or (node := ref()) is None:
             node = object.__new__(cls)
@@ -122,6 +124,7 @@ class Bot(Formula):
 class Imp(Formula):
     left: Formula
     right: Formula
+    _typed = False      # nodes, which compare by identity
 
     def _build(self, left, right):
         _set(self, "left", left)
@@ -133,6 +136,7 @@ class Imp(Formula):
 
 class Delta(Formula):
     child: Formula
+    _typed = False
 
     def _build(self, child):
         _set(self, "child", child)
@@ -225,25 +229,37 @@ def match(pattern: Formula, target: Formula, subst: dict[str, Formula] | None = 
     """
     if subst is None:
         subst = {}
-    return None if mismatch(pattern, target, subst) else subst
+    return None if _breakdown(pattern, target, subst)[0] else subst
 
 
 def mismatch(pattern: Formula, target: Formula, subst: dict[str, Formula]) -> str:
-    """Match like `match`, extending `subst` in place, by a stack of
-    (pattern, target) pairs.  Returns "" on a match, else the reason the
-    first subterm (left to right) where the match breaks down gives."""
+    """Match like `match`, extending `subst` in place.  Returns "" on a
+    match, else the reason the first subterm (left to right) where the
+    match breaks down gives."""
+    p, t = _breakdown(pattern, target, subst)
+    if p is None:
+        return ""
+    if p.__class__ is Var:
+        return (f"metavariable {p.name} bound to "
+                f"{to_text(subst[p.name])!r} but found {to_text(t)!r}")
+    return f"expected {to_text(p)!r}, found {to_text(t)!r}"
+
+
+def _breakdown(pattern, target, subst) -> tuple:
+    """The first pair of subterms, left to right, where matching breaks
+    down, or (None, None), by a stack of (pattern, target) pairs.  Writes
+    no text, so `match` also answers for terms too large for `to_text`."""
     stack = [(pattern, target)]
     while stack:
         p, t = stack.pop()
         if p.__class__ is Var:
             if subst.setdefault(p.name, t) is not t:
-                return (f"metavariable {p.name} bound to "
-                        f"{to_text(subst[p.name])!r} but found {to_text(t)!r}")
+                return p, t
         elif p.__class__ is not t.__class__:
-            return f"expected {to_text(p)!r}, found {to_text(t)!r}"
+            return p, t
         else:
             stack.extend(zip(reversed(p._kids), reversed(t._kids)))
-    return ""
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +438,11 @@ def to_text(f: Formula) -> str:
 
 def _checker(names, delta: bool, bottom: bool):
     """The `postorder` hook that refuses, with FormulaError at the first
-    offending node in pre-order, a variable not in `names`, D without a
-    delta, F without a bottom and a node that is no connective."""
+    offending node in pre-order, a variable not in `names` (when given),
+    D without a delta, F without a bottom and a node that is no connective."""
     def check(g):
         cls = g.__class__
-        if cls is Var and g.name not in names:
+        if cls is Var and names is not None and g.name not in names:
             raise FormulaError(f"unassigned variable {g.name!r}")
         if cls is Delta and not delta:
             raise FormulaError("formula uses D but the algebra has no delta")
@@ -512,13 +528,13 @@ def equation_violations(A, equations, every: bool = False,
 
 
 class _Plan(Record):
-    """One interned equation.  `slab_var` is names[0], or None when no
-    term sees position 0 (a repeated name binds its last position, as in
-    `compile_term`); `space` names positions 1.. of an assignment, None
-    where no term sees it.  Node ids are in post-order, split by whether
-    they use `slab_var`."""
+    """One interned equation over `names`.  `slab_var` is names[0], or None
+    when no term sees position 0 (a repeated name binds its last position,
+    as in `compile_term`); `space` names positions 1.. of an assignment,
+    None where no term sees it.  Node ids are in post-order, split by
+    whether they use `slab_var`."""
+    names: tuple
     slab_var: str | None
-    width: int
     space: tuple
     fixed_nodes: tuple[int, ...]
     slab_nodes: tuple[int, ...]
@@ -532,7 +548,8 @@ class EquationBatch:
     a delta iff `delta` and a bottom iff `bottom`; raises FormulaError as
     `equation_violations` does.  Each distinct subterm gets a node id and a
     key ("v", name), ("t",), ("f",), ("i", left, right) or ("d", child),
-    children by node id, and `vars` holds the sorted names it uses.
+    children by node id, and `vars` holds the sorted names it uses.  An
+    equation given with names None is over the sorted names its terms use.
     `violations` tabulates whole tables on carriers of at most 16 elements
     when they fit its guard, and slab by slab otherwise.
     """
@@ -543,34 +560,36 @@ class EquationBatch:
         self.plans = [self._plan(*equation) for equation in equations]
 
     def _plan(self, names, lhs, rhs, premises=()) -> _Plan:
-        pos = {name: i for i, name in enumerate(names)}
         nodes: dict = {}
-        ids = self._intern([t for pair in [(lhs, rhs), *premises] for t in pair], pos, nodes)
+        ids = self._intern([t for pair in [(lhs, rhs), *premises] for t in pair], names, nodes)
+        if names is None:
+            names = sorted({x for i in ids for x in self.vars[i]})
+        pos = {name: i for i, name in enumerate(names)}
         s = names[0] if names and pos[names[0]] == 0 else None
         return _Plan(
-            slab_var=s, width=len(names),
+            names=tuple(names), slab_var=s,
             space=tuple(name if pos[name] == i else None for i, name in enumerate(names) if i),
             fixed_nodes=tuple(i for i in nodes if s not in self.vars[i]),
             slab_nodes=tuple(i for i in nodes if s in self.vars[i]),
             lhs=ids[0], rhs=ids[1], premises=tuple(zip(ids[2::2], ids[3::2])))
 
-    def _intern(self, terms, pos, nodes) -> list[int]:
+    def _intern(self, terms, names, nodes) -> list[int]:
         """The node ids of the terms, interning their distinct subterms,
-        whose ids `nodes` gets in post-order."""
+        whose ids `nodes` gets in post-order; `names` None admits every name."""
         ids, keys, vars_ = self.ids, self.keys, self.vars
         for f in terms:
             for g in postorder(f):
                 cls = g.__class__
                 if cls is Imp:
                     key = ("i", ids[g.left], ids[g.right])
-                elif cls is Var and g.name in pos:
+                elif cls is Var and (names is None or g.name in names):
                     key = ("v", g.name)
                 elif cls is Delta and self.delta:
                     key = ("d", ids[g.child])
                 elif cls is Top or cls is Bot and self.bottom:
                     key = ("t",) if cls is Top else ("f",)
                 else:   # raise at the first offending node in pre-order
-                    list(postorder(f, _checker(pos, self.delta, self.bottom)))
+                    list(postorder(f, _checker(names, self.delta, self.bottom)))
                 i = ids.get(g)
                 if i is None:
                     i = ids[g] = len(keys)
@@ -616,7 +635,7 @@ class EquationBatch:
             maps = _byte_maps(A)
             by_slab, groups = [], {}
             for j, plan in enumerate(plans):
-                groups.setdefault((plan.slab_var, *plan.space) if plan.width else (), []).append(j)
+                groups.setdefault((plan.slab_var, *plan.space) if plan.names else (), []).append(j)
             for axes, members in groups.items():
                 group = [plans[j] for j in members]
                 nodes = {i for plan in group for i in chain(plan.fixed_nodes, plan.slab_nodes)}
@@ -684,7 +703,7 @@ class EquationBatch:
                 mask = bits.to_bytes(size, "big")
             h = mask.find(1)
             while h >= 0:
-                hits.append(_digits(h, n, plan.width))
+                hits.append(_digits(h, n, len(plan.names)))
                 h = mask.find(1, h + 1) if every else -1
         return out
 
@@ -695,7 +714,7 @@ class EquationBatch:
         out = [[] for _ in plans]
         groups: dict = {}
         for i, plan in enumerate(plans):
-            groups.setdefault((plan.slab_var, plan.width > 0), []).append(i)
+            groups.setdefault((plan.slab_var, bool(plan.names)), []).append(i)
         for (s, sliced), members in groups.items():
             for i in members:
                 tables.tabulate(plans[i].fixed_nodes, s, None, tables.fixed)
@@ -715,7 +734,7 @@ class EquationBatch:
                     for a, b in plan.premises:
                         hits = map(operator.and_, hits, map(operator.eq, get(a, space), get(b, space)))
                     hits = compress(count(), hits)
-                    out[i].extend(tables.decode(v, h, plan.width)
+                    out[i].extend(tables.decode(v, h, len(plan.names))
                                   for h in (hits if every else islice(hits, 1)))
                 if not every and all(out[i] for i in members):
                     break

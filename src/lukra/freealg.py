@@ -29,6 +29,7 @@ from .algebra import (
     AlgebraError,
     FiniteAlgebra,
     InternalConsistencyError,
+    SIZE_GUARD,
     SizeGuardError,
     check_table_size,
     epimorphisms,
@@ -38,9 +39,6 @@ from .algebra import (
     subuniverse,
 )
 from .records import Record
-
-# bound on the predicted implication table, in entries (carrier size squared)
-SIZE_GUARD = 10**7
 
 
 class FormulaReadingError(AlgebraError):

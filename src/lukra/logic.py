@@ -34,7 +34,6 @@ from .formulas import (
     Var,
     imp_k,
     or_,
-    variables,
 )
 from .records import Record
 
@@ -113,14 +112,10 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
     counterexample on a smaller chain is still answered.
     """
     _need_level(n)
-    eqs = []
-    for lhs, rhs, premises in equations:
-        terms = [lhs, rhs, *(t for pair in premises for t in pair)]
-        eqs.append((sorted(set().union(*map(variables, terms))), lhs, rhs, premises))
-    batch = EquationBatch(eqs, delta=True, bottom=True)
+    batch = EquationBatch([(None, *equation) for equation in equations], delta=True, bottom=True)
     batch.check_guard(n, guard)
-    out = [Verdict(True)] * len(eqs)
-    pending = list(range(len(eqs)))
+    out = [Verdict(True)] * len(batch.plans)
+    pending = list(range(len(batch.plans)))
     built = 0
     for k in range(2, n + 1):
         if not pending:
@@ -135,7 +130,7 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
         found = batch.violations(chain, pending, guard=guard)
         for i, ws in zip(pending, found):
             if ws:
-                out[i] = Verdict(False, (k, dict(zip(eqs[i][0], ws[0]))))
+                out[i] = Verdict(False, (k, dict(zip(batch.plans[i].names, ws[0]))))
         pending = [i for i, ws in zip(pending, found) if not ws]
     return out
 

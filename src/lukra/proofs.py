@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .algebra import AlgebraError
-from .formulas import Formula, Imp, Delta, mismatch, parse, substitute, to_text, uses_bot
+from .formulas import Formula, Imp, match, mismatch, parse, substitute, to_text, uses_bot
 from .logic import axiom_schemas_bot, axiom_schemas_n
 from .records import Record, field
 
@@ -129,10 +129,8 @@ def check_proof(P: Proof, qgen_reading: str = "paired") -> ProofReport:
                 if just.k != hyp_count:
                     reason = f"hypothesis number {just.k}, expected {hyp_count}"
             elif isinstance(just, ByQGen):
-                if P.system != SYSTEM_BOT:
-                    reason = "the crispness rule belongs to the bottom system"
-                else:
-                    reason = _check_qgen(f, just, by_idx, idx, qgen_reading)
+                reason = (_check_qgen(f, just, by_idx, idx, qgen_reading) if P.system == SYSTEM_BOT
+                          else "the crispness rule belongs to the bottom system")
             else:
                 reason = f"unknown justification {just!r}"
         if reason:
@@ -174,40 +172,29 @@ def _check_mp(f: Formula, just: ByMP, by_idx, current) -> str | None:
             f"{to_text(Imp(fi, f))!r} or {to_text(Imp(fj, f))!r}")
 
 
-def _qgen_hypothesis_shape(f: Formula):
-    """Decompose (g -> b) -> (g -> (g -> b)); returns (g, b) or None."""
-    if not isinstance(f, Imp) or not isinstance(f.left, Imp):
-        return None
-    g, b = f.left.left, f.left.right
-    if f.right == Imp(g, Imp(g, b)):
-        return (g, b)
-    return None
+# The crispness rule as patterns over the metavariables g, a and b: from an
+# up and a down premise and g -> a, infer g -> D a.
+_QGEN_CONCLUSION, _QGEN_UP, _QGEN_DOWN = map(parse, (
+    "g -> D a", "(g -> b) -> (g -> (g -> b))", "(g -> (g -> b)) -> (g -> b)"))
 
 
 def _check_qgen(f: Formula, just: ByQGen, by_idx, current, reading: str) -> str | None:
-    if not (isinstance(f, Imp) and isinstance(f.right, Delta)):
+    at = match(_QGEN_CONCLUSION, f)
+    if at is None:
         return "conclusion of the crispness rule must be g -> D a"
-    g, a = f.left, f.right.child
-    fi = _ref(by_idx, just.i, current)
-    fj = _ref(by_idx, just.j, current)
-    fk = _ref(by_idx, just.k, current)
+    fi, fj, fk = (_ref(by_idx, i, current) for i in (just.i, just.j, just.k))
     if fi is None or fj is None or fk is None:
         return "rule references lines not strictly earlier"
-    if fk != Imp(g, a):
-        return f"third premise must be {to_text(Imp(g, a))!r}"
-    si = _qgen_hypothesis_shape(fi)
-    if reading == "literal":
-        sj = _qgen_hypothesis_shape(fj)
-        if si is None or sj is None or si[0] != g or sj[0] != g:
-            return "first two premises must be (g->b)->(g->(g->b)) at this g"
-        return None
-    # paired: one line each way, in either order
-    for x, y in ((fi, fj), (fj, fi)):
-        sx = _qgen_hypothesis_shape(x)
-        if sx is None or sx[0] != g:
-            continue
-        b = sx[1]
-        if y == Imp(Imp(g, Imp(g, b)), Imp(g, b)):
+    third = Imp(at["g"], at["a"])
+    if fk is not third:
+        return f"third premise must be {to_text(third)!r}"
+    if reading == "literal":    # each an up premise, with its own b
+        return (None if all(match(_QGEN_UP, x, dict(at)) is not None for x in (fi, fj))
+                else "first two premises must be (g->b)->(g->(g->b)) at this g")
+    # paired: an up and a down premise at one b, in either order
+    for up, down in ((fi, fj), (fj, fi)):
+        b = match(_QGEN_UP, up, dict(at))
+        if b is not None and match(_QGEN_DOWN, down, b) is not None:
             return None
     return ("first two premises must assert both directions between "
             "g->b and g->(g->b) for some b")

@@ -683,7 +683,7 @@ JOBS = pytest.mark.parametrize("argv, code, loaded", [
     (["logic", "prove-check", "--system", "n", "--n", "3",
       "--in", str(FIXTURES / "proofs" / "lh20_n3.proof")], 0, ["formulas", "logic", "proofs"]),
     (["algebra", "check", "--in", "@l3", "--suite", "--quasi"], 0, ["formulas", "laws"]),
-    (["algebra", "chain", "--n", "3"], 0, ["freealg"]),
+    (["algebra", "chain", "--n", "3"], 0, []),
     (["logic", "taut", "--n", "3", "--formula", "p ->"], 2, ["formulas", "logic"]),
     (["filters", "classify", "--in", "@no-such-file"], 2, ["filters"]),
 ], ids=["taut", "free-size", "homs", "filters-list", "fo-eval", "prove-check",

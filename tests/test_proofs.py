@@ -144,6 +144,65 @@ def test_qgen_readings():
     assert not check_proof(bad).passed
 
 
+# QGEN at g = r, a = s: the up premise (g->b)->(g->(g->b)) and the down
+# premise (g->(g->b))->(g->b) at b = t, and the third premise g -> a
+QGEN_UP, QGEN_DOWN = "(r -> t) -> (r -> (r -> t))", "(r -> (r -> t)) -> (r -> t)"
+QGEN_LITERAL = "first two premises must be (g->b)->(g->(g->b)) at this g"
+QGEN_PAIRED = ("first two premises must assert both directions between "
+               "g->b and g->(g->b) for some b")
+# about 2 * 10^6 nodes written out, past formulas.TEXT_NODES: no reason writes b
+BIG = "((p ->[1000] q) ->[1000] q)"
+
+
+@pytest.mark.parametrize("reading, premises, rule, reason", [
+    # the conclusion is read first, then the cited lines, then the third premise
+    ("paired", (QGEN_UP, QGEN_DOWN, "r -> s"), "r -> s ; QGEN 1 2 3",
+     "conclusion of the crispness rule must be g -> D a"),
+    ("literal", (QGEN_UP, QGEN_UP, "r -> s"), "D s ; QGEN 1 2 5",
+     "conclusion of the crispness rule must be g -> D a"),
+    ("paired", (QGEN_UP, QGEN_DOWN, "r -> s"), "r -> D s ; QGEN 1 2 4",
+     "rule references lines not strictly earlier"),
+    ("literal", (QGEN_UP, QGEN_UP, "r -> s"), "r -> D s ; QGEN 1 7 3",
+     "rule references lines not strictly earlier"),
+    ("paired", (QGEN_UP, QGEN_DOWN, "r -> t"), "r -> D s ; QGEN 1 2 3",
+     "third premise must be 'r -> s'"),
+    ("literal", (QGEN_UP, QGEN_UP, "r -> s"), "D r -> D s ; QGEN 1 2 3",
+     "third premise must be 'D r -> s'"),
+    # literal: each of the first two premises has the up shape at this g
+    ("literal", (QGEN_UP, QGEN_DOWN, "r -> s"), "r -> D s ; QGEN 1 2 3", QGEN_LITERAL),
+    ("literal", (QGEN_DOWN, QGEN_UP, "r -> s"), "r -> D s ; QGEN 1 2 3", QGEN_LITERAL),
+    ("literal", (QGEN_UP, "(q -> t) -> (q -> (q -> t))", "r -> s"), "r -> D s ; QGEN 1 2 3",
+     QGEN_LITERAL),
+    ("literal", (QGEN_UP, "(r -> t) -> (r -> (r -> s))", "r -> s"), "r -> D s ; QGEN 1 2 3",
+     QGEN_LITERAL),
+    ("literal", ("t", QGEN_UP, "r -> s"), "r -> D s ; QGEN 1 2 3", QGEN_LITERAL),
+    ("literal", (QGEN_UP, f"(r -> {BIG}) -> (r -> (r -> t))", "r -> s"), "r -> D s ; QGEN 1 2 3",
+     QGEN_LITERAL),
+    # paired: one premise each way, at the same b
+    ("paired", (QGEN_UP, QGEN_UP, "r -> s"), "r -> D s ; QGEN 1 2 3", QGEN_PAIRED),
+    ("paired", (QGEN_DOWN, QGEN_DOWN, "r -> s"), "r -> D s ; QGEN 1 2 3", QGEN_PAIRED),
+    ("paired", (QGEN_UP, "(r -> (r -> q)) -> (r -> q)", "r -> s"), "r -> D s ; QGEN 1 2 3",
+     QGEN_PAIRED),
+    ("paired", ("(q -> t) -> (q -> (q -> t))", "(q -> (q -> t)) -> (q -> t)", "r -> s"),
+     "r -> D s ; QGEN 1 2 3", QGEN_PAIRED),
+    ("paired", (QGEN_UP, "r -> t", "r -> s"), "r -> D s ; QGEN 1 2 3", QGEN_PAIRED),
+    ("paired", (f"(r -> {BIG}) -> (r -> (r -> {BIG}))", QGEN_DOWN, "r -> s"),
+     "r -> D s ; QGEN 1 2 3", QGEN_PAIRED),
+    # passing
+    ("paired", (QGEN_UP, QGEN_DOWN, "r -> s"), "r -> D s ; QGEN 1 2 3", None),
+    ("paired", (QGEN_DOWN, QGEN_UP, "r -> s"), "r -> D s ; QGEN 1 2 3", None),
+    ("paired", (QGEN_DOWN, QGEN_UP, "r -> s"), "r -> D s ; QGEN 2 1 3", None),
+    ("literal", (QGEN_UP, QGEN_UP, "r -> s"), "r -> D s ; QGEN 1 2 3", None),
+    ("literal", (QGEN_UP, "(r -> q) -> (r -> (r -> q))", "r -> s"), "r -> D s ; QGEN 1 2 3",
+     None),
+    ("literal", (QGEN_UP, QGEN_DOWN, "r -> s"), "r -> D s ; QGEN 1 1 3", None),
+])
+def test_qgen_reasons(reading, premises, rule, reason):
+    text = "".join(f"{i}. {f} ; HYP {i}\n" for i, f in enumerate(premises, 1)) + f"4. {rule}\n"
+    rep = check_proof(parse_proof(text, system=SYSTEM_BOT), qgen_reading=reading)
+    assert rep.failures == (((4, reason),) if reason else ())
+
+
 def test_qgen_confined_to_bottom_system():
     text = """
     1. p -> (q -> p) ; AX1

@@ -157,12 +157,22 @@ def structures(draw):
         constants={"c": draw(dom)})
 
 
+@st.composite
+def shared_across_scopes(draw):
+    """A subterm under a quantifier and outside it, before a second subterm:
+    the outside occurrence is checked in its own scope, where a name the
+    quantifier binds may be unbound, before any name of the second."""
+    a = draw(fo_terms)
+    inside = draw(st.sampled_from([FForall, FExists]))(draw(st.sampled_from("xy")), a)
+    return Imp(inside, Imp(a, draw(fo_terms)))
+
+
 parsed = fo_texts.map(lambda t: outcome(lambda: fo.fo_parse(t))).filter(
     lambda f: not isinstance(f, tuple))
 
 
 @settings(max_examples=300)
-@given(st.one_of(fo_terms, fo_closed, parsed), structures(), st.data())
+@given(st.one_of(fo_terms, fo_closed, parsed, shared_across_scopes()), structures(), st.data())
 def test_fo_eval_matches_the_recursive_evaluator(f, S, data):
     # a name left out of the assignment is unbound where no quantifier binds it
     env = data.draw(st.dictionaries(st.sampled_from("xy"), st.integers(0, S.domain_size - 1)))
@@ -177,3 +187,13 @@ def test_equal_hashes_still_compare_fields():
     assert hash(Var(-1)) == hash(Var(-2)) and Var(-1) != Var(-2)
     assert Imp(Var(-1), TOP) != Imp(Var(-2), TOP)
     assert FPred("P", (TermName(-1),)) != FPred("P", (TermName(-2),))
+
+
+def test_equal_fields_of_other_types_are_other_nodes():
+    # True == 1 == 1.0, but each name keeps its type
+    names = [True, 1, 1.0]
+    nodes = [Var(name) for name in names]
+    assert len({id(g) for g in nodes}) == 3
+    assert [type(g.name) for g in nodes] == [bool, int, float]
+    assert Var(1) is nodes[1] and Imp(nodes[0], TOP) is not Imp(nodes[1], TOP)
+    assert TermName(True) is not TermName(1) and FForall(1, TOP) is not FForall(1.0, TOP)
