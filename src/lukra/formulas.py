@@ -14,14 +14,16 @@ Sugar is eliminated at parse time; the core AST has exactly Var, Top, Bot,
 Imp and Delta nodes, one per distinct term, so `==` on terms is `is` and
 every walk is a loop over `postorder`, which visits each distinct node once.
 This module is the one term engine: the parser (which `fo` extends with
-first-order atoms and quantifiers), the compiler from terms to flat
-programs (`compile_term`, behind `eval_formula`), the evaluator of
-equations on value tables of terms and the schema matcher.  The evaluator
-interns a batch of equations once (`EquationBatch`) and tabulates it on any
-algebra of its signature: `equation_violations`, behind the law checks, on
-one algebra, and the decisions of `logic` on each chain in turn.  A carrier
-of at most 16 elements is tabulated whole, one `bytes.translate` per
-subterm; a larger one slab by slab.
+first-order atoms and quantifiers), one fold that evaluates a term in any
+algebra given by its operations (`_fold`: a finite algebra in
+`eval_formula`, the unit interval in `rational_eval`, the term algebra in
+`substitute`), the evaluator of equations on value tables of terms and
+the schema matcher.  The evaluator interns a batch of equations once
+(`EquationBatch`) and tabulates it on any algebra of its signature:
+`equation_violations`, behind the law checks, on one algebra, and the
+decisions of `logic` on each chain in turn.  A carrier of at most 16
+elements is tabulated whole, one `bytes.translate` per subterm; a larger
+one slab by slab.
 """
 
 from __future__ import annotations
@@ -212,13 +214,9 @@ def uses_bot(f: Formula) -> bool:
 
 
 def substitute(f: Formula, subst: dict[str, Formula]) -> Formula:
-    """Simultaneous substitution of formulas for variables."""
-    out = {}
-    for g in postorder(f):
-        cls = g.__class__
-        out[id(g)] = (subst.get(g.name, g) if cls is Var else
-                      cls(*[out[id(k)] for k in g._kids]) if cls in (Imp, Delta) else g)
-    return out[id(f)]
+    """Simultaneous substitution of formulas for variables: evaluation in
+    the term algebra.  A node that is no connective raises FormulaError."""
+    return _fold(f, None, lambda g: subst.get(g.name, g), Imp, Delta, TOP, BOT)
 
 
 def match(pattern: Formula, target: Formula, subst: dict[str, Formula] | None = None) -> dict[str, Formula] | None:
@@ -240,9 +238,8 @@ def mismatch(pattern: Formula, target: Formula, subst: dict[str, Formula]) -> st
     if p is None:
         return ""
     if p.__class__ is Var:
-        return (f"metavariable {p.name} bound to "
-                f"{to_text(subst[p.name])!r} but found {to_text(t)!r}")
-    return f"expected {to_text(p)!r}, found {to_text(t)!r}"
+        return f"metavariable {p.name} bound to {_quoted(subst[p.name])} but found {_quoted(t)}"
+    return f"expected {_quoted(p)}, found {_quoted(t)}"
 
 
 def _breakdown(pattern, target, subst) -> tuple:
@@ -432,6 +429,12 @@ def to_text(f: Formula) -> str:
     return "".join(chunks)
 
 
+def _quoted(f: Formula) -> str:
+    """The quoted text of f for a reason, or past TEXT_NODES its node
+    count, so a reason can name any term."""
+    return repr(to_text(f)) if f._size <= TEXT_NODES else f"a formula of {f._size} nodes"
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -453,34 +456,28 @@ def _checker(names, delta: bool, bottom: bool):
     return check
 
 
-def compile_term(f: Formula, A, names):
-    """Compile a term into a function mapping a tuple e, where e[i] is the
-    carrier index of names[i], to the value of f in A: one loop over a
-    program of a step per distinct node.  Raises as `_checker` does."""
-    pos = {name: i for i, name in enumerate(names)}
-    imp, delta = A.imp, A.delta
-    # a step (kind, a, b) is e[a] (kind 0), imp of the values of steps a
-    # and b (1), delta of step a's value (2) or the constant a (3)
-    step, program = {}, []
-    for g in postorder(f, _checker(pos, delta is not None, A.bottom is not None)):
-        step[id(g)] = len(program)
+def _fold(f: Formula, check, var, imp, delta, top, bottom):
+    """The value of f in an algebra given by its operations: `var(g)` is a
+    variable node's value, `imp(a, b)` and `delta(a)` combine the values of
+    the subterms, and `top` and `bottom` are the constants.  One step per
+    distinct node, children first; `check` is the `postorder` hook (see
+    `_checker`) or None, and a node that is no connective raises
+    FormulaError."""
+    value = {}
+    for g in postorder(f, check):
         cls = g.__class__
         if cls is Imp:
-            program.append((1, step[id(g.left)], step[id(g.right)]))
+            x = imp(value[id(g.left)], value[id(g.right)])
+        elif cls is Var:
+            x = var(g)
         elif cls is Delta:
-            program.append((2, step[id(g.child)], 0))
+            x = delta(value[id(g.child)])
+        elif cls is Top or cls is Bot:
+            x = top if cls is Top else bottom
         else:
-            program.append((0, pos[g.name], 0) if cls is Var
-                           else (3, A.top if cls is Top else A.bottom, 0))
-
-    def run(e):
-        values = []
-        for kind, a, b in program:
-            values.append(imp[values[a]][values[b]] if kind == 1 else e[a] if kind == 0
-                          else delta[values[a]] if kind == 2 else a)
-        return values[-1]
-
-    return run
+            raise FormulaError(f"not a formula node: {g!r}")
+        value[id(g)] = x
+    return value[id(f)]
 
 
 # bound on the table entries equation_violations holds at once
@@ -518,7 +515,7 @@ def equation_violations(A, equations, every: bool = False,
     holds about N^(k-1) entries per subterm, and without `every` it stops
     at its first violating slab.  Both searches list the same assignments.
 
-    Raises FormulaError as `compile_term` does, at the first offending node
+    Raises FormulaError as `_checker` does, at the first offending node
     in pre-order of the first offending equation (lhs, rhs, then the
     premise pairs).
     """
@@ -530,9 +527,9 @@ def equation_violations(A, equations, every: bool = False,
 class _Plan(Record):
     """One interned equation over `names`.  `slab_var` is names[0], or None
     when no term sees position 0 (a repeated name binds its last position,
-    as in `compile_term`); `space` names positions 1.. of an assignment,
-    None where no term sees it.  Node ids are in post-order, split by
-    whether they use `slab_var`."""
+    as in `dict(zip(names, e))`); `space` names positions 1.. of an
+    assignment, None where no term sees it.  Node ids are in post-order,
+    split by whether they use `slab_var`."""
     names: tuple
     slab_var: str | None
     space: tuple
@@ -885,32 +882,32 @@ def _digits(h, n, width) -> tuple[int, ...]:
 
 
 def eval_formula(f: Formula, algebra, valuation: dict[str, int]) -> int:
-    """Evaluate over a FiniteAlgebra; valuation maps variable names to indices."""
-    return compile_term(f, algebra, list(valuation))(tuple(valuation.values()))
+    """Evaluate over a FiniteAlgebra; valuation maps variable names to indices.
+    Raises as `_checker` does."""
+    imp, delta = algebra.imp, algebra.delta
+    return _fold(f, _checker(valuation, delta is not None, algebra.bottom is not None),
+                 lambda g: valuation[g.name], lambda a, b: imp[a][b], lambda a: delta[a],
+                 algebra.top, algebra.bottom)
 
 
 def rational_eval(f: Formula, valuation: dict[str, Fraction]) -> Fraction:
     """Exact evaluation over the unit interval with min{1, 1-x+y} implication.
 
     D is the crisp operator (1 at 1, else 0); floats are never involved
-    because D is discontinuous at 1.  `fractions` is imported here, as no
-    CLI verb evaluates over the unit interval.
+    because D is discontinuous at 1.  Raises as `_checker` does, and at a
+    variable whose value lies outside [0, 1].  `fractions` is imported
+    here, as no CLI verb evaluates over the unit interval.
     """
     from fractions import Fraction
 
     one, zero = Fraction(1), Fraction(0)
-    value = {}
-    for g in postorder(f, _checker(valuation, True, True)):
-        cls = g.__class__
-        if cls is Var:
-            x = Fraction(valuation[g.name])
-            if not zero <= x <= one:
-                raise FormulaError(f"value of {g.name!r} outside [0, 1]")
-        elif cls is Imp:
-            x = min(one, one - value[id(g.left)] + value[id(g.right)])
-        elif cls is Delta:
-            x = one if value[id(g.child)] == one else zero
-        else:
-            x = one if cls is Top else zero
-        value[id(g)] = x
-    return value[id(f)]
+
+    def var(g):
+        x = Fraction(valuation[g.name])
+        if not zero <= x <= one:
+            raise FormulaError(f"value of {g.name!r} outside [0, 1]")
+        return x
+
+    return _fold(f, _checker(valuation, True, True), var,
+                 lambda a, b: min(one, one - a + b), lambda a: one if a == one else zero,
+                 one, zero)

@@ -222,10 +222,6 @@ class _Packing:
         return ([(x := neg + v) ^ ((x ^ MM) & ((t := (x + CC) & H) - (t >> s))) for v in vs],
                 [(x := pos - v) ^ ((x ^ MM) & ((t := (x + CC) & H) - (t >> s))) for v in vs])
 
-    def imp(self, u: int, v: int) -> int:
-        """u -> v, by `imps`."""
-        return self.imps(u, (v,))[0][0]
-
     def delta(self, u: int) -> int:
         """mm where a == mm, else 0: a + high - mm reaches the top bit iff a == mm."""
         t = (u + self.CC + (self.H >> self.s)) & self.H

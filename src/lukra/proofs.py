@@ -18,7 +18,8 @@ from __future__ import annotations
 import re
 
 from .algebra import AlgebraError
-from .formulas import Formula, Imp, match, mismatch, parse, substitute, to_text, uses_bot
+from .formulas import (Formula, Imp, _quoted, match, mismatch, parse, substitute, to_text,
+                       uses_bot)
 from .logic import axiom_schemas_bot, axiom_schemas_n
 from .records import Record, field
 
@@ -168,8 +169,7 @@ def _check_mp(f: Formula, just: ByMP, by_idx, current) -> str | None:
         return f"MP references lines {just.i}, {just.j} not strictly earlier"
     if fj == Imp(fi, f) or fi == Imp(fj, f):
         return None
-    return (f"MP mismatch: neither cited line is "
-            f"{to_text(Imp(fi, f))!r} or {to_text(Imp(fj, f))!r}")
+    return f"MP mismatch: neither cited line is {_quoted(Imp(fi, f))} or {_quoted(Imp(fj, f))}"
 
 
 # The crispness rule as patterns over the metavariables g, a and b: from an
@@ -187,7 +187,7 @@ def _check_qgen(f: Formula, just: ByQGen, by_idx, current, reading: str) -> str 
         return "rule references lines not strictly earlier"
     third = Imp(at["g"], at["a"])
     if fk is not third:
-        return f"third premise must be {to_text(third)!r}"
+        return f"third premise must be {_quoted(third)}"
     if reading == "literal":    # each an up premise, with its own b
         return (None if all(match(_QGEN_UP, x, dict(at)) is not None for x in (fi, fj))
                 else "first two premises must be (g->b)->(g->(g->b)) at this g")

@@ -331,6 +331,26 @@ def substitute(f: Formula, subst: dict) -> Formula:
     return f
 
 
+def rational_eval(f: Formula, valuation: dict) -> Fraction:
+    """The value of f on [0, 1], raising where `formulas.rational_eval`
+    does: at the first bad node in a depth-first walk."""
+    if isinstance(f, Var):
+        if f.name not in valuation:
+            raise FormulaError(f"unassigned variable {f.name!r}")
+        x = Fraction(valuation[f.name])
+        if not 0 <= x <= 1:
+            raise FormulaError(f"value of {f.name!r} outside [0, 1]")
+        return x
+    if isinstance(f, Imp):
+        left = rational_eval(f.left, valuation)
+        return min(Fraction(1), 1 - left + rational_eval(f.right, valuation))
+    if isinstance(f, Delta):
+        return Fraction(rational_eval(f.child, valuation) == 1)
+    if isinstance(f, (Top, Bot)):
+        return Fraction(isinstance(f, Top))
+    raise FormulaError(f"not a formula node: {f!r}")
+
+
 def to_text(f: Formula) -> str:
     if isinstance(f, Var):
         return f.name

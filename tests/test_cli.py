@@ -261,6 +261,10 @@ def test_first_order_guard_counts_values(capsys, tmp_path, monkeypatch):
     assert time.perf_counter() - start < 2
 
 
+# 2002001 nodes written out
+_BIG = "((p ->[1000] q) ->[1000] q)"
+
+
 def test_prove_check_writes_out_conclusions_within_a_bound(capsys, tmp_path):
     from lukra.formulas import TEXT_NODES
 
@@ -276,6 +280,37 @@ def test_prove_check_writes_out_conclusions_within_a_bound(capsys, tmp_path):
     assert time.perf_counter() - start < 5
     assert (code, captured.out) == (2, "")
     assert f"TEXT_NODES = {TEXT_NODES}" in captured.err
+    # the report lists the hypotheses as text too, so one past the bound is
+    # refused, though the conclusion is short and the failed line's reason
+    # names the subterm by its node count
+    p.write_text(f"1. {_BIG} ; HYP 1\n2. r ; MP 1 1\n")
+    code = main(["logic", "prove-check", "--system", "n", "--n", "3", "--in", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "formula of 2002001 nodes written out exceeds TEXT_NODES" in captured.err
+
+
+@pytest.mark.parametrize("system, text, line, reason", [
+    (["n", "--n", "3"], f"1. {_BIG} ; AX1\n2. p -> (q -> p) ; AX1\n", 1,
+     "not an instance of AX1: metavariable alpha bound to '" + "p -> " * 1000
+     + "q' but found a formula of 1997997 nodes"),
+    # line 1 is the AX1 instance Y -> (r -> Y), so no hypothesis is past the bound
+    (["n", "--n", "3"], f"1. {_BIG} -> r -> {_BIG} ; AX1\n2. r ; MP 1 1\n", 2,
+     "MP mismatch: neither cited line is a formula of 4004007 nodes "
+     "or a formula of 4004007 nodes"),
+    (["bot"], f"1. p ; HYP 1\n2. p ; HYP 2\n3. p ; HYP 3\n"
+              f"4. {_BIG} -> D p ; QGEN 1 2 3\n5. p ; HYP 4\n", 4,
+     "third premise must be a formula of 2002003 nodes"),
+], ids=["axiom", "mp", "crispness"])
+def test_prove_check_names_a_subterm_past_the_bound_by_its_size(capsys, tmp_path, system,
+                                                                text, line, reason):
+    # a reason names a subterm past TEXT_NODES by its node count, so only
+    # that line fails, and the check exits 1
+    p = tmp_path / "big.proof"
+    p.write_text(text)
+    code, report = run(capsys, "logic", "prove-check", "--system", *system, "--in", str(p))
+    assert code == 1
+    assert report["failures"] == [{"line": line, "reason": reason}]
 
 
 def test_suite_at_a_high_level_is_linear_in_the_shared_laws(capsys, tmp_path):

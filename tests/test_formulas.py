@@ -19,7 +19,6 @@ from lukra.formulas import (
     TEXT_NODES,
     Top,
     Var,
-    compile_term,
     eval_formula,
     imp_k,
     match,
@@ -90,7 +89,6 @@ def test_deep_nesting_is_answered():
     assert parse("(" * 1200 + "p" + ")" * 1200) == Var("p")
     A = make_chain(3, with_delta=True)
     for p in range(3):
-        assert compile_term(deep, A, ["p"])((p,)) == A.delta[p]
         assert eval_formula(deep, A, {"p": p}) == A.delta[p]
 
 
@@ -140,18 +138,24 @@ def test_print_parse_roundtrip(f):
     assert parse(to_text(f)) == f
 
 
-@given(formulas)
-def test_rational_eval_matches_chain_eval(f):
+@given(formulas, st.data())
+def test_rational_eval_matches_chain_eval(f, data):
     # the 4-chain embeds in [0,1] at {0, 1/3, 2/3, 1}
     A = make_chain(4, with_delta=True, with_bottom=True)
     idx = {"p": 1, "q": 2, "r": 3}
     rat = {k: Fraction(v, 3) for k, v in idx.items()}
     assert rational_eval(f, rat) == Fraction(eval_formula(f, A, idx), 3)
+    # values outside [0, 1] and a name left out raise as the recursive
+    # evaluator does, at the first bad node in a depth-first walk
+    values = st.sampled_from([Fraction(-1, 3), Fraction(4, 3), Fraction(1, 2), 1])
+    rat.update(data.draw(st.dictionaries(st.sampled_from("pqr"), values, max_size=3)))
+    rat.pop(data.draw(st.sampled_from(["p", "q", "r", None])), None)
+    assert outcome(lambda: rational_eval(f, rat)) == outcome(lambda: oracles.rational_eval(f, rat))
 
 
 def walk(f, algebra, valuation: dict[str, int]) -> int:
     """The recursive evaluator that eval_formula was before terms were
-    compiled; the oracle for compile_term."""
+    compiled; the oracle for eval_formula's fold."""
     if isinstance(f, Var):
         try:
             return valuation[f.name]
@@ -199,7 +203,6 @@ def test_compiled_terms_match_the_walker(f, A, data):
     # a variable left out must make both sides raise alike
     v.pop(data.draw(st.sampled_from(["p", "q", "r", None, None, None])), None)
     want = outcome(lambda: walk(f, A, v))
-    assert outcome(lambda: compile_term(f, A, list(v))(tuple(v.values()))) == want
     assert outcome(lambda: eval_formula(f, A, v)) == want
 
 

@@ -140,7 +140,7 @@ def test_packed_implication_and_delta():
         u = tuple(ps[r % len(ps)][0] for ps in pairs)
         v = tuple(ps[r % len(ps)][1] for ps in pairs)
         want = tuple(min(k - 1, k - 1 - a + b) for a, b, k in zip(u, v, sizes))
-        assert P.unpack(P.imp(P.pack(u), P.pack(v))) == want
+        assert P.unpack(P.imps(P.pack(u), (P.pack(v),))[0][0]) == want
         want = tuple(k - 1 if a == k - 1 else 0 for a, k in zip(u, sizes))
         assert P.unpack(P.delta(P.pack(u))) == want
     # int order is the order of the vectors

@@ -24,7 +24,7 @@ from lukra.formulas import (
     FormulaError,
     Imp,
     Var,
-    compile_term,
+    eval_formula,
     parse,
     variables,
 )
@@ -139,16 +139,21 @@ def test_quasi_base_on_chains_without_level():
 # tables: the oracle for `formulas.equation_violations`.
 # ---------------------------------------------------------------------------
 
-def _compiled(A, names, terms):
+def _evaluators(A, names, terms):
+    """One evaluator of an assignment per term, by `eval_formula`.  A term's
+    errors do not depend on the assignment, so evaluating each term at the
+    zero assignment raises them before any sweep, in the order of `terms`."""
     try:
-        return [compile_term(t, A, names) for t in terms]
+        for t in terms:
+            eval_formula(t, A, dict.fromkeys(names, 0))
     except FormulaError as exc:
         raise ConfigurationError(f"law: {exc}") from None
+    return [lambda e, t=t: eval_formula(t, A, dict(zip(names, e))) for t in terms]
 
 
 def reference_first_violation(A, law):
-    lhs, rhs = _compiled(A, law.vars, [law.lhs, law.rhs])
-    prems = [_compiled(A, law.vars, pair) for pair in law.premises]
+    lhs, rhs = _evaluators(A, law.vars, [law.lhs, law.rhs])
+    prems = [_evaluators(A, law.vars, pair) for pair in law.premises]
     for e in iter_product(range(A.size), repeat=len(law.vars)):
         if all(pa(e) == pb(e) for pa, pb in prems) and lhs(e) != rhs(e):
             return e
@@ -168,7 +173,7 @@ def reference_check_identity(A, lhs, rhs):
     names = sorted(variables(lhs) | variables(rhs))
     if len(names) > 4:
         raise ConfigurationError("identity checking supports at most 4 variables")
-    lf, rf = _compiled(A, names, [lhs, rhs])
+    lf, rf = _evaluators(A, names, [lhs, rhs])
     return CheckReport.from_violations(
         ("identity", e) for e in iter_product(range(A.size), repeat=len(names))
         if lf(e) != rf(e))

@@ -13,7 +13,6 @@ from lukra.formulas import (
     TOP,
     Delta,
     Imp,
-    compile_term,
     eval_formula,
     parse,
     rational_eval,
@@ -180,12 +179,13 @@ def _names(formulas):
 
 
 def reference_sweep(formulas, n):
-    """(chain, compiled formulas, value tuple) over every chain up to n,
-    valuations of the sorted names in lexicographic order on each chain."""
+    """(chain, evaluators of the formulas, value tuple) over every chain up
+    to n, valuations of the sorted names in lexicographic order on each
+    chain; an evaluator maps a value tuple to the formula's value."""
     names = _names(formulas)
     for k in range(2, n + 1):
         A = make_chain(k, with_delta=True, with_bottom=True)
-        fs = [compile_term(f, A, names) for f in formulas]
+        fs = [lambda v, f=f: eval_formula(f, A, dict(zip(names, v))) for f in formulas]
         for values in iter_product(range(A.size), repeat=len(names)):
             yield A, fs, values
 
