@@ -285,13 +285,13 @@ def cmd_logic_conseq(args) -> tuple[dict, str, bool]:
 
 
 def cmd_logic_prove_check(args) -> tuple[dict, str, bool]:
-    from .formulas import to_text
+    from .formulas import _named
     from .proofs import check_proof, parse_proof
 
     P = parse_proof(_read_text(args.infile), system=args.system, n=args.n)
     report = check_proof(P, qgen_reading=args.qgen)
-    return ({**report.to_dict(), "conclusion": to_text(P.conclusion()),
-             "hypotheses": [to_text(h) for h in P.hypotheses()]},
+    return ({**report.to_dict(), "conclusion": _named(P.conclusion()),
+             "hypotheses": [_named(h) for h in P.hypotheses()]},
             "proof checks" if report.passed else f"first failure at line {report.first_bad_line}",
             report.passed)
 

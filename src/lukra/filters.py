@@ -78,14 +78,8 @@ def _members(A: FiniteAlgebra, S) -> set[int]:
 
 
 def is_implicative_filter(A: FiniteAlgebra, S) -> bool:
-    members = _members(A, S)
-    if A.top not in members:
-        return False
-    return all(
-        A.imp[x][y] not in members or y in members
-        for x in members
-        for y in range(A.size)
-    )
+    """S is its own MP closure: it holds top and is closed under MP."""
+    return filter_generated(A, S) == tuple(sorted(set(S)))
 
 
 def filter_generated(A: FiniteAlgebra, S) -> tuple[int, ...]:

@@ -18,12 +18,14 @@ first-order atoms and quantifiers), one fold that evaluates a term in any
 algebra given by its operations (`_fold`: a finite algebra in
 `eval_formula`, the unit interval in `rational_eval`, the term algebra in
 `substitute`), the evaluator of equations on value tables of terms and
-the schema matcher.  The evaluator interns a batch of equations once
+the schema matcher.  The evaluator plans a batch of equations once
 (`EquationBatch`) and tabulates it on any algebra of its signature:
 `equation_violations`, behind the law checks, on one algebra, and the
-decisions of `logic` on each chain in turn.  A carrier of at most 16
-elements is tabulated whole, one `bytes.translate` per subterm; a larger
-one slab by slab.
+decisions of `logic` on each chain in turn.  Its tables are keyed by the
+hash-consed nodes themselves, and both tabulations are `_fold`'s step
+(`_steps`) over value tables: a carrier of at most 16 elements is
+tabulated whole, one `bytes.translate` per subterm; a larger one slab by
+slab.
 """
 
 from __future__ import annotations
@@ -429,10 +431,15 @@ def to_text(f: Formula) -> str:
     return "".join(chunks)
 
 
+def _named(f: Formula, write=to_text) -> str:
+    """`write(f)`, or past TEXT_NODES f's node count, so a report or a
+    reason can name any term."""
+    return write(f) if f._size <= TEXT_NODES else f"a formula of {f._size} nodes"
+
+
 def _quoted(f: Formula) -> str:
-    """The quoted text of f for a reason, or past TEXT_NODES its node
-    count, so a reason can name any term."""
-    return repr(to_text(f)) if f._size <= TEXT_NODES else f"a formula of {f._size} nodes"
+    """The quoted text of f for a reason, named as `_named` does."""
+    return _named(f, lambda g: repr(to_text(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +471,16 @@ def _fold(f: Formula, check, var, imp, delta, top, bottom):
     `_checker`) or None, and a node that is no connective raises
     FormulaError."""
     value = {}
-    for g in postorder(f, check):
+    _steps(postorder(f, check), value, var, imp, delta, top, bottom)
+    return value[id(f)]
+
+
+def _steps(nodes, value, var, imp, delta, top, bottom) -> None:
+    """Add to `value`, keyed by id, the value of each of `nodes` (children
+    first) that it lacks, in the algebra of `_fold`'s operations."""
+    for g in nodes:
+        if id(g) in value:
+            continue
         cls = g.__class__
         if cls is Imp:
             x = imp(value[id(g.left)], value[id(g.right)])
@@ -477,7 +493,6 @@ def _fold(f: Formula, check, var, imp, delta, top, bottom):
         else:
             raise FormulaError(f"not a formula node: {g!r}")
         value[id(g)] = x
-    return value[id(f)]
 
 
 # bound on the table entries equation_violations holds at once
@@ -525,86 +540,81 @@ def equation_violations(A, equations, every: bool = False,
 
 
 class _Plan(Record):
-    """One interned equation over `names`.  `slab_var` is names[0], or None
-    when no term sees position 0 (a repeated name binds its last position,
-    as in `dict(zip(names, e))`); `space` names positions 1.. of an
-    assignment, None where no term sees it.  Node ids are in post-order,
-    split by whether they use `slab_var`."""
+    """One equation over `names`, by its nodes.  `slab_var` is names[0], or
+    None when no term sees position 0 (a repeated name binds its last
+    position, as in `dict(zip(names, e))`); `space` names positions 1.. of
+    an assignment, None where no term sees it.  The distinct nodes of the
+    terms are in post-order, split by whether they use `slab_var`."""
     names: tuple
     slab_var: str | None
     space: tuple
-    fixed_nodes: tuple[int, ...]
-    slab_nodes: tuple[int, ...]
-    lhs: int
-    rhs: int
-    premises: tuple[tuple[int, int], ...]
+    fixed_nodes: tuple[Formula, ...]
+    slab_nodes: tuple[Formula, ...]
+    lhs: Formula
+    rhs: Formula
+    premises: tuple[tuple[Formula, Formula], ...]
 
 
 class EquationBatch:
-    """Equations interned once, to be tabulated on any finite algebra with
+    """Equations planned once, to be tabulated on any finite algebra with
     a delta iff `delta` and a bottom iff `bottom`; raises FormulaError as
-    `equation_violations` does.  Each distinct subterm gets a node id and a
-    key ("v", name), ("t",), ("f",), ("i", left, right) or ("d", child),
-    children by node id, and `vars` holds the sorted names it uses.  An
-    equation given with names None is over the sorted names its terms use.
-    `violations` tabulates whole tables on carriers of at most 16 elements
-    when they fit its guard, and slab by slab otherwise.
+    `equation_violations` does.  Terms are hash-consed, so a node is its
+    own key: `vars` maps the id of each distinct subterm to the sorted
+    names it uses, and the plans hold the nodes, which keeps them alive.
+    An equation given with names None is over the sorted names its terms
+    use.  `violations` tabulates whole tables on carriers of at most 16
+    elements when they fit its guard, and slab by slab otherwise; both are
+    `_steps` over value tables.
     """
 
     def __init__(self, equations, delta: bool, bottom: bool):
         self.delta, self.bottom = delta, bottom
-        self.ids, self.keys, self.vars = {}, [], []     # node -> id, id -> key, id -> names
+        self.vars: dict = {}    # node id -> sorted names
         self.plans = [self._plan(*equation) for equation in equations]
 
     def _plan(self, names, lhs, rhs, premises=()) -> _Plan:
-        nodes: dict = {}
-        ids = self._intern([t for pair in [(lhs, rhs), *premises] for t in pair], names, nodes)
+        """The plan of one equation, from one walk over its terms that fills
+        `vars`; `names` None admits every name."""
+        vars_, delta, bottom = self.vars, self.delta, self.bottom
+        terms = [t for pair in [(lhs, rhs), *premises] for t in pair]
+        nodes: dict = {}    # id -> node, in post-order
+        for f in terms:
+            for g in postorder(f):
+                i = id(g)
+                nodes[i] = g
+                cls = g.__class__
+                if cls is Imp:
+                    if i not in vars_:
+                        x, y = vars_[id(g.left)], vars_[id(g.right)]
+                        vars_[i] = x if x == y else tuple(sorted({*x, *y}))
+                elif cls is Var and (names is None or g.name in names):
+                    vars_[i] = (g.name,)
+                elif cls is Delta and delta:
+                    vars_[i] = vars_[id(g.child)]
+                elif cls is Top or cls is Bot and bottom:
+                    vars_[i] = ()
+                else:   # raise at the first offending node in pre-order
+                    list(postorder(f, _checker(names, delta, bottom)))
         if names is None:
-            names = sorted({x for i in ids for x in self.vars[i]})
+            names = sorted({x for f in terms for x in vars_[id(f)]})
         pos = {name: i for i, name in enumerate(names)}
         s = names[0] if names and pos[names[0]] == 0 else None
         return _Plan(
             names=tuple(names), slab_var=s,
             space=tuple(name if pos[name] == i else None for i, name in enumerate(names) if i),
-            fixed_nodes=tuple(i for i in nodes if s not in self.vars[i]),
-            slab_nodes=tuple(i for i in nodes if s in self.vars[i]),
-            lhs=ids[0], rhs=ids[1], premises=tuple(zip(ids[2::2], ids[3::2])))
-
-    def _intern(self, terms, names, nodes) -> list[int]:
-        """The node ids of the terms, interning their distinct subterms,
-        whose ids `nodes` gets in post-order; `names` None admits every name."""
-        ids, keys, vars_ = self.ids, self.keys, self.vars
-        for f in terms:
-            for g in postorder(f):
-                cls = g.__class__
-                if cls is Imp:
-                    key = ("i", ids[g.left], ids[g.right])
-                elif cls is Var and (names is None or g.name in names):
-                    key = ("v", g.name)
-                elif cls is Delta and self.delta:
-                    key = ("d", ids[g.child])
-                elif cls is Top or cls is Bot and self.bottom:
-                    key = ("t",) if cls is Top else ("f",)
-                else:   # raise at the first offending node in pre-order
-                    list(postorder(f, _checker(names, self.delta, self.bottom)))
-                i = ids.get(g)
-                if i is None:
-                    i = ids[g] = len(keys)
-                    keys.append(key)
-                    vars_.append((g.name,) if cls is Var else
-                                 tuple(sorted({x for k in key[1:] for x in vars_[k]})))
-                nodes[i] = None
-        return [ids[f] for f in terms]
+            fixed_nodes=tuple(g for i, g in nodes.items() if s not in vars_[i]),
+            slab_nodes=tuple(g for i, g in nodes.items() if s in vars_[i]),
+            lhs=lhs, rhs=rhs, premises=tuple(zip(terms[2::2], terms[3::2])))
 
     def check_guard(self, n: int, guard: int) -> None:
         """Raise SizeGuardError when the plans' tables on an n-element
         carrier, predicted as `equation_violations` says, exceed `guard`."""
-        axes = {}
+        vars_, axes = self.vars, {}
         for plan in self.plans:
-            for i in plan.fixed_nodes:
-                axes[i, None] = len(self.vars[i])
-            for i in plan.slab_nodes:
-                axes[i, plan.slab_var] = len(self.vars[i]) - 1
+            for g in plan.fixed_nodes:
+                axes[id(g), None] = len(vars_[id(g)])
+            for g in plan.slab_nodes:
+                axes[id(g), plan.slab_var] = len(vars_[id(g)]) - 1
         entries = (sum(n ** k for k in axes.values())
                    + sum((2 + 2 * len(plan.premises)) * n ** len(plan.space)
                          for plan in self.plans))
@@ -635,11 +645,12 @@ class EquationBatch:
                 groups.setdefault((plan.slab_var, *plan.space) if plan.names else (), []).append(j)
             for axes, members in groups.items():
                 group = [plans[j] for j in members]
-                nodes = {i for plan in group for i in chain(plan.fixed_nodes, plan.slab_nodes)}
+                nodes = {id(g): g for plan in group for g in chain(plan.fixed_nodes, plan.slab_nodes)}
                 if len(nodes) * A.size ** len(axes) > guard:
                     by_slab += members
                     continue
-                for j, hits in zip(members, self._violations_whole(A, maps, axes, group, every)):
+                found = self._violations_whole(A, maps, axes, group, nodes.values(), every)
+                for j, hits in zip(members, found):
                     out[j] = hits
         if by_slab:
             found = self._violations_by_slab(A, [which[j] for j in by_slab], every)
@@ -647,18 +658,19 @@ class EquationBatch:
                 out[j] = hits
         return out
 
-    def _violations_whole(self, A, maps, axes, plans, every: bool) -> list[list[tuple[int, ...]]]:
+    @staticmethod
+    def _violations_whole(A, maps, axes, plans, nodes, every: bool) -> list[list[tuple[int, ...]]]:
         """`violations` of `plans`, all over `axes`, on A of at most 16
-        elements, whose `_byte_maps` are `maps`, with every table over all
-        of `axes`.
+        elements, whose `_byte_maps` are `maps`, with `nodes` the plans'
+        distinct nodes, children first.
 
-        A table is `bytes`, row-major over `axes`, shared by the plans in one
-        memo.  A variable is its coordinate table and a constant one byte
-        repeated; D translates its child by delta.  For a -> b, the bytes
-        a * N + b form the pair code (each below N * N <= 256, so the sum of
-        a's table times N and b's table, read as big-endian ints, never
-        carries), which one translate maps by imp.  The violation mask is
-        the (lhs, rhs) pair code mapped by `!=`, ANDed as an int with each
+        One `_steps` call tabulates each node as `bytes`, row-major over all
+        of `axes`.  A variable is its coordinate table and a constant one
+        byte repeated; D translates its child by delta.  For a -> b, the
+        bytes a * N + b form the pair code (each below N * N <= 256, so the
+        sum of a's table times N and b's table, read as big-endian ints,
+        never carries), which one translate maps by imp.  The violation mask
+        is the (lhs, rhs) pair code mapped by `!=`, ANDed as an int with each
         premise's `==` mask, and its ones are the violating assignments.
         """
         n = A.size
@@ -669,34 +681,26 @@ class EquationBatch:
             return (int.from_bytes(left.translate(times), "big")
                     + int.from_bytes(right, "big")).to_bytes(size, "big")
 
-        keys, memo = self.keys, {}
+        def var(g) -> bytes:
+            inner = n ** (len(axes) - 1 - axes.index(g.name))
+            return b"".join(bytes([x]) * inner for x in range(n)) * (size // (n * inner))
+
+        memo: dict = {}
+        _steps(nodes, memo, var, lambda a, b: code(a, b).translate(by_imp),
+               lambda a: a.translate(delta), bytes([A.top]) * size,
+               None if A.bottom is None else bytes([A.bottom]) * size)
         out = []
         for plan in plans:
-            for i in chain(plan.fixed_nodes, plan.slab_nodes):
-                if i in memo:
-                    continue
-                key = keys[i]
-                kind = key[0]
-                if kind == "i":
-                    data = code(memo[key[1]], memo[key[2]]).translate(by_imp)
-                elif kind == "d":
-                    data = memo[key[1]].translate(delta)
-                elif kind == "v":
-                    inner = n ** (len(axes) - 1 - axes.index(key[1]))
-                    data = b"".join(bytes([x]) * inner for x in range(n)) * (size // (n * inner))
-                else:
-                    data = bytes([A.top if kind == "t" else A.bottom]) * size
-                memo[i] = data
             hits = []
             out.append(hits)
-            left, right = memo[plan.lhs], memo[plan.rhs]
+            left, right = memo[id(plan.lhs)], memo[id(plan.rhs)]
             if left == right:
                 continue
             mask = code(left, right).translate(ne)
             if plan.premises:
                 bits = int.from_bytes(mask, "big")
                 for a, b in plan.premises:
-                    bits &= int.from_bytes(code(memo[a], memo[b]).translate(eq), "big")
+                    bits &= int.from_bytes(code(memo[id(a)], memo[id(b)]).translate(eq), "big")
                 mask = bits.to_bytes(size, "big")
             h = mask.find(1)
             while h >= 0:
@@ -705,31 +709,41 @@ class EquationBatch:
         return out
 
     def _violations_by_slab(self, A, which, every: bool = False) -> list[list[tuple[int, ...]]]:
-        """`violations` slab by slab of each plan's first variable, on any A."""
-        tables = _TermTables(self, A)
+        """`violations` slab by slab of each plan's first variable, on any A.
+
+        The tables of nodes without their group's slab variable are over all
+        of their variables, so `fixed` keeps them for every group.  A node
+        can be fixed in one group and sliced in another (x -> z under the
+        slab variables y and x), so each group's slab tables start from its
+        own members' fixed tables only."""
+        tables = _TermTables(A)
         plans = [self.plans[i] for i in which]
         out = [[] for _ in plans]
         groups: dict = {}
         for i, plan in enumerate(plans):
             groups.setdefault((plan.slab_var, bool(plan.names)), []).append(i)
+        fixed: dict = {}    # node id -> table
         for (s, sliced), members in groups.items():
+            seed = {}
             for i in members:
-                tables.tabulate(plans[i].fixed_nodes, s, None, tables.fixed)
+                nodes = plans[i].fixed_nodes
+                tables.tabulate(nodes, s, None, fixed)
+                seed.update((id(g), fixed[id(g)]) for g in nodes)
             for v in range(A.size if sliced else 1):
-                slab: dict = {}
+                slab = dict(seed)
                 for i in members:
                     if out[i] and not every:
                         continue
                     plan = plans[i]
                     tables.tabulate(plan.slab_nodes, s, v, slab)
                     space = plan.space
-                    get = tables.reader(s, slab)
-                    left, right = get(plan.lhs, space), get(plan.rhs, space)
+                    left, right = (tables.spread(slab[id(t)], space) for t in (plan.lhs, plan.rhs))
                     if left == right:
                         continue
                     hits = map(operator.ne, left, right)
-                    for a, b in plan.premises:
-                        hits = map(operator.and_, hits, map(operator.eq, get(a, space), get(b, space)))
+                    for pair in plan.premises:
+                        a, b = (tables.spread(slab[id(t)], space) for t in pair)
+                        hits = map(operator.and_, hits, map(operator.eq, a, b))
                     hits = compress(count(), hits)
                     out[i].extend(tables.decode(v, h, len(plan.names))
                                   for h in (hits if every else islice(hits, 1)))
@@ -753,18 +767,17 @@ def _byte_maps(A):
 
 
 class _TermTables:
-    """The value tables of a batch's subterms over one finite algebra.
+    """The value tables of terms over one finite algebra, by `_steps`.
 
     A table is a pair (axes, data): `data` holds the values of a term
-    row-major over the variable names `axes`, so a term that uses no
+    row-major over the sorted variable names `axes`, so a term that uses no
     variable has one entry.  `data` is `bytes` when every carrier index
     fits a byte (N <= 256), which lets a unary map over it run as
     `bytes.translate`, and an `array` of a wider type otherwise.
     """
 
-    def __init__(self, batch, A):
+    def __init__(self, A):
         self.A, self.n = A, A.size
-        self.keys, self.vars = batch.keys, batch.vars
         self.narrow = A.size <= 256
         if self.narrow:
             self.make = bytes
@@ -776,75 +789,52 @@ class _TermTables:
         self.rows = [lift(r) for r in A.imp]
         self.cols = [lift(c) for c in zip(*A.imp)]
         self.delta = lift(A.delta) if A.delta is not None else None
-        self.fixed: dict = {}       # node id -> table of a node without its slab variable
+        self.top = ((), self.make([A.top]))
+        self.bottom = ((), self.make([A.bottom])) if A.bottom is not None else None
         self.spreads: dict = {}     # (axes, target axes) -> index array
-
-    def reader(self, s, slab):
-        """get(i, target): the table of node i in `slab` (the slab of s)
-        or in `fixed`, spread over the axes `target`."""
-        fixed, vars_, spread = self.fixed, self.vars, self.spread
-
-        def get(i, target):
-            axes, data = slab[i] if s in vars_[i] else fixed[i]
-            return spread(data, axes, target)
-        return get
 
     def tabulate(self, nodes, s, v, memo) -> None:
         """Add to `memo` the tables of the given nodes (children first) that
         it lacks, with the variable s bound to v."""
-        A, vars_, keys, fixed, make = self.A, self.vars, self.keys, self.fixed, self.make
+        make, carrier = self.make, range(self.n)
+        _steps(nodes, memo, lambda g: ((), make([v])) if g.name == s else ((g.name,), make(carrier)),
+               self.imp, self._delta, self.top, self.bottom)
 
-        def table(i):
-            return memo[i] if s in vars_[i] else fixed[i]
+    def _delta(self, table):
+        """The table of D applied to `table`, over the same axes."""
+        axes, data = table
+        return axes, (data.translate(self.delta) if self.narrow
+                      else self.make(map(self.delta.__getitem__, data)))
 
-        for i in nodes:
-            if i in memo:
-                continue
-            axes = tuple(x for x in vars_[i] if x != s)
-            key = keys[i]
-            kind = key[0]
-            if kind == "v":
-                data = make([v] if key[1] == s else range(self.n))
-            elif kind == "t":
-                data = make([A.top])
-            elif kind == "f":
-                data = make([A.bottom])
-            elif kind == "d":
-                child = table(key[1])[1]
-                if self.narrow:
-                    data = child.translate(self.delta)
-                else:
-                    data = make(map(self.delta.__getitem__, child))
-            else:
-                data = self.imp(axes, table(key[1]), table(key[2]))
-            memo[i] = (axes, data)
+    def imp(self, left, right):
+        """The table of left -> right, over the sorted union of their axes.
 
-    def imp(self, axes, left, right):
-        """The table of left -> right over `axes`, the union of their axes.
-
-        When one side's axes are a proper prefix of `axes`, the other side
-        splits into one block per entry of that side, and each block is a
-        unary map by that entry's row (or column) of imp.
+        When one side's axes are a proper prefix of that union, the other
+        side splits into one block per entry of that side, and each block is
+        a unary map by that entry's row (or column) of imp.
         """
         (la, ld), (ra, rd) = left, right
+        axes = la if la == ra else tuple(sorted({*la, *ra}))
         if self.narrow:
             if len(la) < len(axes) and axes[:len(la)] == la:
-                return self._blocks(ld, self.rows, self.spread(rd, ra, axes))
+                return axes, self._blocks(ld, self.rows, self.spread(right, axes))
             if len(ra) < len(axes) and axes[:len(ra)] == ra:
-                return self._blocks(rd, self.cols, self.spread(ld, la, axes))
-        return self.make(map(operator.getitem,
-                             map(self.A.imp.__getitem__, self.spread(ld, la, axes)),
-                             self.spread(rd, ra, axes)))
+                return axes, self._blocks(rd, self.cols, self.spread(left, axes))
+        return axes, self.make(map(operator.getitem,
+                                   map(self.A.imp.__getitem__, self.spread(left, axes)),
+                                   self.spread(right, axes)))
 
     @staticmethod
-    def _blocks(keys, tables, data) -> bytes:
-        """Block j of `data` (one per entry of `keys`) translated by tables[keys[j]]."""
-        m = len(data) // len(keys)
-        return b"".join(data[j * m:(j + 1) * m].translate(tables[c]) for j, c in enumerate(keys))
+    def _blocks(entries, tables, data) -> bytes:
+        """Block j of `data` (one per entry) translated by tables[entries[j]]."""
+        m = len(data) // len(entries)
+        return b"".join(data[j * m:(j + 1) * m].translate(tables[c]) for j, c in enumerate(entries))
 
-    def spread(self, data, axes, target):
-        """The table `data` over `axes` broadcast to `target`, a superset of
-        `axes` in any order; a None in `target` is an axis nothing reads."""
+    def spread(self, table, target):
+        """The data of `table` broadcast from its axes to `target`, a
+        superset of them in any order; a None in `target` is an axis
+        nothing reads."""
+        axes, data = table
         if axes == target:
             return data
         k = len(target) - len(axes)

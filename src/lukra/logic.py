@@ -101,7 +101,7 @@ class Verdict(Record):
 def _decide(equations, n: int, guard: int) -> list[Verdict]:
     """Decide each (lhs, rhs, premises) quasi-equation at level n.
 
-    The equations are interned once, and the table guard is checked at
+    The equations are planned once, and the table guard is checked at
     level n, whose chain holds the largest tables, before any chain is
     built.  Then the chains are built and tabulated one at a time in
     increasing size, each over the equations no smaller chain has violated,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from lukra.algebra import FiniteAlgebra, SizeGuardError, epimorphisms, imp_k
-from lukra.filters import Congruence
+from lukra.filters import Congruence, _members
 from lukra.fo import (
     FEq,
     FExists,
@@ -87,6 +87,20 @@ def _partitions(n: int):
             yield from rec(i + 1, max(maxblock, b))
 
     yield from rec(1, 0) if n > 0 else iter(())
+
+
+def is_implicative_filter(A: FiniteAlgebra, S) -> bool:
+    """Oracle: top is in S and every x in S, y with x -> y in S has y in S,
+    one pass over the table (the check `filters.is_implicative_filter` made
+    before it compared S with its MP closure)."""
+    members = _members(A, S)
+    if A.top not in members:
+        return False
+    return all(
+        A.imp[x][y] not in members or y in members
+        for x in members
+        for y in range(A.size)
+    )
 
 
 def k_weak_mp_closed(A: FiniteAlgebra, F, k: int) -> bool:

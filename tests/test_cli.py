@@ -266,28 +266,29 @@ _BIG = "((p ->[1000] q) ->[1000] q)"
 
 
 def test_prove_check_writes_out_conclusions_within_a_bound(capsys, tmp_path):
-    from lukra.formulas import TEXT_NODES
-
     p = tmp_path / "deep.proof"
     p.write_text("1. p ->[1000] q ; HYP 1\n")
     code, report = run(capsys, "logic", "prove-check", "--system", "n", "--n", "3", "--in", str(p))
     assert code == 0 and report["conclusion"] == "p -> " * 1000 + "q"
-    # about 2 * 10^9 nodes written out
+    # about 2 * 10^9 nodes: past TEXT_NODES the report names the conclusion
+    # and the hypothesis by their node counts
     p.write_text("1. ((p ->[1000] q) ->[1000] r) ->[1000] s ; HYP 1\n")
     start = time.perf_counter()
-    code = main(["logic", "prove-check", "--system", "n", "--n", "3", "--in", str(p)])
-    captured = capsys.readouterr()
+    code, report = run(capsys, "logic", "prove-check", "--system", "n", "--n", "3", "--in", str(p))
     assert time.perf_counter() - start < 5
-    assert (code, captured.out) == (2, "")
-    assert f"TEXT_NODES = {TEXT_NODES}" in captured.err
-    # the report lists the hypotheses as text too, so one past the bound is
-    # refused, though the conclusion is short and the failed line's reason
-    # names the subterm by its node count
-    p.write_text(f"1. {_BIG} ; HYP 1\n2. r ; MP 1 1\n")
-    code = main(["logic", "prove-check", "--system", "n", "--n", "3", "--in", str(p)])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "formula of 2002001 nodes written out exceeds TEXT_NODES" in captured.err
+    assert code == 0
+    assert report["conclusion"] == "a formula of 2002002001 nodes"
+    assert report["hypotheses"] == ["a formula of 2002002001 nodes"]
+    # a hypothesis or a conclusion past the bound no longer refuses the
+    # report: only the failed line fails
+    for text, hypothesis, conclusion in [
+            (f"1. {_BIG} ; HYP 1\n2. r ; MP 1 1\n", "a formula of 2002001 nodes", "r"),
+            (f"1. p ; HYP 1\n2. {_BIG} ; MP 1 1\n", "p", "a formula of 2002001 nodes")]:
+        p.write_text(text)
+        code, report = run(capsys, "logic", "prove-check", "--system", "n", "--n", "3", "--in", str(p))
+        assert code == 1
+        assert [f["line"] for f in report["failures"]] == [2]
+        assert (report["hypotheses"], report["conclusion"]) == ([hypothesis], conclusion)
 
 
 @pytest.mark.parametrize("system, text, line, reason", [

@@ -3,6 +3,7 @@ import time
 from itertools import combinations, product as iter_product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lukra.algebra import (
     AlgebraError,
@@ -40,8 +41,10 @@ from lukra.filters import (
     subdirect_embedding,
     tied_filters,
 )
+import oracles
 from oracles import congruences, k_weak_mp_closed
 from test_acceptance import _criterion5_algebras
+from test_laws import random_tables
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +336,31 @@ def test_filter_sets_outside_the_carrier_are_refused(check, S, bad):
     # a negative index would otherwise read a row from the end of the table
     with pytest.raises(AlgebraError, match=rf"^filter element {bad} is outside the carrier 0\.\.2$"):
         getattr(lukra.filters, check)(make_chain(3, with_delta=True), S)
+
+
+def _outcome(check, A, S):
+    """The answer, or the type and message of the error raised."""
+    try:
+        return check(A, S)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_implicative_filter_is_its_own_closure(data):
+    # any in-range tables; a random set, an MP closure (a filter) or a set
+    # with an element outside the carrier
+    A = data.draw(random_tables(8))
+    S = data.draw(st.lists(st.integers(0, A.size - 1), max_size=A.size + 1))
+    kind = data.draw(st.sampled_from(["set", "closure", "outside"]))
+    if kind == "closure":
+        S = list(filter_generated(A, S))
+    elif kind == "outside":
+        S.insert(data.draw(st.integers(0, len(S))), data.draw(st.sampled_from(
+            [-2, -1, A.size, A.size + 1])))
+    assert (_outcome(is_implicative_filter, A, S)
+            == _outcome(oracles.is_implicative_filter, A, S))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from lukra.formulas import (
     FormulaError,
     Imp,
     Var,
+    equation_violations,
     eval_formula,
     parse,
     variables,
@@ -151,13 +152,17 @@ def _evaluators(A, names, terms):
     return [lambda e, t=t: eval_formula(t, A, dict(zip(names, e))) for t in terms]
 
 
-def reference_first_violation(A, law):
+def reference_violations(A, law):
+    """Every violating assignment of the law, in lexicographic order."""
     lhs, rhs = _evaluators(A, law.vars, [law.lhs, law.rhs])
     prems = [_evaluators(A, law.vars, pair) for pair in law.premises]
     for e in iter_product(range(A.size), repeat=len(law.vars)):
         if all(pa(e) == pb(e) for pa, pb in prems) and lhs(e) != rhs(e):
-            return e
-    return None
+            yield e
+
+
+def reference_first_violation(A, law):
+    return next(reference_violations(A, law), None)
 
 
 def reference_check_laws(A, laws):
@@ -264,6 +269,23 @@ def test_wide_carrier_matches_the_sweep():
         assert check_laws(C, laws) == reference_check_laws(C, laws)
         x = Var("x")
         assert check_identity(C, x, Delta(x)) == reference_check_identity(C, x, Delta(x))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_subterm_fixed_under_one_slab_variable_and_sliced_under_another(first):
+    # x -> z uses no y, so under the slab variable y its table is kept across
+    # slabs, over (x, z); under the slab variable x it is tabulated per slab,
+    # over (z,): the slabs of x must not read the table kept for y
+    A = product([make_chain(5, with_delta=True), make_chain(4, with_delta=True)])
+    x, y, z = Var("x"), Var("y"), Var("z")
+    xz = Imp(x, z)
+    laws = [Law("yxz", ("y", "x", "z"), Imp(xz, y), TOP),
+            Law("xyz", ("x", "y", "z"), Imp(Delta(xz), y), Imp(xz, y), ((Delta(y), y),))]
+    laws = laws[first:] + laws[:first]
+    found = equation_violations(A, [(law.vars, law.lhs, law.rhs, law.premises) for law in laws],
+                                every=True)
+    assert all(found)
+    assert found == [list(reference_violations(A, law)) for law in laws]
 
 
 def test_three_variable_law_runs_below_one_whole_table():
