@@ -15,7 +15,6 @@ _LAZY = {name: module for module, names in {
                 "imp_k", "is_isomorphic", "make_chain", "min_n", "product", "restrict_to",
                 "subalgebra_closure", "t_below", "tarskian_elements", "trivial_algebra",
                 "with_delta"),
-    "catalog": ("catalog", "chain_with_broken_delta", "five_element_non_admissible"),
     "filters": ("filters", "Congruence", "Filter", "all_filters", "check_tied_iff_maximal",
                 "classify_simple", "congruence_of", "describe_filter", "filter_generated",
                 "is_delta_filter", "is_implicative_filter", "maximal_filters", "moisil_check",

@@ -5,12 +5,15 @@ delta table, a distinguished top and an optional bottom.  The order is always
 *derived* from the table (x <= y iff x->y = top), never assumed from index
 order.  All values are immutable and safe to share.
 
-One semi-naive closure, `subuniverse`, generates every subuniverse: on
-finite tables for `subalgebra_closure`, `generating_set` and
-`homomorphisms`, and on packed vectors for the free-algebra builder.  One
-sweep, `least_witness`, finds the least counterexample of every
-hand-written check in lexicographic order; `CheckReport`, the outcome of
-every check, lives here so that `filters` and `logic` need not load `laws`.
+One chain kernel, `_Packing`, computes min(m, m - a + b) and delta on
+many chain values packed into one int: the free-algebra builder's vectors
+and the logic decisions' value tables on L_2..L_n.  One semi-naive
+closure, `subuniverse`, generates every subuniverse: on finite tables for
+`subalgebra_closure`, `generating_set` and `homomorphisms`, and on packed
+vectors for the free-algebra builder.  One sweep, `least_witness`, finds
+the least counterexample of every hand-written check in lexicographic
+order; `CheckReport`, the outcome of every check, lives here so that
+`filters` and `logic` need not load `laws`.
 """
 
 from __future__ import annotations
@@ -233,6 +236,98 @@ def make_chain(n: int, with_delta: bool = False, with_bottom: bool = False) -> F
         size=n, imp=imp, top=m, delta=delta,
         bottom=0 if with_bottom else None, label=label,
     )
+
+
+def _tiled(unit: int, width: int, count: int, step: int = 0) -> int:
+    """`count` fields of `width` bits, field d (the most significant first)
+    holding unit + d * step; built by doubling, in O(log count) int steps.
+    Every field's value must fit its width."""
+    out = steps = have = 0      # steps: `step` in each of the `have` fields
+    for bit in f"{count:b}":
+        out = out << width * have | out
+        if steps:   # the low half's fields are `have` further on
+            out += have * steps
+            steps = steps << width * have | steps
+        have *= 2
+        if bit == "1":
+            out, steps, have = out << width | unit + have * step, steps << width | step, have + 1
+    return out
+
+
+class _Packing:
+    """Vectors over a product of chains packed into one int, w bits per
+    coordinate: the one chain kernel, behind the free algebra's closure and
+    every decision of `logic` on the chains L_2..L_n.
+
+    `runs` lists (chain size, count) pairs, that many coordinates in a chain
+    of that size, in order.  Coordinate 0 sits in the most significant
+    field, so int order is the lexicographic order of the vectors.  A field
+    holds a value a <= mm of its chain, and mm - a + b <= 2(n-1) < 2^(w-1)
+    for the largest size n, so the implication's sum never carries into the
+    next field and each field's top bit is free to flag overflow.  The
+    constants are one tiled "1 in every field" per run times each field's
+    value, so a run of any length costs O(log count) int steps.
+    """
+
+    def __init__(self, runs):
+        self.runs = runs = tuple(runs)
+        self.w = w = (2 * (max(size for size, _ in runs) - 1)).bit_length() + 1
+        self.s = w - 1
+        self.count = sum(count for _, count in runs)
+        high = 1 << self.s
+        self.ONE = self.MM = self.CC = 0
+        for size, count in runs:
+            ones, shift = _tiled(1, w, count), w * count
+            self.ONE = self.ONE << shift | ones
+            self.MM = self.MM << shift | (size - 1) * ones     # top: mm in every field
+            self.CC = self.CC << shift | (high - size) * ones  # high - 1 - mm: x > mm sets the top bit
+        self.H = self.ONE << self.s                            # the top bit of every field
+
+    def pack(self, vector) -> int:
+        out = 0
+        for a, sh in zip(vector, range(self.w * (self.count - 1), -1, -self.w)):
+            out |= a << sh
+        return out
+
+    def unpack(self, p: int) -> tuple[int, ...]:
+        fmask = (1 << self.w) - 1
+        return tuple((p >> sh) & fmask for sh in range(self.w * (self.count - 1), -1, -self.w))
+
+    def imp(self, u: int, v: int) -> int:
+        """u -> v: min(mm, mm - a + b) in every field."""
+        MM = self.MM
+        # x = mm - a + b per field; t flags the fields where x > mm, and
+        # t - (t >> s) masks them, where mm replaces x
+        x = MM - u + v
+        t = (x + self.CC) & self.H
+        return x ^ ((x ^ MM) & (t - (t >> self.s)))
+
+    def imps(self, u: int, vs) -> tuple[list[int], list[int]]:
+        """[u -> v for v in vs] and [v -> u for v in vs], as `imp` computes
+        them: the row function `subuniverse` takes."""
+        MM, CC, H, s = self.MM, self.CC, self.H, self.s
+        neg, pos = MM - u, MM + u
+        return ([(x := neg + v) ^ ((x ^ MM) & ((t := (x + CC) & H) - (t >> s))) for v in vs],
+                [(x := pos - v) ^ ((x ^ MM) & ((t := (x + CC) & H) - (t >> s))) for v in vs])
+
+    def delta(self, u: int) -> int:
+        """mm where a == mm, else 0: a + high - mm reaches the top bit iff a == mm."""
+        t = (u + self.CC + self.ONE) & self.H
+        return self.MM & (t - (t >> self.s))
+
+    def differ(self, u: int, v: int) -> int:
+        """The top bit of every field where u and v differ: a nonzero
+        a ^ b plus high - 1 reaches the top bit."""
+        return ((u ^ v) + self.H - self.ONE) & self.H
+
+    def digit(self, stride: int) -> int:
+        """A variable's table on one run of the chain L_k: field j holds the
+        digit (j // stride) mod k, the variable's value at assignment j, in
+        lexicographic order, when `stride` is its place value."""
+        (k, count), = self.runs
+        width = self.w * stride
+        period = _tiled(0, width, k, _tiled(1, self.w, stride))
+        return _tiled(period, width * k, count // (stride * k))
 
 
 def trivial_algebra() -> FiniteAlgebra:

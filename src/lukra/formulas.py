@@ -19,13 +19,12 @@ algebra given by its operations (`_fold`: a finite algebra in
 `eval_formula`, the unit interval in `rational_eval`, the term algebra in
 `substitute`), the evaluator of equations on value tables of terms and
 the schema matcher.  The evaluator plans a batch of equations once
-(`EquationBatch`) and tabulates it on any algebra of its signature:
-`equation_violations`, behind the law checks, on one algebra, and the
-decisions of `logic` on each chain in turn.  Its tables are keyed by the
-hash-consed nodes themselves, and both tabulations are `_fold`'s step
-(`_steps`) over value tables: a carrier of at most 16 elements is
-tabulated whole, one `bytes.translate` per subterm; a larger one slab by
-slab.
+(`EquationBatch`) and tabulates it on any finite algebra of its
+signature, slab by slab: `equation_violations`, behind the law checks.
+The decisions of `logic` plan with it too, and tabulate on each chain
+with `_fold`'s step (`_steps`) over packed ints (`algebra._Packing`), or
+slab by slab when the packed tables would pass the guard.  Tables are
+keyed by the hash-consed nodes themselves.
 """
 
 from __future__ import annotations
@@ -515,20 +514,14 @@ def equation_violations(A, equations, every: bool = False,
     of each other subterm, and each equation's sides and premises spread
     over its slab); more than `guard` of them raise SizeGuardError.
 
-    On a carrier of at most 16 elements the equations go by their axes,
-    the positions of their names, and every distinct subterm of a group is
-    tabulated once over all of its axes, each step one `bytes.translate`
-    or big-int sum: a k-variable equation holds N^k entries per subterm.
-    A group whose tables, distinct subterms times N^k, would exceed `guard`
-    takes the slab-by-slab search instead, as every larger carrier does.
-    There every distinct subterm is tabulated once, as a row-major table
-    over the variables it uses, sorted by name, slab by slab of each
-    equation's first variable, in increasing order: the subterms that use
-    that variable are tabulated per slab over their other variables,
-    shared by every equation with the same first variable, and the others
-    are tabulated once and kept across slabs.  So a k-variable equation
-    holds about N^(k-1) entries per subterm, and without `every` it stops
-    at its first violating slab.  Both searches list the same assignments.
+    Every distinct subterm is tabulated once, as a row-major table over
+    the variables it uses, sorted by name, slab by slab of each equation's
+    first variable, in increasing order: the subterms that use that
+    variable are tabulated per slab over their other variables, shared by
+    every equation with the same first variable, and the others are
+    tabulated once and kept across slabs.  So a k-variable equation holds
+    about N^(k-1) entries per subterm, and without `every` it stops at its
+    first violating slab.
 
     Raises FormulaError as `_checker` does, at the first offending node
     in pre-order of the first offending equation (lhs, rhs, then the
@@ -536,7 +529,7 @@ def equation_violations(A, equations, every: bool = False,
     """
     batch = EquationBatch(equations, A.delta is not None, A.bottom is not None)
     batch.check_guard(A.size, guard)
-    return batch.violations(A, range(len(batch.plans)), every, guard)
+    return batch.violations(A, range(len(batch.plans)), every)
 
 
 class _Plan(Record):
@@ -562,9 +555,7 @@ class EquationBatch:
     own key: `vars` maps the id of each distinct subterm to the sorted
     names it uses, and the plans hold the nodes, which keeps them alive.
     An equation given with names None is over the sorted names its terms
-    use.  `violations` tabulates whole tables on carriers of at most 16
-    elements when they fit its guard, and slab by slab otherwise; both are
-    `_steps` over value tables.
+    use.  `violations` tabulates slab by slab, `_steps` over value tables.
     """
 
     def __init__(self, equations, delta: bool, bottom: bool):
@@ -622,94 +613,11 @@ class EquationBatch:
             raise SizeGuardError(f"predicted {_count_text(entries)} table entries "
                                  f"held at once exceed guard {guard}")
 
-    def violations(self, A, which, every: bool = False,
-                   guard: int = TABLE_GUARD) -> list[list[tuple[int, ...]]]:
+    def violations(self, A, which, every: bool = False) -> list[list[tuple[int, ...]]]:
         """The assignments of A, an algebra of the batch's signature, that
-        violate each plan in `which`, as `equation_violations` lists them.
-
-        On a carrier of at most 16 elements, where a pair of carrier indices
-        fits one byte, the plans go by their axes (slab variable, then
-        space): each group whose tables, one per distinct node over all of
-        its axes, fit `guard` is tabulated whole (`_violations_whole`);
-        every other plan goes slab by slab (`_violations_by_slab`), whose
-        tables `check_guard` bounds.
-        """
-        which = list(which)
-        plans = [self.plans[i] for i in which]
-        out: list = [None] * len(plans)
-        by_slab = range(len(plans))
-        if A.size * A.size <= 256:
-            maps = _byte_maps(A)
-            by_slab, groups = [], {}
-            for j, plan in enumerate(plans):
-                groups.setdefault((plan.slab_var, *plan.space) if plan.names else (), []).append(j)
-            for axes, members in groups.items():
-                group = [plans[j] for j in members]
-                nodes = {id(g): g for plan in group for g in chain(plan.fixed_nodes, plan.slab_nodes)}
-                if len(nodes) * A.size ** len(axes) > guard:
-                    by_slab += members
-                    continue
-                found = self._violations_whole(A, maps, axes, group, nodes.values(), every)
-                for j, hits in zip(members, found):
-                    out[j] = hits
-        if by_slab:
-            found = self._violations_by_slab(A, [which[j] for j in by_slab], every)
-            for j, hits in zip(by_slab, found):
-                out[j] = hits
-        return out
-
-    @staticmethod
-    def _violations_whole(A, maps, axes, plans, nodes, every: bool) -> list[list[tuple[int, ...]]]:
-        """`violations` of `plans`, all over `axes`, on A of at most 16
-        elements, whose `_byte_maps` are `maps`, with `nodes` the plans'
-        distinct nodes, children first.
-
-        One `_steps` call tabulates each node as `bytes`, row-major over all
-        of `axes`.  A variable is its coordinate table and a constant one
-        byte repeated; D translates its child by delta.  For a -> b, the
-        bytes a * N + b form the pair code (each below N * N <= 256, so the
-        sum of a's table times N and b's table, read as big-endian ints,
-        never carries), which one translate maps by imp.  The violation mask
-        is the (lhs, rhs) pair code mapped by `!=`, ANDed as an int with each
-        premise's `==` mask, and its ones are the violating assignments.
-        """
-        n = A.size
-        size = n ** len(axes)
-        times, by_imp, ne, eq, delta = maps
-
-        def code(left, right) -> bytes:
-            return (int.from_bytes(left.translate(times), "big")
-                    + int.from_bytes(right, "big")).to_bytes(size, "big")
-
-        def var(g) -> bytes:
-            inner = n ** (len(axes) - 1 - axes.index(g.name))
-            return b"".join(bytes([x]) * inner for x in range(n)) * (size // (n * inner))
-
-        memo: dict = {}
-        _steps(nodes, memo, var, lambda a, b: code(a, b).translate(by_imp),
-               lambda a: a.translate(delta), bytes([A.top]) * size,
-               None if A.bottom is None else bytes([A.bottom]) * size)
-        out = []
-        for plan in plans:
-            hits = []
-            out.append(hits)
-            left, right = memo[id(plan.lhs)], memo[id(plan.rhs)]
-            if left == right:
-                continue
-            mask = code(left, right).translate(ne)
-            if plan.premises:
-                bits = int.from_bytes(mask, "big")
-                for a, b in plan.premises:
-                    bits &= int.from_bytes(code(memo[id(a)], memo[id(b)]).translate(eq), "big")
-                mask = bits.to_bytes(size, "big")
-            h = mask.find(1)
-            while h >= 0:
-                hits.append(_digits(h, n, len(plan.names)))
-                h = mask.find(1, h + 1) if every else -1
-        return out
-
-    def _violations_by_slab(self, A, which, every: bool = False) -> list[list[tuple[int, ...]]]:
-        """`violations` slab by slab of each plan's first variable, on any A.
+        violate each plan in `which`, as `equation_violations` lists them,
+        slab by slab of each plan's first variable; `check_guard` bounds the
+        tables.
 
         The tables of nodes without their group's slab variable are over all
         of their variables, so `fixed` keeps them for every group.  A node
@@ -750,20 +658,6 @@ class EquationBatch:
                 if not every and all(out[i] for i in members):
                     break
         return out
-
-
-def _byte_maps(A):
-    """The `bytes.translate` tables of A, at most 16 elements: x -> x * N,
-    the pair code a * N + b -> imp, != and ==, and delta (None without)."""
-    n = A.size
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-
-    def lookup(values) -> bytes:
-        return bytes(values).ljust(256, b"\0")
-
-    return (lookup(a * n for a in range(n)), lookup(A.imp[a][b] for a, b in pairs),
-            lookup(a != b for a, b in pairs), lookup(a == b for a, b in pairs),
-            lookup(A.delta) if A.delta is not None else None)
 
 
 class _TermTables:

@@ -8,7 +8,8 @@ Chains below n must be included as codomains in their own right: the
 crisp operator on a k-subchain of the n-chain disagrees with the ambient
 one, so valuations into the n-chain alone would under-generate.  The
 closure is `algebra.subuniverse`, the one that also serves subalgebras and
-homomorphisms, run on vectors packed into ints.
+homomorphisms, run on vectors packed into ints by `algebra._Packing`, the
+chain kernel the logic decisions run on too.
 
 Cardinalities admit a closed form via inclusion-exclusion over the
 principal up-sets of the delta'd generators; the correction sum of the
@@ -31,6 +32,7 @@ from .algebra import (
     InternalConsistencyError,
     SIZE_GUARD,
     SizeGuardError,
+    _Packing,
     check_table_size,
     epimorphisms,
     make_chain,
@@ -179,55 +181,6 @@ def v_formula(m: int, k: int) -> int:
 # Construction
 # ---------------------------------------------------------------------------
 
-class _Packing:
-    """Vectors over a product of chains packed into one int, w bits per
-    coordinate.
-
-    Coordinate 0 sits in the most significant field, so int order is the
-    lexicographic order of the vectors.  A field holds a value a <= mm of
-    its chain, and mm - a + b <= 2(n-1) < 2^(w-1), so the implication's sum
-    never carries into the next field and each field's top bit is free to
-    flag overflow.
-    """
-
-    def __init__(self, coord_sizes):
-        self.w = w = (2 * (max(coord_sizes) - 1)).bit_length() + 1
-        self.s = w - 1
-        count = len(coord_sizes)
-        self.shifts = tuple(w * (count - 1 - c) for c in range(count))
-        high = 1 << self.s
-        self.MM = self.CC = self.H = 0
-        for sh, size in zip(self.shifts, coord_sizes):
-            self.MM |= (size - 1) << sh     # top: mm in every field
-            self.CC |= (high - size) << sh  # high - 1 - mm: x > mm sets the top bit
-            self.H |= high << sh            # the top bit of every field
-
-    def pack(self, vector) -> int:
-        out = 0
-        for a, sh in zip(vector, self.shifts):
-            out |= a << sh
-        return out
-
-    def unpack(self, p: int) -> tuple[int, ...]:
-        fmask = (1 << self.w) - 1
-        return tuple((p >> sh) & fmask for sh in self.shifts)
-
-    def imps(self, u: int, vs) -> tuple[list[int], list[int]]:
-        """[u -> v for v in vs] and [v -> u for v in vs]: min(mm, mm - a + b)
-        in every field, the row function `subuniverse` takes."""
-        MM, CC, H, s = self.MM, self.CC, self.H, self.s
-        neg, pos = MM - u, MM + u
-        # x = mm - a + b per field; t flags the fields where x > mm, and
-        # t - (t >> s) masks them, where mm replaces x
-        return ([(x := neg + v) ^ ((x ^ MM) & ((t := (x + CC) & H) - (t >> s))) for v in vs],
-                [(x := pos - v) ^ ((x ^ MM) & ((t := (x + CC) & H) - (t >> s))) for v in vs])
-
-    def delta(self, u: int) -> int:
-        """mm where a == mm, else 0: a + high - mm reaches the top bit iff a == mm."""
-        t = (u + self.CC + (self.H >> self.s)) & self.H
-        return self.MM & (t - (t >> self.s))
-
-
 def build_free(n: int, m: int, guard: int = SIZE_GUARD) -> FreeAlgebra:
     """Construct the free algebra on m generators at level n.
 
@@ -243,8 +196,9 @@ def build_free(n: int, m: int, guard: int = SIZE_GUARD) -> FreeAlgebra:
 def _build_free(n: int, m: int) -> FreeAlgebra:
     """The unguarded construction behind build_free.
 
-    Elements are packed ints (see `_Packing`), so one implication over all
-    coordinates is a handful of int operations.  The closure is
+    Elements are packed ints (see `algebra._Packing`), one run of k^m
+    coordinates per chain L_k, so one implication over all coordinates is
+    a handful of int operations.  The closure is
     `algebra.subuniverse` over `_Packing.imps`, whose discovery-order rows
     are the table, every ordered pair computed once; the table is then
     permuted into sorted order.  The result is checked for nothing here;
@@ -258,7 +212,7 @@ def _build_free(n: int, m: int) -> FreeAlgebra:
             for i in range(m):
                 gen_vectors[i].append(valuation[i])
     coord_sizes = tuple(coord_sizes)
-    P = _Packing(coord_sizes)
+    P = _Packing((k, k**m) for k in range(2, n + 1))
     packed_gens = [P.pack(g) for g in gen_vectors]
     # discovery order: top first, then the generators
     elems, rows, delta, _ = subuniverse([P.MM, *packed_gens], P.imps, P.delta)

@@ -8,13 +8,16 @@ non-tops to the ambient 0), so sweeping only k = n would be unsound.
 A tautology is the identity f ~ T, a matrix consequence the
 quasi-identity "if every hypothesis ~ T then f ~ T", and an equivalence
 the identity f ~ g.  All three are decided on value tables of subterms:
-one `formulas.EquationBatch` per decision, its table guard predicted once
-at level n, then the chains built one at a time, smallest first, each
-chain's k^2 implication entries counted against the same guard.  The chains
-up to L_16 are tabulated whole, one `bytes.translate` per subterm, and
-larger ones slab by slab.  The theorem suite and the hierarchy check send
-their whole catalogue through one batch, so a subterm shared by many
-entries is tabulated once per chain.
+one `formulas.EquationBatch` plans each decision, its table guard
+predicted once at level n, then the chains are taken one at a time,
+smallest first, each chain's k^2 implication entries counted against the
+same guard.  On L_k every subterm's values over all assignments are one
+int, a field per assignment, computed by the chain kernel
+`algebra._Packing` (the one `build_free` runs on); only a group of
+equations whose packed tables would pass the guard is tabulated slab by
+slab on the chain built as a table.  The theorem suite and the hierarchy
+check send their whole catalogue through one batch, so a subterm shared by
+many entries is tabulated once per chain.
 
 Counterexamples report the smallest chain size first and then the
 lexicographically least valuation, for stable goldens.
@@ -22,7 +25,7 @@ lexicographically least valuation, for stable goldens.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, CheckReport, SizeGuardError, _count_text, make_chain
+from .algebra import AlgebraError, CheckReport, SizeGuardError, _count_text, _Packing, make_chain
 from .formulas import (
     BOT,
     TOP,
@@ -32,6 +35,8 @@ from .formulas import (
     Imp,
     TABLE_GUARD,
     Var,
+    _digits,
+    _steps,
     imp_k,
     or_,
 )
@@ -103,22 +108,36 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
 
     The equations are planned once, and the table guard is checked at
     level n, whose chain holds the largest tables, before any chain is
-    built.  Then the chains are built and tabulated one at a time in
-    increasing size, each over the equations no smaller chain has violated,
-    so a counterexample is the smallest chain and then the least valuation
-    of the sorted variable names.  The k^2 implication entries of each
-    chain L_k count against `guard` too: the sweep raises SizeGuardError at
-    the first chain that would take the running count past it, so a
-    counterexample on a smaller chain is still answered.
+    taken.  The plans are grouped once by their names, each group with its
+    distinct nodes.  Then the chains are taken one at a time in increasing
+    size, each over the equations no smaller chain has violated, so a
+    counterexample is the smallest chain and then the least valuation of
+    the sorted variable names.  On L_k a group whose tables, distinct nodes
+    times k^v for v names, fit `guard` is tabulated on packed ints
+    (`_least_violations`); a larger one goes slab by slab through
+    `EquationBatch.violations` on the chain built as a table.  The k^2
+    implication entries of each chain L_k count against `guard` too: the
+    sweep raises SizeGuardError at the first chain that would take the
+    running count past it, so a counterexample on a smaller chain is still
+    answered.
     """
     _need_level(n)
     batch = EquationBatch([(None, *equation) for equation in equations], delta=True, bottom=True)
     batch.check_guard(n, guard)
-    out = [Verdict(True)] * len(batch.plans)
-    pending = list(range(len(batch.plans)))
+    plans = batch.plans
+    by_names: dict = {}     # names -> (members, node id -> node, children first)
+    for i, plan in enumerate(plans):
+        members, nodes = by_names.setdefault(plan.names, ([], {}))
+        members.append(i)
+        nodes.update((id(g), g) for g in (*plan.fixed_nodes, *plan.slab_nodes))
+    groups = [(names, members, tuple(nodes.values()))
+              for names, (members, nodes) in by_names.items()]
+    out = [Verdict(True)] * len(plans)
     built = 0
     for k in range(2, n + 1):
-        if not pending:
+        groups = [(names, pending, nodes) for names, members, nodes in groups
+                  if (pending := [i for i in members if out[i].holds])]
+        if not groups:
             break
         built += k * k
         if built > guard:
@@ -126,12 +145,40 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
             raise SizeGuardError(
                 f"the chains L_2..L_{n} hold {_count_text(total)} table entries in all; "
                 f"their running count passes guard {guard} at level {k}")
-        chain = make_chain(k, with_delta=True, with_bottom=True)
-        found = batch.violations(chain, pending, guard=guard)
-        for i, ws in zip(pending, found):
-            if ws:
-                out[i] = Verdict(False, (k, dict(zip(batch.plans[i].names, ws[0]))))
-        pending = [i for i, ws in zip(pending, found) if not ws]
+        table = None
+        for names, pending, nodes in groups:
+            if len(nodes) * k ** len(names) <= guard:
+                found = _least_violations(k, names, nodes, [plans[i] for i in pending])
+            else:
+                table = table or make_chain(k, with_delta=True, with_bottom=True)
+                found = [ws[0] if ws else None for ws in batch.violations(table, pending)]
+            for i, e in zip(pending, found):
+                if e is not None:
+                    out[i] = Verdict(False, (k, dict(zip(names, e))))
+    return out
+
+
+def _least_violations(k: int, names, nodes, plans) -> list[tuple[int, ...] | None]:
+    """The least violating assignment of `names` on L_k, or None, of each
+    of `plans`, whose distinct nodes are `nodes`, children first.
+
+    One `_steps` call tabulates every node as one packed int over all k^v
+    assignments, assignment j in field j (the most significant first): a
+    variable is its digit table, T the top and F 0.  A plan's violation
+    mask is `differ(lhs, rhs)` less each premise's `differ`, and its
+    highest set bit is the field of the least violating assignment.
+    """
+    v = len(names)
+    P = _Packing([(k, k**v)])
+    tables = {name: P.digit(k ** (v - 1 - i)) for i, name in enumerate(names)}
+    value: dict = {}
+    _steps(nodes, value, lambda g: tables[g.name], P.imp, P.delta, P.MM, 0)
+    out = []
+    for plan in plans:
+        mask = P.differ(value[id(plan.lhs)], value[id(plan.rhs)])
+        for a, b in plan.premises:
+            mask &= ~P.differ(value[id(a)], value[id(b)])
+        out.append(_digits((P.w * P.count - mask.bit_length()) // P.w, k, v) if mask else None)
     return out
 
 

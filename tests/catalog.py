@@ -1,8 +1,8 @@
-"""Small gallery of notable finite algebras used in tests and docs."""
+"""Small gallery of notable finite algebras the tests use."""
 
 from __future__ import annotations
 
-from .algebra import FiniteAlgebra
+from lukra.algebra import FiniteAlgebra, make_chain, with_delta
 
 
 def five_element_non_admissible() -> FiniteAlgebra:
@@ -29,6 +29,4 @@ def chain_with_broken_delta(n: int = 3) -> FiniteAlgebra:
     Fails the delta axioms (delta of top must be top); handy as a negative
     fixture for delta-filter checks outside the n-valued delta classes.
     """
-    from .algebra import make_chain, with_delta
-
     return with_delta(make_chain(n), (0,) * n)

@@ -20,7 +20,6 @@ from lukra.algebra import (
     restrict_to,
     subalgebra_closure,
 )
-from lukra.catalog import five_element_non_admissible
 from lukra.filters import (
     all_filters,
     congruence_of,
@@ -47,6 +46,7 @@ from lukra.logic import (
 )
 from lukra.proofs import Proof, ProofLine, check_proof, parse_proof
 from lukra.algebra import delta_admissible, tarskian_elements
+from catalog import five_element_non_admissible
 from derivations import classic_delta_derivations
 from oracles import congruences, random_formula, rational_grid
 

@@ -8,6 +8,7 @@ from lukra.algebra import (
     AlgebraError,
     FiniteAlgebra,
     SignatureError,
+    _Packing,
     _generate,
     delta_admissible,
     epimorphisms,
@@ -25,8 +26,9 @@ from lukra.algebra import (
     trivial_algebra,
     with_delta,
 )
-from lukra.catalog import five_element_non_admissible
 from lukra.laws import check_delta
+
+from catalog import five_element_non_admissible
 
 
 def lukasiewicz_imp(x: Fraction, y: Fraction) -> Fraction:
@@ -411,3 +413,73 @@ def test_homomorphisms_match_brute_force():
         A = random_table(rng, rng.randint(1, 5), delta, bottom)
         B = random_table(rng, rng.randint(1, 5), delta, bottom)
         assert homomorphisms(A, B) == reference_homomorphisms(A, B), (A, B)
+
+
+# ---------------------------------------------------------------------------
+# `_Packing`, the one chain kernel, across its field widths: w is
+# (2(k-1)).bit_length() + 1 for the largest chain L_k, so it grows at
+# k = 3, 5, 9, 17, 33, 65 and 129.  Fields are read from the binary digits,
+# not through `unpack`.
+# ---------------------------------------------------------------------------
+
+WIDTH_EDGES = (2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129, 130)
+
+
+def _fields(P, x):
+    """The fields of x, the most significant first, each w bits."""
+    bits = P.w * P.count
+    assert 0 <= x < 1 << bits
+    text = f"{x:0{bits}b}"
+    return [int(text[i:i + P.w], 2) for i in range(0, bits, P.w)]
+
+
+def _pack(P, vector):
+    return int("".join(f"{a:0{P.w}b}" for a in vector), 2)
+
+
+def _check_fields(P, sizes, u, v):
+    want = [min(k - 1, k - 1 - a + b) for a, b, k in zip(u, v, sizes)]
+    pu, pv = _pack(P, u), _pack(P, v)
+    assert _fields(P, P.imp(pu, pv)) == want
+    assert _fields(P, P.imps(pu, [pv])[0][0]) == want
+    assert _fields(P, P.delta(pu)) == [k - 1 if a == k - 1 else 0 for a, k in zip(u, sizes)]
+    assert _fields(P, P.differ(pu, pv)) == [(a != b) << P.s for a, b in zip(u, v)]
+
+
+def test_packed_chains_match_chain_arithmetic_field_by_field():
+    rng = random.Random(29)
+    for k in WIDTH_EDGES:
+        # every pair of values on the small chains; the edges and random
+        # pairs on the large ones
+        edges = sorted({0, 1, k // 2, k - 2, k - 1} & set(range(k)))
+        pairs = ([(a, b) for a in range(k) for b in range(k)] if k <= 17 else
+                 [(a, b) for a in edges for b in edges]
+                 + [(rng.randrange(k), rng.randrange(k)) for _ in range(300)])
+        P = _Packing([(k, len(pairs))])
+        assert P.w == (2 * (k - 1)).bit_length() + 1
+        _check_fields(P, [k] * len(pairs), *zip(*pairs))
+    # long runs of mixed sizes share the width of the largest
+    runs = [(2, 70), (9, 120), (3, 90), (17, 64), (5, 150)]
+    sizes = [k for k, c in runs for _ in range(c)]
+    P = _Packing(runs)
+    assert P.w == 7
+    assert _fields(P, P.MM) == [k - 1 for k in sizes]
+    assert _fields(P, _pack(P, sizes)) == sizes and P.pack(sizes) == _pack(P, sizes)
+    assert P.unpack(_pack(P, sizes)) == tuple(sizes)
+    for _ in range(20):
+        u = [rng.randrange(k) for k in sizes]
+        v = [a if rng.random() < 0.3 else rng.randrange(k) for a, k in zip(u, sizes)]
+        _check_fields(P, sizes, u, v)
+
+
+def test_packed_digit_tables():
+    # on L_k^v, assignment j gives the variable of place value `stride` the
+    # digit (j // stride) mod k
+    for k in WIDTH_EDGES:
+        for v in range(1, 4):
+            if k ** v > 20000:
+                break
+            P = _Packing([(k, k ** v)])
+            for i in range(v):
+                stride = k ** (v - 1 - i)
+                assert _fields(P, P.digit(stride)) == [(j // stride) % k for j in range(k ** v)]

@@ -54,7 +54,7 @@ def test_check_failure_exit_code(tmp_path, capsys):
 
 
 def test_delta_verb(tmp_path, capsys):
-    from lukra.catalog import five_element_non_admissible
+    from catalog import five_element_non_admissible
 
     p = tmp_path / "m5.json"
     p.write_text(five_element_non_admissible().to_json())

@@ -23,7 +23,6 @@ from lukra.algebra import (
     trivial_algebra,
     with_delta,
 )
-from lukra.catalog import chain_with_broken_delta, five_element_non_admissible
 import lukra.filters
 from lukra.laws import check_LRdelta_quasi
 from lukra.filters import (
@@ -41,6 +40,7 @@ from lukra.filters import (
     subdirect_embedding,
     tied_filters,
 )
+from catalog import chain_with_broken_delta, five_element_non_admissible
 import oracles
 from oracles import congruences, k_weak_mp_closed
 from test_acceptance import _criterion5_algebras

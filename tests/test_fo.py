@@ -4,7 +4,6 @@ import tracemalloc
 import pytest
 
 from lukra.algebra import AlgebraError, make_chain
-from lukra.catalog import five_element_non_admissible
 from lukra.fo import (
     FDelta,
     FEq,
@@ -21,6 +20,7 @@ from lukra.fo import (
     fo_parse,
     substitute_term,
 )
+from catalog import five_element_non_admissible
 import oracles
 
 L3 = make_chain(3, with_delta=True, with_bottom=True)

@@ -8,6 +8,7 @@ from lukra.algebra import (
     FiniteAlgebra,
     InternalConsistencyError,
     SizeGuardError,
+    _Packing,
     make_chain,
     product,
     subalgebra_closure,
@@ -15,7 +16,6 @@ from lukra.algebra import (
 from lukra.formulas import eval_formula, parse
 from lukra.freealg import (
     FreeAlgebra,
-    _Packing,
     _build_free,
     beta_oracle,
     build_free,
@@ -133,7 +133,7 @@ def test_packed_implication_and_delta():
     # chains of mixed sizes side by side, so neighbouring fields differ in
     # their maxima and every field sees every value pair, 0 and mm included
     sizes = (6, 2, 5, 3, 4, 2, 6, 3)
-    P = _Packing(sizes)
+    P = _Packing((k, 1) for k in sizes)
     pairs = [[(a, b) for a in range(k) for b in range(k)] for k in sizes]
     rounds = max(map(len, pairs))
     for r in range(rounds):

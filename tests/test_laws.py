@@ -1,6 +1,5 @@
 import tracemalloc
-from itertools import product as iter_product
-from unittest import mock
+from itertools import islice, product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +12,6 @@ from lukra.algebra import (
     product,
     with_delta,
 )
-from lukra import formulas
-from lukra.catalog import chain_with_broken_delta, five_element_non_admissible
 from lukra.formulas import (
     BOT,
     TABLE_GUARD,
@@ -45,6 +42,8 @@ from lukra.laws import (
     level_law,
     quasi_identity_laws,
 )
+
+from catalog import chain_with_broken_delta, five_element_non_admissible
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -311,9 +310,8 @@ def test_table_guard_refuses_before_tabulating():
         check_identity(A, parse("x -> y -> z -> w -> x"), TOP)
 
 
-# ---------------------------------------------------------------------------
-# The two tabulations of `EquationBatch.violations`: whole tables on carriers
-# of at most 16 elements against the slab-by-slab path every carrier takes.
+# `EquationBatch.violations`, the slab-by-slab search every law check
+# takes, on small carriers against the per-assignment sweep.
 # ---------------------------------------------------------------------------
 
 # chains 2..16 and any in-range tables of at most 16 elements
@@ -344,27 +342,16 @@ def equations_over(draw, delta, bottom):
     return tuple(names), lhs, rhs, premises
 
 
-@settings(max_examples=120, deadline=None)
+# the sweep evaluates every term at every assignment, up to 16^4 of them
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_whole_tables_match_the_slabs(data):
+def test_slabs_match_the_sweep_on_small_algebras(data):
     A = data.draw(small_algebras)
     delta, bottom = A.delta is not None, A.bottom is not None
     equations = data.draw(st.lists(equations_over(delta, bottom), min_size=1, max_size=4))
     which = data.draw(st.permutations(range(len(equations))))[:data.draw(
         st.integers(1, len(equations)))]
     every = data.draw(st.booleans())
-    batch = EquationBatch(equations, delta, bottom)
-    with mock.patch.object(formulas, "_TermTables", side_effect=AssertionError("slab path")):
-        whole = batch.violations(A, which, every)
-    assert whole == batch._violations_by_slab(A, which, every)
-
-
-def test_whole_tables_fall_back_to_slabs_past_the_guard():
-    # four distinct subterms (x, y, x -> y, y -> x), each a whole table of 16^2
-    A = make_chain(16, with_delta=True)
-    batch = EquationBatch([(("x", "y"), parse("x -> y"), parse("y -> x"), ())], True, False)
-    with mock.patch.object(formulas, "_TermTables", side_effect=AssertionError("slab path")):
-        assert batch.violations(A, [0], guard=4 * 16**2) == [[(0, 1)]]
-        with pytest.raises(AssertionError, match="slab path"):
-            batch.violations(A, [0], guard=4 * 16**2 - 1)
-    assert batch.violations(A, [0], guard=4 * 16**2 - 1) == [[(0, 1)]]
+    found = EquationBatch(equations, delta, bottom).violations(A, which, every)
+    assert found == [list(islice(reference_violations(A, Law("R", *equations[i])),
+                                 None if every else 1)) for i in which]

@@ -15,6 +15,7 @@ from lukra.formulas import (
     Imp,
     eval_formula,
     parse,
+    postorder,
     rational_eval,
     variables,
 )
@@ -289,17 +290,82 @@ def test_a_decision_holds_one_chain_at_a_time():
     assert peak < 2 * 10**6
 
 
-def test_small_chains_are_tabulated_whole(monkeypatch):
-    # L_2..L_16 never build the slab path's tables; L_17 does
-    def slabs(*args):
-        raise AssertionError("slab path")
+def test_decisions_that_fit_the_guard_build_no_tables(monkeypatch):
+    # every chain is packed ints: no FiniteAlgebra chain, no slab tables
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
 
-    monkeypatch.setattr("lukra.formulas._TermTables", slabs)
-    f = parse("(p -> q) | (q -> p)")
-    assert is_tautology(f, 16).holds
+    monkeypatch.setattr("lukra.formulas._TermTables", refuse)
+    monkeypatch.setattr("lukra.logic.make_chain", refuse)
+    assert is_tautology(parse("(p -> q) | (q -> p)"), 40).holds
     assert theorem_suite(12).passed
-    with pytest.raises(AssertionError, match="slab path"):
-        is_tautology(f, 17)
+    assert hierarchy_check(8).passed
+
+
+def test_a_group_past_the_guard_is_decided_slab_by_slab(monkeypatch):
+    # AX5 at level 5 first fails on L_6; a guard of its distinct nodes
+    # (with T) times 5^2 packs L_2..L_5 and sends L_6 slab by slab
+    def nodes(*terms):
+        return len({id(g) for t in (*terms, TOP) for g in postorder(t)})
+
+    built = []
+
+    def make_chain_spy(k, **kwargs):
+        built.append(k)
+        return make_chain(k, **kwargs)
+
+    monkeypatch.setattr("lukra.logic.make_chain", make_chain_spy)
+    f = parse("((p ->[4] q) -> p) -> p")
+    verdict = is_tautology(f, 6, guard=nodes(f) * 5**2)
+    assert built == [6]
+    assert verdict == reference_is_tautology(f, 6) == is_tautology(f, 6) == \
+        Verdict(False, (6, {"p": 4, "q": 0}))
+    hypotheses, g = [parse("p ->[5] q"), parse("D (q -> p)")], parse("p ->[4] q")
+    verdict = consequence(hypotheses, g, 6, guard=nodes(*hypotheses, g) * 5**2)
+    assert built == [6, 6]
+    assert verdict == reference_consequence(hypotheses, g, 6) == consequence(hypotheses, g, 6) \
+        == Verdict(False, (6, {"p": 4, "q": 0}))
+
+
+# The packed field width w is (2(k-1)).bit_length() + 1 on L_k, so it grows
+# at k = 3, 5, 9, 17, 33, 65 and 129.  Multiples are built by doubling, as
+# ~x -> x is min(m, 2x) on L_{m+1}, so the terms stay small and the sweeps
+# fast.
+def _double(f, times):
+    for _ in range(times.bit_length() - 1):
+        f = Imp(Imp(f, BOT), f)
+    return f
+
+
+def _plus(f, g):
+    """min(m, f + g)."""
+    return Imp(Imp(f, BOT), g)
+
+
+def test_decisions_match_the_sweep_across_field_widths():
+    p, q = parse("p"), parse("q")
+    t = _double(Imp(p, BOT), 128)                # min(m, 128 (m - p))
+    one_variable = [
+        ("taut", Imp(Imp(t, p), p), (130, {"p": 128})),
+        ("conseq", ([_plus(t, Imp(p, BOT))], t), (130, {"p": 128})),
+        ("taut", parse("D p | ~D p"), None),
+    ]
+    s = _double(Imp(p, BOT), 32)                 # min(m, 32 (m - p))
+    two_variables = [
+        ("taut", Imp(Imp(_plus(s, q), p), p), (34, {"p": 32, "q": 0})),
+        ("conseq", ([_plus(_plus(s, Imp(p, BOT)), q)], _plus(s, q)), (34, {"p": 32, "q": 0})),
+        ("equiv", (_plus(s, q), _plus(_plus(s, Imp(p, BOT)), q)), (34, {"p": 32, "q": 0})),
+        ("taut", parse("(p -> q) | (q -> p)"), None),
+        ("taut", parse("D (p -> q) | D (q -> p)"), None),
+    ]
+    decide = {"taut": (is_tautology, reference_is_tautology),
+              "conseq": (consequence, reference_consequence),
+              "equiv": (equivalent, reference_equivalent)}
+    for n, cases in ((130, one_variable), (34, two_variables)):
+        for kind, args, witness in cases:
+            args = args if isinstance(args, tuple) else (args,)
+            verdict, want = (fn(*args, n) for fn in decide[kind])
+            assert verdict == want == Verdict(witness is None, witness)
 
 
 def test_theorem_suite_tables_stay_small():
