@@ -22,9 +22,9 @@ the schema matcher.  The evaluator plans a batch of equations once
 (`EquationBatch`) and tabulates it on any finite algebra of its
 signature, slab by slab: `equation_violations`, behind the law checks.
 The decisions of `logic` plan with it too, and tabulate on each chain
-with `_fold`'s step (`_steps`) over packed ints (`algebra._Packing`), or
-slab by slab when the packed tables would pass the guard.  Tables are
-keyed by the hash-consed nodes themselves.
+with `_fold`'s step (`_steps`) over packed ints (`algebra._Packing`),
+chunk by chunk of the leading variables when the packed tables would
+pass the guard.  Tables are keyed by the hash-consed nodes themselves.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ predicted once at level n, then the chains are taken one at a time,
 smallest first, each chain's k^2 implication entries counted against the
 same guard.  On L_k every subterm's values over all assignments are one
 int, a field per assignment, computed by the chain kernel
-`algebra._Packing` (the one `build_free` runs on); only a group of
-equations whose packed tables would pass the guard is tabulated slab by
-slab on the chain built as a table.  The theorem suite and the hierarchy
-check send their whole catalogue through one batch, so a subterm shared by
-many entries is tabulated once per chain.
+`algebra._Packing` (the one `build_free` runs on).  A group of equations
+whose packed tables would pass the guard is tabulated in chunks, one per
+value prefix of its leading variables, each chunk's tables packed over
+the other variables; no chain is built as a table.  The theorem suite
+and the hierarchy check send their whole catalogue through one batch, so
+a subterm shared by many entries is tabulated once per chain.
 
 Counterexamples report the smallest chain size first and then the
 lexicographically least valuation, for stable goldens.
@@ -25,7 +26,9 @@ lexicographically least valuation, for stable goldens.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, CheckReport, SizeGuardError, _count_text, _Packing, make_chain
+from itertools import product
+
+from .algebra import AlgebraError, CheckReport, SizeGuardError, _count_text, _Packing
 from .formulas import (
     BOT,
     TOP,
@@ -112,10 +115,10 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
     distinct nodes.  Then the chains are taken one at a time in increasing
     size, each over the equations no smaller chain has violated, so a
     counterexample is the smallest chain and then the least valuation of
-    the sorted variable names.  On L_k a group whose tables, distinct nodes
-    times k^v for v names, fit `guard` is tabulated on packed ints
-    (`_least_violations`); a larger one goes slab by slab through
-    `EquationBatch.violations` on the chain built as a table.  The k^2
+    the sorted variable names.  On L_k each group is tabulated on packed
+    ints by `_least_violations`, chunk by chunk of its leading names when
+    its tables over all of them, distinct nodes times k^v for v names,
+    would pass `guard`; no chain is built as a table.  The k^2
     implication entries of each chain L_k count against `guard` too: the
     sweep raises SizeGuardError at the first chain that would take the
     running count past it, so a counterexample on a smaller chain is still
@@ -145,40 +148,56 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
             raise SizeGuardError(
                 f"the chains L_2..L_{n} hold {_count_text(total)} table entries in all; "
                 f"their running count passes guard {guard} at level {k}")
-        table = None
         for names, pending, nodes in groups:
-            if len(nodes) * k ** len(names) <= guard:
-                found = _least_violations(k, names, nodes, [plans[i] for i in pending])
-            else:
-                table = table or make_chain(k, with_delta=True, with_bottom=True)
-                found = [ws[0] if ws else None for ws in batch.violations(table, pending)]
+            found = _least_violations(k, names, nodes, [plans[i] for i in pending],
+                                      batch.vars, guard)
             for i, e in zip(pending, found):
                 if e is not None:
                     out[i] = Verdict(False, (k, dict(zip(names, e))))
     return out
 
 
-def _least_violations(k: int, names, nodes, plans) -> list[tuple[int, ...] | None]:
+def _least_violations(k: int, names, nodes, plans, vars_,
+                      guard: int) -> list[tuple[int, ...] | None]:
     """The least violating assignment of `names` on L_k, or None, of each
-    of `plans`, whose distinct nodes are `nodes`, children first.
+    of `plans`, whose distinct nodes are `nodes`, children first; `vars_`
+    maps a node's id to the sorted names it uses.
 
-    One `_steps` call tabulates every node as one packed int over all k^v
-    assignments, assignment j in field j (the most significant first): a
-    variable is its digit table, T the top and F 0.  A plan's violation
-    mask is `differ(lhs, rhs)` less each premise's `differ`, and its
-    highest set bit is the field of the least violating assignment.
+    With j the least count of leading names for which the nodes' tables
+    over the other v - j names, k^(v-j) fields each, fit `guard`, each
+    prefix of values of names[:j] is one chunk, in lexicographic order: a
+    leading name is a constant table there, and every node is one packed
+    int over the chunk's assignments, assignment i in field i (the most
+    significant first), by one `_steps` call.  A node that uses none of
+    names[:j] is tabulated once, before the chunks.  A plan's violation
+    mask is `differ(lhs, rhs)` less each premise's `differ`, and the
+    highest set bit of its first nonzero mask is the least violating
+    assignment.
     """
     v = len(names)
-    P = _Packing([(k, k**v)])
-    tables = {name: P.digit(k ** (v - 1 - i)) for i, name in enumerate(names)}
-    value: dict = {}
-    _steps(nodes, value, lambda g: tables[g.name], P.imp, P.delta, P.MM, 0)
-    out = []
-    for plan in plans:
-        mask = P.differ(value[id(plan.lhs)], value[id(plan.rhs)])
-        for a, b in plan.premises:
-            mask &= ~P.differ(value[id(a)], value[id(b)])
-        out.append(_digits((P.w * P.count - mask.bit_length()) // P.w, k, v) if mask else None)
+    j = next((j for j in range(v) if len(nodes) * k ** (v - j) <= guard), v)
+    P = _Packing([(k, k ** (v - j))])
+    tables = {name: P.digit(k ** (v - 1 - i)) for i, name in enumerate(names) if i >= j}
+    ops = (lambda g: tables[g.name], P.imp, P.delta, P.MM, 0)
+    fixed: dict = {}
+    if j:
+        lead = set(names[:j])
+        _steps([g for g in nodes if lead.isdisjoint(vars_[id(g)])], fixed, *ops)
+    out = [None] * len(plans)
+    for prefix in product(range(k), repeat=j):
+        tables.update(zip(names, (c * P.ONE for c in prefix)))
+        value = dict(fixed) if j else fixed
+        _steps(nodes, value, *ops)
+        for i, plan in enumerate(plans):
+            if out[i] is not None:
+                continue
+            mask = P.differ(value[id(plan.lhs)], value[id(plan.rhs)])
+            for a, b in plan.premises:
+                mask &= ~P.differ(value[id(a)], value[id(b)])
+            if mask:
+                out[i] = (*prefix, *_digits((P.w * P.count - mask.bit_length()) // P.w, k, v - j))
+        if None not in out:
+            break
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
@@ -6,16 +7,16 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lukra.algebra import AlgebraError, SizeGuardError, make_chain
+from lukra.algebra import AlgebraError, SizeGuardError, _Packing, make_chain
 from lukra.formulas import (
     BOT,
     TABLE_GUARD,
     TOP,
     Delta,
+    EquationBatch,
     Imp,
     eval_formula,
     parse,
-    postorder,
     rational_eval,
     variables,
 )
@@ -23,6 +24,7 @@ from lukra.freealg import build_free
 from lukra.laws import CheckReport
 from lukra.logic import (
     Verdict,
+    _entailment,
     _theorem_catalogue,
     axiom_schemas_bot,
     axiom_schemas_n,
@@ -259,15 +261,32 @@ def formulas(draw):
     return random_formula(rng, names, rng.randint(0, 4), allow_bot)
 
 
+def _edge(equations, n):
+    """A guard at the table entries `check_guard` predicts for a decision's
+    equations at level n, or at the chains' own count if that is larger: a
+    group whose packed tables pass it runs in chunks."""
+    batch = EquationBatch([(None, *equation) for equation in equations], delta=True, bottom=True)
+    with pytest.raises(SizeGuardError) as refused:
+        batch.check_guard(n, 0)
+    predicted = int(re.match(r"predicted (\d+) ", str(refused.value)).group(1))
+    return max(predicted, n * (n + 1) * (2 * n + 1) // 6 - 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(formulas(), st.lists(formulas(), max_size=2), formulas(), st.integers(2, 7))
 @example(Imp(Delta(BOT), BOT), [], Delta(TOP), 3)
 @example(parse("p -> q"), [parse("q"), parse("D p")], parse("q -> p"), 4)
 def test_decisions_match_the_sweep(f, hypotheses, g, n):
-    assert is_tautology(f, n) == reference_is_tautology(f, n)
-    assert consequence(hypotheses, f, n) == reference_consequence(hypotheses, f, n)
-    assert equivalent(f, g, n) == reference_equivalent(f, g, n)
-    assert refute_search(f, n) == reference_is_tautology(f, n).counterexample
+    # each decision unguarded and at the guard's edge, in chunks
+    taut = reference_is_tautology(f, n)
+    at_edge = _edge([_entailment((), f)], n)
+    assert is_tautology(f, n) == taut == is_tautology(f, n, guard=at_edge)
+    assert refute_search(f, n) == taut.counterexample == refute_search(f, n, guard=at_edge)
+    guard = _edge([_entailment(hypotheses, f)], n)
+    assert consequence(hypotheses, f, n) == reference_consequence(hypotheses, f, n) \
+        == consequence(hypotheses, f, n, guard=guard)
+    guard = _edge([(f, g, ())], n)
+    assert equivalent(f, g, n) == reference_equivalent(f, g, n) == equivalent(f, g, n, guard=guard)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -277,8 +296,9 @@ def test_suites_match_the_sweep(n):
 
 
 def test_a_decision_holds_one_chain_at_a_time():
-    # the chains L2..L150 hold about 150^3 / 3 = 1.1e6 table entries together,
-    # some 9 MB of tuple slots; the largest alone holds 22 500
+    # a decision holds the packed ints of one chain at a time: on L_150 each
+    # subterm is 150 fields of 10 bits, where the chains L2..L150 together
+    # would make about 150^3 / 3 = 1.1e6 implication entries as tables
     f = parse("p -> p")
     tracemalloc.start()
     try:
@@ -290,41 +310,68 @@ def test_a_decision_holds_one_chain_at_a_time():
     assert peak < 2 * 10**6
 
 
-def test_decisions_that_fit_the_guard_build_no_tables(monkeypatch):
-    # every chain is packed ints: no FiniteAlgebra chain, no slab tables
+def test_a_chunked_decision_holds_one_chunk():
+    # at the guard's edge for level 12, L_9 packs the 13 nodes over the 9^5
+    # values of five names (j = 1) and L_10..L_12 over k^4 of four (j = 2);
+    # L_12 packed whole would be 13 ints of 12^6 fields, a 47.6 MB peak
+    f = parse("(f -> e) -> (d -> c) -> (b -> a) -> (f -> e)")
+    guard = _edge([_entailment((), f)], 12)
+    tracemalloc.start()
+    try:
+        verdict = is_tautology(f, 12, guard=guard)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak < 1.2 * 10**6     # 0.95 MB measured
+
+
+def test_a_group_past_the_guard_is_decided_chunk_by_chunk(monkeypatch):
+    # at the guard's edge, a group of v names whose packed tables over all of
+    # them pass the guard on L_n goes in chunks of its first j names, one
+    # chunk per prefix of their values; no decision builds a table
     def refuse(*args, **kwargs):
         raise AssertionError("a table was built")
 
+    packed = []
+
+    def packing_spy(runs):
+        packed.append(*runs)
+        return _Packing(runs)
+
+    monkeypatch.setattr("lukra.algebra.make_chain", refuse)
     monkeypatch.setattr("lukra.formulas._TermTables", refuse)
-    monkeypatch.setattr("lukra.logic.make_chain", refuse)
+    monkeypatch.setattr("lukra.logic._Packing", packing_spy)
+    p = parse
+    cases = [   # kind, arguments, n, j on L_n, least counterexample
+        ("taut", [p("((p ->[4] ~q) -> p) -> p")], 6, 1, (6, {"p": 4, "q": 5})),
+        ("conseq", [[p("p ->[5] q"), p("D (q -> p)")], p("p ->[4] q")], 6, 1,
+         (6, {"p": 4, "q": 0})),
+        ("equiv", [p("((p ->[4] q) -> p) -> p"), p("r -> r")], 6, 2, (6, {"p": 4, "q": 0, "r": 0})),
+        ("conseq", [[p("p ->[5] q"), p("D (q -> r)")], p("p ->[4] r")], 6, 2,
+         (6, {"p": 4, "q": 0, "r": 0})),
+        ("taut", [p("(a -> b) -> ((b -> c) -> (a -> c))")], 6, 2, None),
+        # the 31 nodes of p ->[30] D p put j = v on L_3
+        ("taut", [p("((p ->[30] D p) -> (r -> q)) | (p | ~p)")], 3, 3,
+         (3, {"p": 1, "q": 0, "r": 1})),
+        ("conseq", [[p("(p ->[30] D p) -> q")], p("(r -> q) | (p | ~p)")], 3, 3, None),
+        ("equiv", [p("((p ->[30] D p) -> (r -> q)) | (p | ~p)"), TOP], 3, 3,
+         (3, {"p": 1, "q": 0, "r": 1})),
+    ]
+    decide = {"taut": (is_tautology, reference_is_tautology, lambda f: [_entailment((), f)]),
+              "conseq": (consequence, reference_consequence,
+                         lambda hs, f: [_entailment(hs, f)]),
+              "equiv": (equivalent, reference_equivalent, lambda f, g: [(f, g, ())])}
+    for kind, args, n, j, witness in cases:
+        fn, reference, equations = decide[kind]
+        packed.clear()
+        verdict = fn(*args, n, guard=_edge(equations(*args), n))
+        v = len(_names([t for a in args for t in (a if isinstance(a, list) else [a])]))
+        assert packed[-1] == (n, n ** (v - j)), kind
+        assert verdict == reference(*args, n) == fn(*args, n) == Verdict(witness is None, witness)
     assert is_tautology(parse("(p -> q) | (q -> p)"), 40).holds
     assert theorem_suite(12).passed
     assert hierarchy_check(8).passed
-
-
-def test_a_group_past_the_guard_is_decided_slab_by_slab(monkeypatch):
-    # AX5 at level 5 first fails on L_6; a guard of its distinct nodes
-    # (with T) times 5^2 packs L_2..L_5 and sends L_6 slab by slab
-    def nodes(*terms):
-        return len({id(g) for t in (*terms, TOP) for g in postorder(t)})
-
-    built = []
-
-    def make_chain_spy(k, **kwargs):
-        built.append(k)
-        return make_chain(k, **kwargs)
-
-    monkeypatch.setattr("lukra.logic.make_chain", make_chain_spy)
-    f = parse("((p ->[4] q) -> p) -> p")
-    verdict = is_tautology(f, 6, guard=nodes(f) * 5**2)
-    assert built == [6]
-    assert verdict == reference_is_tautology(f, 6) == is_tautology(f, 6) == \
-        Verdict(False, (6, {"p": 4, "q": 0}))
-    hypotheses, g = [parse("p ->[5] q"), parse("D (q -> p)")], parse("p ->[4] q")
-    verdict = consequence(hypotheses, g, 6, guard=nodes(*hypotheses, g) * 5**2)
-    assert built == [6, 6]
-    assert verdict == reference_consequence(hypotheses, g, 6) == consequence(hypotheses, g, 6) \
-        == Verdict(False, (6, {"p": 4, "q": 0}))
 
 
 # The packed field width w is (2(k-1)).bit_length() + 1 on L_k, so it grows
@@ -369,7 +416,8 @@ def test_decisions_match_the_sweep_across_field_widths():
 
 
 def test_theorem_suite_tables_stay_small():
-    # three variables over L_12: a whole table holds 1728 entries, one byte each
+    # three variables over L_12: a packed table is one int of 1728 fields of
+    # 6 bits, about 1.3 KB
     tracemalloc.start()
     try:
         report = theorem_suite(12)
