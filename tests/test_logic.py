@@ -326,21 +326,33 @@ def test_a_chunked_decision_holds_one_chunk():
     assert peak < 1.2 * 10**6     # 0.95 MB measured
 
 
-def test_a_group_past_the_guard_is_decided_chunk_by_chunk(monkeypatch):
-    # at the guard's edge, a group of v names whose packed tables over all of
-    # them pass the guard on L_n goes in chunks of its first j names, one
-    # chunk per prefix of their values; no decision builds a table
+def _refuse_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a table was built")
 
+    monkeypatch.setattr("lukra.algebra.make_chain", refuse)
+    monkeypatch.setattr("lukra.formulas._TermTables", refuse)
+
+
+def test_decisions_that_fit_the_guard_build_no_tables(monkeypatch):
+    # every chain is packed ints: no FiniteAlgebra chain, no slab tables
+    _refuse_tables(monkeypatch)
+    assert is_tautology(parse("(p -> q) | (q -> p)"), 40).holds
+    assert theorem_suite(12).passed
+    assert hierarchy_check(8).passed
+
+
+def test_a_group_past_the_guard_is_decided_slab_by_slab(monkeypatch):
+    # at the guard's edge, a group of v names whose packed tables over all of
+    # them pass the guard on L_n goes slab by slab of its first j names: one
+    # chunk of packed ints per prefix of their values, and still no table
     packed = []
 
     def packing_spy(runs):
         packed.append(*runs)
         return _Packing(runs)
 
-    monkeypatch.setattr("lukra.algebra.make_chain", refuse)
-    monkeypatch.setattr("lukra.formulas._TermTables", refuse)
+    _refuse_tables(monkeypatch)
     monkeypatch.setattr("lukra.logic._Packing", packing_spy)
     p = parse
     cases = [   # kind, arguments, n, j on L_n, least counterexample
@@ -369,9 +381,6 @@ def test_a_group_past_the_guard_is_decided_chunk_by_chunk(monkeypatch):
         v = len(_names([t for a in args for t in (a if isinstance(a, list) else [a])]))
         assert packed[-1] == (n, n ** (v - j)), kind
         assert verdict == reference(*args, n) == fn(*args, n) == Verdict(witness is None, witness)
-    assert is_tautology(parse("(p -> q) | (q -> p)"), 40).holds
-    assert theorem_suite(12).passed
-    assert hierarchy_check(8).passed
 
 
 # The packed field width w is (2(k-1)).bit_length() + 1 on L_k, so it grows
