@@ -496,7 +496,13 @@ def main(argv=None) -> int:
             return USAGE if exc.code not in (0, None) else 0
     try:
         report, summary, holds = args.fn(args)
-        _emit(report, args)
+        try:
+            _emit(report, args)
+        except BrokenPipeError:
+            if args.out is not None:
+                raise
+            # the reader of stdout left: the verdict stands, and there is no one to tell
+            return OK if holds else PROPERTY_FALSE
     except (AlgebraError, OSError) as exc:
         _say(f"error: {exc}")
         return USAGE
@@ -526,10 +532,17 @@ def run() -> None:
     --out handle) is closed in a `with` block before main() returns;
     keep it so.  In-process callers call main(), which never freezes: each
     freeze pins every cycle made so far.
+
+    A reader of stdout that left early (`| head`) does not change the exit
+    code: fd 1 then points at os.devnull, where the final flush succeeds.
     """
     gc.freeze()
     code = main()
     gc.freeze()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -19,12 +19,15 @@ algebra given by its operations (`_fold`: a finite algebra in
 `eval_formula`, the unit interval in `rational_eval`, the term algebra in
 `substitute`), the evaluator of equations on value tables of terms and
 the schema matcher.  The evaluator plans a batch of equations once
-(`EquationBatch`) and tabulates it on any finite algebra of its
-signature, slab by slab: `equation_violations`, behind the law checks.
-The decisions of `logic` plan with it too, and tabulate on each chain
-with `_fold`'s step (`_steps`) over packed ints (`algebra._Packing`),
-chunk by chunk of the leading variables when the packed tables would
-pass the guard.  Tables are keyed by the hash-consed nodes themselves.
+(`EquationBatch`), grouped by their variable names, and one loop
+(`EquationBatch._search`) finds each group's least violations, chunk by
+chunk of the values of its leading variables, with `_fold`'s step
+(`_steps`) over any value tables: the law checks
+(`equation_violations`) run it on the tables of a finite algebra, one
+slab per value of the first variable, and the decisions of `logic` on
+packed ints of each chain (`algebra._Packing`), with as many leading
+variables as the guard needs.  Tables are keyed by the hash-consed nodes
+themselves.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import re
 import weakref
 from array import array
 from functools import partial
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, product
 
 from .algebra import AlgebraError, SizeGuardError, _count_text
 from .records import Record
@@ -494,7 +497,9 @@ def _steps(nodes, value, var, imp, delta, top, bottom) -> None:
         value[id(g)] = x
 
 
-# bound on the table entries equation_violations holds at once
+# bound on the table entries a search holds at once: the slab tables
+# `check_guard` predicts, a decision's packed fields per chunk, and the
+# k^2 entries of the chains L_2..L_n together
 TABLE_GUARD = 2 * 10**7
 
 
@@ -514,14 +519,11 @@ def equation_violations(A, equations, every: bool = False,
     of each other subterm, and each equation's sides and premises spread
     over its slab); more than `guard` of them raise SizeGuardError.
 
-    Every distinct subterm is tabulated once, as a row-major table over
-    the variables it uses, sorted by name, slab by slab of each equation's
-    first variable, in increasing order: the subterms that use that
-    variable are tabulated per slab over their other variables, shared by
-    every equation with the same first variable, and the others are
-    tabulated once and kept across slabs.  So a k-variable equation holds
-    about N^(k-1) entries per subterm, and without `every` it stops at its
-    first violating slab.
+    The equations over the same names are searched together, slab by slab
+    of their first variable (`EquationBatch._search`): a subterm that uses
+    it is tabulated per slab, over its other variables, and the others
+    once.  So a k-variable equation holds about N^(k-1) entries per
+    subterm, and without `every` it stops at its first violating slab.
 
     Raises FormulaError as `_checker` does, at the first offending node
     in pre-order of the first offending equation (lhs, rhs, then the
@@ -533,35 +535,35 @@ def equation_violations(A, equations, every: bool = False,
 
 
 class _Plan(Record):
-    """One equation over `names`, by its nodes.  `slab_var` is names[0], or
-    None when no term sees position 0 (a repeated name binds its last
-    position, as in `dict(zip(names, e))`); `space` names positions 1.. of
-    an assignment, None where no term sees it.  The distinct nodes of the
-    terms are in post-order, split by whether they use `slab_var`."""
+    """One equation over `names`: its terms and their distinct nodes, in post-order."""
     names: tuple
-    slab_var: str | None
-    space: tuple
-    fixed_nodes: tuple[Formula, ...]
-    slab_nodes: tuple[Formula, ...]
+    nodes: tuple[Formula, ...]
     lhs: Formula
     rhs: Formula
     premises: tuple[tuple[Formula, Formula], ...]
 
 
 class EquationBatch:
-    """Equations planned once, to be tabulated on any finite algebra with
+    """Equations planned once, to be searched on any finite algebra with
     a delta iff `delta` and a bottom iff `bottom`; raises FormulaError as
     `equation_violations` does.  Terms are hash-consed, so a node is its
     own key: `vars` maps the id of each distinct subterm to the sorted
     names it uses, and the plans hold the nodes, which keeps them alive.
     An equation given with names None is over the sorted names its terms
-    use.  `violations` tabulates slab by slab, `_steps` over value tables.
+    use; `groups` maps each names tuple to its plans' indices and distinct
+    nodes.  `_search` is the one least-violation search of a group, on
+    finite tables in `violations` and on packed ints in `logic`.
     """
 
     def __init__(self, equations, delta: bool, bottom: bool):
         self.delta, self.bottom = delta, bottom
         self.vars: dict = {}    # node id -> sorted names
         self.plans = [self._plan(*equation) for equation in equations]
+        self.groups: dict = {}  # names -> (indices, node id -> node, children first)
+        for i, plan in enumerate(self.plans):
+            members, nodes = self.groups.setdefault(plan.names, ([], {}))
+            members.append(i)
+            nodes.update((id(g), g) for g in plan.nodes)
 
     def _plan(self, names, lhs, rhs, premises=()) -> _Plan:
         """The plan of one equation, from one walk over its terms that fills
@@ -588,26 +590,22 @@ class EquationBatch:
                     list(postorder(f, _checker(names, delta, bottom)))
         if names is None:
             names = sorted({x for f in terms for x in vars_[id(f)]})
-        pos = {name: i for i, name in enumerate(names)}
-        s = names[0] if names and pos[names[0]] == 0 else None
-        return _Plan(
-            names=tuple(names), slab_var=s,
-            space=tuple(name if pos[name] == i else None for i, name in enumerate(names) if i),
-            fixed_nodes=tuple(g for i, g in nodes.items() if s not in vars_[i]),
-            slab_nodes=tuple(g for i, g in nodes.items() if s in vars_[i]),
-            lhs=lhs, rhs=rhs, premises=tuple(zip(terms[2::2], terms[3::2])))
+        return _Plan(names=tuple(names), nodes=tuple(nodes.values()), lhs=lhs, rhs=rhs,
+                     premises=tuple(zip(terms[2::2], terms[3::2])))
 
     def check_guard(self, n: int, guard: int) -> None:
         """Raise SizeGuardError when the plans' tables on an n-element
-        carrier, predicted as `equation_violations` says, exceed `guard`."""
+        carrier, predicted as `equation_violations` says, exceed `guard`;
+        a plan's slab name is names[0] unless a later position binds it."""
         vars_, axes = self.vars, {}
         for plan in self.plans:
-            for g in plan.fixed_nodes:
-                axes[id(g), None] = len(vars_[id(g)])
-            for g in plan.slab_nodes:
-                axes[id(g), plan.slab_var] = len(vars_[id(g)]) - 1
+            names = plan.names
+            s = names[0] if names and names[0] not in names[1:] else None
+            for g in plan.nodes:
+                x = vars_[id(g)]
+                axes[id(g), s if s in x else None] = len(x) - (s in x)
         entries = (sum(n ** k for k in axes.values())
-                   + sum((2 + 2 * len(plan.premises)) * n ** len(plan.space)
+                   + sum((2 + 2 * len(plan.premises)) * n ** len(plan.names[1:])
                          for plan in self.plans))
         if entries > guard:
             raise SizeGuardError(f"predicted {_count_text(entries)} table entries "
@@ -615,53 +613,68 @@ class EquationBatch:
 
     def violations(self, A, which, every: bool = False) -> list[list[tuple[int, ...]]]:
         """The assignments of A, an algebra of the batch's signature, that
-        violate each plan in `which`, as `equation_violations` lists them,
-        slab by slab of each plan's first variable; `check_guard` bounds the
-        tables.
-
-        The tables of nodes without their group's slab variable are over all
-        of their variables, so `fixed` keeps them for every group.  A node
-        can be fixed in one group and sliced in another (x -> z under the
-        slab variables y and x), so each group's slab tables start from its
-        own members' fixed tables only."""
+        violate each plan in `which`, as `equation_violations` lists them:
+        `_search` on A's value tables, slab by slab of each group's first
+        position; `check_guard` bounds the tables."""
         tables = _TermTables(A)
+        make, carrier = tables.make, range(A.size)
+        chosen, found = set(which), {}
+        for names, (members, _) in self.groups.items():
+            members = [i for i in members if i in chosen]
+            if members:
+                space = tuple(None if x in names[i + 1:] else x for i, x in enumerate(names))
+                found.update(zip(members, self._search(
+                    members, A.size, min(1, len(names)),
+                    lambda name, i: ((name,), make(carrier)), lambda c: ((), make([c])),
+                    (tables.imp, tables._delta, tables.top, tables.bottom),
+                    partial(tables.hits, space[1:]), every)))
+        return [found[i] for i in which]
+
+    def _search(self, which, size, j, var, const, ops, hits,
+                every: bool = False) -> list[list[tuple[int, ...]]]:
+        """The least violating assignment, or all of them in lexicographic
+        order with `every`, of each plan in `which`, one group's, over v
+        names with values in range(size); `ops` is (imp, delta, top, bottom)
+        over value tables, as `_steps` takes them.
+
+        Each prefix of values of the first j positions is one chunk, in
+        order.  A name bound there (at its last position) is `const(value)`,
+        any other `var(name, position)`, a table over the chunk's size^(v-j)
+        assignments.  The group's nodes over no bound name are tabulated
+        once, the rest per chunk.  `hits(plan, tables)` iterates the indices
+        h of the chunk's violations, increasing: (*prefix, *the v - j
+        base-size digits of h).
+        """
         plans = [self.plans[i] for i in which]
+        names = plans[0].names
+        pos = {name: i for i, name in enumerate(names)}
+        lead = {name: i for name, i in pos.items() if i < j}
+        tables = {name: var(name, i) for name, i in pos.items() if i >= j}
+        lookup = lambda g: tables[g.name]  # noqa: E731
+        nodes = self.groups[names][1].values()
+        fixed: dict = {}
+        _steps([g for g in nodes if lead.keys().isdisjoint(self.vars[id(g)])] if lead else nodes,
+               fixed, lookup, *ops)
         out = [[] for _ in plans]
-        groups: dict = {}
-        for i, plan in enumerate(plans):
-            groups.setdefault((plan.slab_var, bool(plan.names)), []).append(i)
-        fixed: dict = {}    # node id -> table
-        for (s, sliced), members in groups.items():
-            seed = {}
-            for i in members:
-                nodes = plans[i].fixed_nodes
-                tables.tabulate(nodes, s, None, fixed)
-                seed.update((id(g), fixed[id(g)]) for g in nodes)
-            for v in range(A.size if sliced else 1):
-                slab = dict(seed)
-                for i in members:
-                    if out[i] and not every:
-                        continue
-                    plan = plans[i]
-                    tables.tabulate(plan.slab_nodes, s, v, slab)
-                    space = plan.space
-                    left, right = (tables.spread(slab[id(t)], space) for t in (plan.lhs, plan.rhs))
-                    if left == right:
-                        continue
-                    hits = map(operator.ne, left, right)
-                    for pair in plan.premises:
-                        a, b = (tables.spread(slab[id(t)], space) for t in pair)
-                        hits = map(operator.and_, hits, map(operator.eq, a, b))
-                    hits = compress(count(), hits)
-                    out[i].extend(tables.decode(v, h, len(plan.names))
-                                  for h in (hits if every else islice(hits, 1)))
-                if not every and all(out[i] for i in members):
-                    break
+        width, value = len(names) - j, fixed
+        for prefix in product(range(size), repeat=j):
+            if lead:    # else every node is in `fixed`
+                tables.update((name, const(prefix[i])) for name, i in lead.items())
+                value = dict(fixed)
+            for found, plan in zip(out, plans):
+                if found and not every:
+                    continue
+                if lead:
+                    _steps(plan.nodes, value, lookup, *ops)
+                found.extend((*prefix, *_digits(h, size, width))
+                             for h in islice(hits(plan, value), None if every else 1))
+            if not every and all(out):
+                break
         return out
 
 
 class _TermTables:
-    """The value tables of terms over one finite algebra, by `_steps`.
+    """The value tables of terms over one finite algebra.
 
     A table is a pair (axes, data): `data` holds the values of a term
     row-major over the sorted variable names `axes`, so a term that uses no
@@ -686,13 +699,6 @@ class _TermTables:
         self.top = ((), self.make([A.top]))
         self.bottom = ((), self.make([A.bottom])) if A.bottom is not None else None
         self.spreads: dict = {}     # (axes, target axes) -> index array
-
-    def tabulate(self, nodes, s, v, memo) -> None:
-        """Add to `memo` the tables of the given nodes (children first) that
-        it lacks, with the variable s bound to v."""
-        make, carrier = self.make, range(self.n)
-        _steps(nodes, memo, lambda g: ((), make([v])) if g.name == s else ((g.name,), make(carrier)),
-               self.imp, self._delta, self.top, self.bottom)
 
     def _delta(self, table):
         """The table of D applied to `table`, over the same axes."""
@@ -751,9 +757,18 @@ class _TermTables:
             self.spreads[(axes, target)] = index
         return self.make(map(data.__getitem__, index))
 
-    def decode(self, v, h, width) -> tuple[int, ...]:
-        """The assignment at index h of slab v of a `width`-variable equation."""
-        return (v, *_digits(h, self.n, width - 1)) if width else ()
+    def hits(self, space, plan, value):
+        """The indices, increasing, of the assignments over `space` (as
+        `spread` takes it) at which the premises of `plan` hold and its
+        sides differ, from the tables `value` of its nodes."""
+        left, right = (self.spread(value[id(t)], space) for t in (plan.lhs, plan.rhs))
+        if left == right:
+            return ()
+        hits = map(operator.ne, left, right)
+        for pair in plan.premises:
+            a, b = (self.spread(value[id(t)], space) for t in pair)
+            hits = map(operator.and_, hits, map(operator.eq, a, b))
+        return compress(count(), hits)
 
 
 def _digits(h, n, width) -> tuple[int, ...]:

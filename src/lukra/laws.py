@@ -5,8 +5,9 @@ inequality s <= t is encoded as the equation (s -> t) ~ T.  Checkers sweep
 every assignment of carrier elements to the law's variables in lexicographic
 order and report the least violating tuple per law, so golden tests are
 reproducible.  The sweep runs on value tables of subterms
-(`formulas.equation_violations`): each distinct subterm of a batch of laws
-is tabulated once, one slab of a law's first variable at a time.
+(`formulas.equation_violations`): the laws over the same variables are
+searched together, one slab of their first variable at a time, by the
+loop the logic decisions run on packed ints (`EquationBatch._search`).
 """
 
 from __future__ import annotations

@@ -13,20 +13,20 @@ predicted once at level n, then the chains are taken one at a time,
 smallest first, each chain's k^2 implication entries counted against the
 same guard.  On L_k every subterm's values over all assignments are one
 int, a field per assignment, computed by the chain kernel
-`algebra._Packing` (the one `build_free` runs on).  A group of equations
-whose packed tables would pass the guard is tabulated in chunks, one per
-value prefix of its leading variables, each chunk's tables packed over
-the other variables; no chain is built as a table.  The theorem suite
-and the hierarchy check send their whole catalogue through one batch, so
-a subterm shared by many entries is tabulated once per chain.
+`algebra._Packing` (the one `build_free` runs on), and searched by
+`EquationBatch._search`, the loop the law checks run on finite tables.
+A group of equations whose packed tables would pass the guard is
+searched in chunks, one per value prefix of its leading variables, each
+chunk's tables packed over the other variables; no chain is built as a
+table.  The theorem suite and the hierarchy check send their whole
+catalogue through one batch, so a subterm shared by many entries is
+tabulated once per chain.
 
 Counterexamples report the smallest chain size first and then the
 lexicographically least valuation, for stable goldens.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .algebra import AlgebraError, CheckReport, SizeGuardError, _count_text, _Packing
 from .formulas import (
@@ -38,8 +38,6 @@ from .formulas import (
     Imp,
     TABLE_GUARD,
     Var,
-    _digits,
-    _steps,
     imp_k,
     or_,
 )
@@ -111,34 +109,26 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
 
     The equations are planned once, and the table guard is checked at
     level n, whose chain holds the largest tables, before any chain is
-    taken.  The plans are grouped once by their names, each group with its
-    distinct nodes.  Then the chains are taken one at a time in increasing
-    size, each over the equations no smaller chain has violated, so a
-    counterexample is the smallest chain and then the least valuation of
-    the sorted variable names.  On L_k each group is tabulated on packed
-    ints by `_least_violations`, chunk by chunk of its leading names when
-    its tables over all of them, distinct nodes times k^v for v names,
-    would pass `guard`; no chain is built as a table.  The k^2
-    implication entries of each chain L_k count against `guard` too: the
-    sweep raises SizeGuardError at the first chain that would take the
-    running count past it, so a counterexample on a smaller chain is still
-    answered.
+    taken.  Then the chains are taken one at a time in increasing size,
+    each over the equations no smaller chain has violated, a group of
+    equations over the same names at a time, so a counterexample is the
+    smallest chain and then the least valuation of the sorted variable
+    names.  On L_k each group is searched on packed ints by
+    `_least_violations`, chunk by chunk of its leading names when its
+    tables over all of them, distinct nodes times k^v for v names, would
+    pass `guard`; no chain is built as a table.  The k^2 implication
+    entries of each chain L_k count against `guard` too: the sweep raises
+    SizeGuardError at the first chain that would take the running count
+    past it, so a counterexample on a smaller chain is still answered.
     """
     _need_level(n)
     batch = EquationBatch([(None, *equation) for equation in equations], delta=True, bottom=True)
     batch.check_guard(n, guard)
-    plans = batch.plans
-    by_names: dict = {}     # names -> (members, node id -> node, children first)
-    for i, plan in enumerate(plans):
-        members, nodes = by_names.setdefault(plan.names, ([], {}))
-        members.append(i)
-        nodes.update((id(g), g) for g in (*plan.fixed_nodes, *plan.slab_nodes))
-    groups = [(names, members, tuple(nodes.values()))
-              for names, (members, nodes) in by_names.items()]
+    plans, groups = batch.plans, [members for members, _ in batch.groups.values()]
     out = [Verdict(True)] * len(plans)
     built = 0
     for k in range(2, n + 1):
-        groups = [(names, pending, nodes) for names, members, nodes in groups
+        groups = [pending for members in groups
                   if (pending := [i for i in members if out[i].holds])]
         if not groups:
             break
@@ -148,57 +138,34 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
             raise SizeGuardError(
                 f"the chains L_2..L_{n} hold {_count_text(total)} table entries in all; "
                 f"their running count passes guard {guard} at level {k}")
-        for names, pending, nodes in groups:
-            found = _least_violations(k, names, nodes, [plans[i] for i in pending],
-                                      batch.vars, guard)
-            for i, e in zip(pending, found):
-                if e is not None:
-                    out[i] = Verdict(False, (k, dict(zip(names, e))))
+        for pending in groups:
+            for i, found in zip(pending, _least_violations(batch, k, pending, guard)):
+                if found:
+                    out[i] = Verdict(False, (k, dict(zip(plans[i].names, found[0]))))
     return out
 
 
-def _least_violations(k: int, names, nodes, plans, vars_,
-                      guard: int) -> list[tuple[int, ...] | None]:
-    """The least violating assignment of `names` on L_k, or None, of each
-    of `plans`, whose distinct nodes are `nodes`, children first; `vars_`
-    maps a node's id to the sorted names it uses.
-
-    With j the least count of leading names for which the nodes' tables
-    over the other v - j names, k^(v-j) fields each, fit `guard`, each
-    prefix of values of names[:j] is one chunk, in lexicographic order: a
-    leading name is a constant table there, and every node is one packed
-    int over the chunk's assignments, assignment i in field i (the most
-    significant first), by one `_steps` call.  A node that uses none of
-    names[:j] is tabulated once, before the chunks.  A plan's violation
-    mask is `differ(lhs, rhs)` less each premise's `differ`, and the
-    highest set bit of its first nonzero mask is the least violating
-    assignment.
+def _least_violations(batch, k: int, which, guard: int) -> list[list[tuple[int, ...]]]:
+    """`batch._search` on packed ints of L_k for the plans in `which`, one
+    group's, over v names, chunk by chunk of the first j: the least j for
+    which the group's distinct nodes times k^(v-j) fields fit `guard`.  A
+    node is one int, assignment h of the chunk in field h (the most
+    significant first); a plan's violation mask is `differ(lhs, rhs)` less
+    each premise's `differ`, and its highest set bit is the least violation.
     """
-    v = len(names)
-    j = next((j for j in range(v) if len(nodes) * k ** (v - j) <= guard), v)
+    names = batch.plans[which[0]].names
+    v, nodes = len(names), len(batch.groups[names][1])
+    j = next((j for j in range(v) if nodes * k ** (v - j) <= guard), v)
     P = _Packing([(k, k ** (v - j))])
-    tables = {name: P.digit(k ** (v - 1 - i)) for i, name in enumerate(names) if i >= j}
-    ops = (lambda g: tables[g.name], P.imp, P.delta, P.MM, 0)
-    fixed: dict = {}
-    if j:
-        lead = set(names[:j])
-        _steps([g for g in nodes if lead.isdisjoint(vars_[id(g)])], fixed, *ops)
-    out = [None] * len(plans)
-    for prefix in product(range(k), repeat=j):
-        tables.update(zip(names, (c * P.ONE for c in prefix)))
-        value = dict(fixed) if j else fixed
-        _steps(nodes, value, *ops)
-        for i, plan in enumerate(plans):
-            if out[i] is not None:
-                continue
-            mask = P.differ(value[id(plan.lhs)], value[id(plan.rhs)])
-            for a, b in plan.premises:
-                mask &= ~P.differ(value[id(a)], value[id(b)])
-            if mask:
-                out[i] = (*prefix, *_digits((P.w * P.count - mask.bit_length()) // P.w, k, v - j))
-        if None not in out:
-            break
-    return out
+
+    def hits(plan, value):
+        mask = P.differ(value[id(plan.lhs)], value[id(plan.rhs)])
+        for a, b in plan.premises:
+            mask &= ~P.differ(value[id(a)], value[id(b)])
+        return [(P.w * P.count - mask.bit_length()) // P.w] if mask else []
+
+    return batch._search(which, k, j, lambda name, i: P.digit(k ** (v - 1 - i)),
+                         lambda c: c * P.ONE, (P.imp, P.delta, P.MM, 0), hits)
 
 
 # kept only because lukrabench/shim.py wraps this name; nothing calls it

@@ -781,6 +781,33 @@ def test_run_exits_with_mains_code_after_atexit_and_flushing(tmp_path):
     assert done.stderr.splitlines()[-1] == "frozen True"
 
 
+@pytest.mark.parametrize("argv, stderr", [
+    # the report is larger than the stdout buffer, so the write fails in _emit
+    (["free", "build", "--n", "3", "--m", "2"], ""),
+    # the report fits the buffer, so the write fails at run's flush, after
+    # main has written the summary
+    (["algebra", "chain", "--n", "3"], "chain of size 3\n"),
+], ids=["free-build", "algebra-chain"])
+def test_a_closed_stdout_pipe_keeps_the_exit_code(tmp_path, argv, stderr):
+    # `lukra ... | head -c 10`: the reader leaves before the report is written
+    _, env = _job(tmp_path, [])
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "lukra.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=30)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, stderr)
+    # any other failed write is still refused input
+    out = tmp_path / "missing" / "report.json"
+    done = subprocess.run([sys.executable, "-m", "lukra.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
 def test_the_console_script_is_the_process_entry():
     # a regex, not tomllib, which Python 3.10 lacks
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")

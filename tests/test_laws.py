@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import islice, product as iter_product
 
@@ -42,6 +43,7 @@ from lukra.laws import (
     level_law,
     quasi_identity_laws,
 )
+from lukra.logic import _entailment, _theorem_catalogue
 
 from catalog import chain_with_broken_delta, five_element_non_admissible
 
@@ -308,6 +310,35 @@ def test_table_guard_refuses_before_tabulating():
     with pytest.raises(SizeGuardError, match=rf"predicted \d+ table entries held at once "
                                              rf"exceed guard {TABLE_GUARD}$"):
         check_identity(A, parse("x -> y -> z -> w -> x"), TOP)
+
+
+def _predicted(batch, n):
+    """The table entries `check_guard` predicts for batch at carrier size n."""
+    with pytest.raises(SizeGuardError) as refused:
+        batch.check_guard(n, 0)
+    return int(re.match(r"predicted (\d+) table entries", str(refused.value)).group(1))
+
+
+def test_the_guard_predicts_pinned_entries():
+    # each plan's slab name and slab nodes are derived from its names and
+    # `vars`; a drift in the prediction shows here, where every refusal
+    # test reads the number back from the message
+    laws = (base_laws() + [level_law(3)] + delta_axiom_laws(3) + derived_laws(3, True)
+            + quasi_identity_laws())    # what `algebra check --suite --quasi` runs at n = 3
+    batch = EquationBatch([(law.vars, law.lhs, law.rhs, law.premises) for law in laws],
+                          delta=True, bottom=True)
+    assert _predicted(batch, 45) == 143750
+    batch = EquationBatch([(None, *_entailment(premises, f))
+                           for _, premises, f in _theorem_catalogue(3)], delta=True, bottom=True)
+    assert _predicted(batch, 3) == 1379
+    # a repeated name binds its last position: no slab fixes it at position 0
+    x, y, z = Var("x"), Var("y"), Var("z")
+    batch = EquationBatch([(("x", "y", "x"), Imp(Imp(x, y), x), TOP, ((Delta(y), y),)),
+                           (("y", "z", "y"), Imp(y, z), Imp(z, y), ()),
+                           (("x", "x"), Delta(x), x, ()),
+                           (("x", "y", "y"), Imp(x, y), Imp(Delta(y), x), ())],
+                          delta=True, bottom=True)
+    assert _predicted(batch, 45) == 24707
 
 
 # `EquationBatch.violations`, the slab-by-slab search every law check

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
@@ -21,7 +22,7 @@ from lukra.formulas import (
     variables,
 )
 from lukra.freealg import build_free
-from lukra.laws import CheckReport
+from lukra.laws import CheckReport, base_laws, check_laws
 from lukra.logic import (
     Verdict,
     _entailment,
@@ -340,6 +341,24 @@ def test_decisions_that_fit_the_guard_build_no_tables(monkeypatch):
     assert is_tautology(parse("(p -> q) | (q -> p)"), 40).holds
     assert theorem_suite(12).passed
     assert hierarchy_check(8).passed
+
+
+def test_law_checks_and_decisions_run_one_search(monkeypatch):
+    # the slabs of a law check and the chunks of a decision are one loop,
+    # over value tables and over packed ints
+    search, callers = EquationBatch._search, []
+
+    def spy(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(EquationBatch, "_search", spy)
+    assert check_laws(make_chain(4, with_delta=True), base_laws()).passed
+    assert set(callers) == {"violations"}
+    callers.clear()
+    _refuse_tables(monkeypatch)
+    assert is_tautology(parse("(p -> q) | (q -> p)"), 5).holds
+    assert callers == ["_least_violations"] * 4     # L_2..L_5
 
 
 def test_a_group_past_the_guard_is_decided_slab_by_slab(monkeypatch):
