@@ -36,9 +36,12 @@ def _guard(default: int) -> int:
     if env is None:
         return default
     try:
-        return int(env)
+        guard = int(env)
     except ValueError:
         raise AlgebraError(f"LUKRA_GUARD must be an integer, got {env!r}")
+    if guard < 0:
+        raise AlgebraError(f"LUKRA_GUARD must not be negative, got {env!r}")
+    return guard
 
 
 # json's decoder recurses per level, so an input file nesting deeper than
@@ -265,20 +268,20 @@ def cmd_free_verify(args) -> tuple[dict, str, bool]:
 
 def cmd_logic_taut(args) -> tuple[dict, str, bool]:
     from . import logic as lg
-    from .formulas import TABLE_GUARD, parse as parse_formula
+    from .formulas import parse as parse_formula
 
-    verdict = lg.is_tautology(parse_formula(args.formula), args.n, guard=_guard(TABLE_GUARD))
+    verdict = lg.is_tautology(parse_formula(args.formula), args.n, guard=_guard(lg.WORK_GUARD))
     return ({"valid": verdict.holds, **verdict.to_dict()},
             "valid" if verdict.holds else f"counterexample {verdict.counterexample}", verdict.holds)
 
 
 def cmd_logic_conseq(args) -> tuple[dict, str, bool]:
     from . import logic as lg
-    from .formulas import TABLE_GUARD, parse as parse_formula
+    from .formulas import parse as parse_formula
 
     hyps = [parse_formula(h) for h in args.hyp or []]
     f = parse_formula(args.formula)
-    verdict = lg.consequence(hyps, f, args.n, guard=_guard(TABLE_GUARD))
+    verdict = lg.consequence(hyps, f, args.n, guard=_guard(lg.WORK_GUARD))
     return ({"entails": verdict.holds, **verdict.to_dict()},
             "entailed" if verdict.holds else f"counterexample {verdict.counterexample}",
             verdict.holds)
@@ -298,9 +301,9 @@ def cmd_logic_prove_check(args) -> tuple[dict, str, bool]:
 
 def cmd_logic_refute(args) -> tuple[dict, str, bool]:
     from . import logic as lg
-    from .formulas import TABLE_GUARD, parse as parse_formula
+    from .formulas import parse as parse_formula
 
-    hit = lg.refute_search(parse_formula(args.formula), args.max_n, guard=_guard(TABLE_GUARD))
+    hit = lg.refute_search(parse_formula(args.formula), args.max_n, guard=_guard(lg.WORK_GUARD))
     if hit is None:
         return ({"refuted": False, "counterexample": None},
                 f"no refutation up to chain size {args.max_n}", True)
@@ -332,7 +335,7 @@ def cmd_logic_fo_eval(args) -> tuple[dict, str, bool]:
 def cmd_logic_theorem_suite(args) -> tuple[dict, str, bool]:
     from . import logic as lg
 
-    rep = lg.theorem_suite(args.n, guard=_guard(lg.TABLE_GUARD))
+    rep = lg.theorem_suite(args.n, guard=_guard(lg.WORK_GUARD))
     return (rep.to_dict(),
             "theorem suite passed" if rep.passed else f"{len(rep.violations)} violations",
             rep.passed)
@@ -341,7 +344,7 @@ def cmd_logic_theorem_suite(args) -> tuple[dict, str, bool]:
 def cmd_logic_hierarchy(args) -> tuple[dict, str, bool]:
     from . import logic as lg
 
-    rep = lg.hierarchy_check(args.n, guard=_guard(lg.TABLE_GUARD))
+    rep = lg.hierarchy_check(args.n, guard=_guard(lg.WORK_GUARD))
     return (rep.to_dict(),
             "hierarchy strict at this level" if rep.passed else "hierarchy check failed",
             rep.passed)

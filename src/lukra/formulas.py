@@ -498,8 +498,7 @@ def _steps(nodes, value, var, imp, delta, top, bottom) -> None:
 
 
 # bound on the table entries a search holds at once: the slab tables
-# `check_guard` predicts, a decision's packed fields per chunk, and the
-# k^2 entries of the chains L_2..L_n together
+# `check_guard` predicts, or a decision's packed fields per chunk
 TABLE_GUARD = 2 * 10**7
 
 

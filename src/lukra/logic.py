@@ -8,19 +8,18 @@ non-tops to the ambient 0), so sweeping only k = n would be unsound.
 A tautology is the identity f ~ T, a matrix consequence the
 quasi-identity "if every hypothesis ~ T then f ~ T", and an equivalence
 the identity f ~ g.  All three are decided on value tables of subterms:
-one `formulas.EquationBatch` plans each decision, its table guard
-predicted once at level n, then the chains are taken one at a time,
-smallest first, each chain's k^2 implication entries counted against the
-same guard.  On L_k every subterm's values over all assignments are one
-int, a field per assignment, computed by the chain kernel
-`algebra._Packing` (the one `build_free` runs on), and searched by
-`EquationBatch._search`, the loop the law checks run on finite tables.
-A group of equations whose packed tables would pass the guard is
-searched in chunks, one per value prefix of its leading variables, each
-chunk's tables packed over the other variables; no chain is built as a
-table.  The theorem suite and the hierarchy check send their whole
-catalogue through one batch, so a subterm shared by many entries is
-tabulated once per chain.
+one `formulas.EquationBatch` plans each decision, then the chains are
+taken one at a time, smallest first, each chain's predicted packed work
+added to a running count that the work guard bounds.  On L_k every
+subterm's values over all assignments are one int, a field per
+assignment, computed by the chain kernel `algebra._Packing` (the one
+`build_free` runs on), and searched by `EquationBatch._search`, the loop
+the law checks run on finite tables.  A group of equations whose packed
+tables would pass `TABLE_GUARD` is searched in chunks, one per value
+prefix of its leading variables, each chunk's tables packed over the
+other variables; no chain is built as a table.  The theorem suite and
+the hierarchy check send their whole catalogue through one batch, so a
+subterm shared by many entries is tabulated once per chain.
 
 Counterexamples report the smallest chain size first and then the
 lexicographically least valuation, for stable goldens.
@@ -104,58 +103,64 @@ class Verdict(Record):
         return out
 
 
+# bound on a decision's predicted packed work over its chains, in the units
+# `_decide` counts; at 0.7-2*10^10 units a second (Python 3.11.7, 2 shared
+# CPUs) that is about 10 s of work
+WORK_GUARD = 16 * 10**10
+
+
 def _decide(equations, n: int, guard: int) -> list[Verdict]:
     """Decide each (lhs, rhs, premises) quasi-equation at level n.
 
-    The equations are planned once, and the table guard is checked at
-    level n, whose chain holds the largest tables, before any chain is
-    taken.  Then the chains are taken one at a time in increasing size,
-    each over the equations no smaller chain has violated, a group of
-    equations over the same names at a time, so a counterexample is the
-    smallest chain and then the least valuation of the sorted variable
-    names.  On L_k each group is searched on packed ints by
-    `_least_violations`, chunk by chunk of its leading names when its
-    tables over all of them, distinct nodes times k^v for v names, would
-    pass `guard`; no chain is built as a table.  The k^2 implication
-    entries of each chain L_k count against `guard` too: the sweep raises
-    SizeGuardError at the first chain that would take the running count
-    past it, so a counterexample on a smaller chain is still answered.
+    The equations are planned once.  Then the chains are taken one at a
+    time in increasing size, each over the equations no smaller chain has
+    violated, a group of equations over the same names at a time, so a
+    counterexample is the smallest chain and then the least valuation of
+    the sorted variable names.  On L_k a group of v names and N distinct
+    nodes is searched on packed ints of w bits a field by
+    `_least_violations`, in k^j chunks of its first j names, the least j
+    for which N k^(v-j) fields fit `TABLE_GUARD`; no chain is built as a
+    table.  Before L_k is searched, each pending group adds its predicted
+    work, k^j ((N + 10) k^(v-j) w + 3*10^4 N): the bits of every packed
+    int it makes, ten more per chunk for the constants, and the cost of
+    one interpreted step per node and chunk.  A running count past
+    `guard` raises SizeGuardError before that chain, so a counterexample
+    on a smaller chain is still answered.
     """
     _need_level(n)
     batch = EquationBatch([(None, *equation) for equation in equations], delta=True, bottom=True)
-    batch.check_guard(n, guard)
-    plans, groups = batch.plans, [members for members, _ in batch.groups.values()]
+    plans, groups = batch.plans, [(len(names), len(nodes), members)
+                                  for names, (members, nodes) in batch.groups.items()]
     out = [Verdict(True)] * len(plans)
-    built = 0
+    work = 0
     for k in range(2, n + 1):
-        groups = [pending for members in groups
+        groups = [(v, N, pending) for v, N, members in groups
                   if (pending := [i for i in members if out[i].holds])]
         if not groups:
             break
-        built += k * k
-        if built > guard:
-            total = n * (n + 1) * (2 * n + 1) // 6 - 1     # sum of k^2 over k = 2..n
-            raise SizeGuardError(
-                f"the chains L_2..L_{n} hold {_count_text(total)} table entries in all; "
-                f"their running count passes guard {guard} at level {k}")
-        for pending in groups:
-            for i, found in zip(pending, _least_violations(batch, k, pending, guard)):
+        w = (2 * (k - 1)).bit_length() + 1
+        depths = [next((j for j in range(v) if N * k ** (v - j) <= TABLE_GUARD), v)
+                  for v, N, _ in groups]
+        work += sum(k ** j * ((N + 10) * k ** (v - j) * w + 30000 * N)
+                    for (v, N, _), j in zip(groups, depths))
+        if work > guard:
+            raise SizeGuardError(f"predicted {_count_text(work)} units of packed work on the "
+                                 f"chains L_2..L_{k} exceed guard {guard}")
+        for (_, _, pending), j in zip(groups, depths):
+            for i, found in zip(pending, _least_violations(batch, k, pending, j)):
                 if found:
                     out[i] = Verdict(False, (k, dict(zip(plans[i].names, found[0]))))
     return out
 
 
-def _least_violations(batch, k: int, which, guard: int) -> list[list[tuple[int, ...]]]:
+def _least_violations(batch, k: int, which, j: int) -> list[list[tuple[int, ...]]]:
     """`batch._search` on packed ints of L_k for the plans in `which`, one
-    group's, over v names, chunk by chunk of the first j: the least j for
-    which the group's distinct nodes times k^(v-j) fields fit `guard`.  A
-    node is one int, assignment h of the chunk in field h (the most
-    significant first); a plan's violation mask is `differ(lhs, rhs)` less
-    each premise's `differ`, and its highest set bit is the least violation.
+    group's, over v names, chunk by chunk of the first j.  A node is one
+    int, assignment h of the chunk in field h (the most significant
+    first); a plan's violation mask is `differ(lhs, rhs)` less each
+    premise's `differ`, and its highest set bit is the least violation.
     """
-    names = batch.plans[which[0]].names
-    v, nodes = len(names), len(batch.groups[names][1])
-    j = next((j for j in range(v) if nodes * k ** (v - j) <= guard), v)
+    v = len(batch.plans[which[0]].names)
     P = _Packing([(k, k ** (v - j))])
 
     def hits(plan, value):
@@ -178,23 +183,23 @@ def _entailment(hypotheses, f: Formula):
     return f, TOP, tuple((h, TOP) for h in hypotheses)
 
 
-def is_tautology(f: Formula, n: int, guard: int = TABLE_GUARD) -> Verdict:
+def is_tautology(f: Formula, n: int, guard: int = WORK_GUARD) -> Verdict:
     """Valid on every chain with delta of size 2..n: the identity f ~ T."""
     return _decide([_entailment((), f)], n, guard)[0]
 
 
-def consequence(hypotheses, f: Formula, n: int, guard: int = TABLE_GUARD) -> Verdict:
+def consequence(hypotheses, f: Formula, n: int, guard: int = WORK_GUARD) -> Verdict:
     """Matrix consequence: designated hypotheses force a designated conclusion."""
     return _decide([_entailment(hypotheses, f)], n, guard)[0]
 
 
-def equivalent(f: Formula, g: Formula, n: int, guard: int = TABLE_GUARD) -> Verdict:
+def equivalent(f: Formula, g: Formula, n: int, guard: int = WORK_GUARD) -> Verdict:
     """Same value under every valuation into every chain up to n: f ~ g."""
     return _decide([(f, g, ())], n, guard)[0]
 
 
 def refute_search(f: Formula, n_max: int,
-                  guard: int = TABLE_GUARD) -> tuple[int, dict[str, int]] | None:
+                  guard: int = WORK_GUARD) -> tuple[int, dict[str, int]] | None:
     """Search the bottomed chains up to n_max for a non-designated value.
 
     A hit refutes validity over the standard unit-interval algebra (each
@@ -274,7 +279,7 @@ def _witness(verdict: Verdict) -> tuple[int, ...]:
     return (k, *v.values())
 
 
-def theorem_suite(n: int, guard: int = TABLE_GUARD) -> CheckReport:
+def theorem_suite(n: int, guard: int = WORK_GUARD) -> CheckReport:
     """Semantically verify the derived-theorem catalogue at level n.
 
     Theorems are checked as tautologies, derived rules as matrix
@@ -293,7 +298,7 @@ def canonical_level_counterexample(n: int) -> tuple[int, dict[str, int]]:
     return (n + 1, {"alpha": n - 1, "beta": 0})
 
 
-def hierarchy_check(n: int, guard: int = TABLE_GUARD) -> CheckReport:
+def hierarchy_check(n: int, guard: int = WORK_GUARD) -> CheckReport:
     """The level hierarchy is strict at n.
 
     (a) every axiom of the (n+1)-level calculus is a tautology at level n;

@@ -21,6 +21,7 @@ import lukra.cli as cli
 from lukra.cli import main
 from lukra.algebra import FiniteAlgebra, make_chain
 from lukra.formulas import IMP_K_LIMIT, TABLE_GUARD
+from lukra.logic import WORK_GUARD
 from lukra.laws import check_LR, check_LRn, check_delta
 
 
@@ -385,57 +386,83 @@ def test_guard_env_override(capsys, tmp_path, monkeypatch):
 
 
 def test_logic_table_guard(capsys, monkeypatch):
-    # eight variables at level 12 would tabulate about 1.5e8 entries at once;
-    # the refusal comes before any chain is tabulated
+    # 32 names and 65 nodes on L_2 alone would make 2^32 packed fields of 3
+    # bits, in 2^14 chunks: about 10^12 units of work, past the default
+    # guard; the refusal comes before any chain is tabulated
     start = time.perf_counter()
     code = main(["logic", "taut", "--n", "12", "--formula",
-                 "a -> b -> c -> d -> e -> f -> g -> h -> a"])
+                 " -> ".join(f"p{i}" for i in range(32)) + " -> p0"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and time.perf_counter() - start < 5
-    m = re.fullmatch(r"error: predicted (\d+) table entries held at once exceed guard (\d+)\n",
-                     captured.err)
-    assert m and int(m[1]) > int(m[2]) == TABLE_GUARD
-    # LUKRA_GUARD moves the limit for taut, conseq and refute alike
-    monkeypatch.setenv("LUKRA_GUARD", "5")
-    for verb in (["taut", "--n", "3"], ["conseq", "--n", "3", "--hyp", "p"], ["refute", "--max-n", "3"]):
-        assert main(["logic", *verb, "--formula", "q -> p"]) == 2
-        predicted = re.search(r"predicted (\d+) ", capsys.readouterr().err)[1]
-        monkeypatch.setenv("LUKRA_GUARD", predicted)
-        assert main(["logic", *verb, "--formula", "q -> p"]) in (0, 1)
+    m = re.fullmatch(r"error: predicted (\d+) units of packed work on the chains L_2..L_2 "
+                     r"exceed guard (\d+)\n", captured.err)
+    assert m and int(m[1]) > int(m[2]) == WORK_GUARD
+    # LUKRA_GUARD moves the limit for taut, conseq and refute alike: raised
+    # to each refusal's count, a verb passes that chain and answers, after
+    # one refusal where L_2 has a counterexample and two where none has
+    for verb, refusals in ((["taut", "--n", "3"], 1), (["conseq", "--n", "3", "--hyp", "p"], 2),
+                           (["refute", "--max-n", "3"], 1)):
         monkeypatch.setenv("LUKRA_GUARD", "5")
+        counts = [5]
+        while (code := main(["logic", *verb, "--formula", "q -> p"])) == 2:
+            counts.append(int(re.search(r"predicted (\d+) ", capsys.readouterr().err)[1]))
+            monkeypatch.setenv("LUKRA_GUARD", str(counts[-1]))
+        assert code in (0, 1) and len(counts) == 1 + refusals and counts == sorted(set(counts))
+    monkeypatch.setenv("LUKRA_GUARD", "5")
     # and for theorem-suite and hierarchy, which answer under the default guard
     for verb in (["theorem-suite", "--n", "3"], ["hierarchy", "--n", "3"]):
         capsys.readouterr()
         assert main(["logic", *verb]) == 2
-        assert re.fullmatch(r"error: predicted \d+ table entries held at once exceed guard 5\n",
-                            capsys.readouterr().err)
+        assert re.fullmatch(r"error: predicted \d+ units of packed work on the chains L_2..L_2 "
+                            r"exceed guard 5\n", capsys.readouterr().err)
         monkeypatch.delenv("LUKRA_GUARD")
         assert main(["logic", *verb]) == 0
         monkeypatch.setenv("LUKRA_GUARD", "5")
     capsys.readouterr()
 
 
+def test_lukra_guard_must_not_be_negative(capsys, monkeypatch):
+    monkeypatch.setenv("LUKRA_GUARD", "-3")
+    usage_error(capsys, ["logic", "taut", "--n", "3", "--formula", "p"],
+                "LUKRA_GUARD must not be negative, got '-3'")
+    # zero is a guard: it refuses any work
+    monkeypatch.setenv("LUKRA_GUARD", "0")
+    usage_error(capsys, ["logic", "taut", "--n", "3", "--formula", "p"],
+                "predicted 60072 units of packed work on the chains L_2..L_2 exceed guard 0")
+
 
 def test_logic_chain_sweep_guard(capsys, monkeypatch):
-    # the chains L_2..L_n count k^2 entries each against the guard, so a huge
-    # level is refused instead of swept; a counterexample before it answers
+    # each chain adds its predicted work to a running count, so a huge level
+    # is refused instead of swept; a counterexample before it answers.  For
+    # p -> p, L_k adds 13 k w + 90000 for fields of w bits (see
+    # test_logic.py::test_the_chain_sweep_is_bounded): 451157 on L_2..L_6
     huge = "99999999999999999999"
-    total = int(huge) * (int(huge) + 1) * (2 * int(huge) + 1) // 6 - 1
-    monkeypatch.setenv("LUKRA_GUARD", "100")
+    monkeypatch.setenv("LUKRA_GUARD", "451157")
     assert main(["logic", "taut", "--n", huge, "--formula", "p -> p"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: the chains L_2..L_{huge} hold {total} table entries in all; "
-        "their running count passes guard 100 at level 7\n")
+        "error: predicted 541612 units of packed work on the chains L_2..L_7 "
+        "exceed guard 451157\n")
     code, report = run(capsys, "logic", "refute", "--max-n", huge, "--formula", "p")
     assert code == 1 and report["counterexample"] == {"chain": 2, "valuation": {"p": 0}}
 
 
+def _implications(names):
+    """The balanced implication tree over `names`, as text."""
+    if len(names) == 1:
+        return names[0]
+    half = len(names) // 2
+    return f"({_implications(names[:half])}) -> ({_implications(names[half:])})"
+
+
+# 9000 names on L_2 alone: more than 2^9000 fields
+_WIDE = _implications([f"p{i}" for i in range(9000)])
+
 
 @pytest.mark.parametrize("argv", [
-    ["logic", "taut", "--n", "1" + "0" * 1500, "--formula", "p -> q -> r -> s"],
-    ["logic", "taut", "--n", "1" + "0" * 1500, "--formula", "p -> p"],
+    ["logic", "taut", "--n", "1" + "0" * 1500, "--formula", _WIDE],
+    ["logic", "refute", "--max-n", "1" + "0" * 1500, "--formula", _WIDE],
     ["algebra", "chain", "--n", "1" + "0" * 2500],
 ])
 def test_a_refused_count_past_the_printable_digits(capsys, monkeypatch, argv):

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from lukra.algebra import AlgebraError, SizeGuardError, _Packing, make_chain
 from lukra.formulas import (
     BOT,
-    TABLE_GUARD,
     TOP,
     Delta,
     EquationBatch,
@@ -24,6 +24,7 @@ from lukra.formulas import (
 from lukra.freealg import build_free
 from lukra.laws import CheckReport, base_laws, check_laws
 from lukra.logic import (
+    WORK_GUARD,
     Verdict,
     _entailment,
     _theorem_catalogue,
@@ -263,14 +264,15 @@ def formulas(draw):
 
 
 def _edge(equations, n):
-    """A guard at the table entries `check_guard` predicts for a decision's
-    equations at level n, or at the chains' own count if that is larger: a
-    group whose packed tables pass it runs in chunks."""
+    """The decisions' chunk bound, `logic.TABLE_GUARD`, patched to the table
+    entries `check_guard` predicts for the equations at level n, or to
+    sum k^2 over L_2..L_n if that is larger: a group whose packed tables
+    pass it runs in chunks."""
     batch = EquationBatch([(None, *equation) for equation in equations], delta=True, bottom=True)
     with pytest.raises(SizeGuardError) as refused:
         batch.check_guard(n, 0)
     predicted = int(re.match(r"predicted (\d+) ", str(refused.value)).group(1))
-    return max(predicted, n * (n + 1) * (2 * n + 1) // 6 - 1)
+    return mock.patch("lukra.logic.TABLE_GUARD", max(predicted, n * (n + 1) * (2 * n + 1) // 6 - 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,16 +280,18 @@ def _edge(equations, n):
 @example(Imp(Delta(BOT), BOT), [], Delta(TOP), 3)
 @example(parse("p -> q"), [parse("q"), parse("D p")], parse("q -> p"), 4)
 def test_decisions_match_the_sweep(f, hypotheses, g, n):
-    # each decision unguarded and at the guard's edge, in chunks
+    # each decision under the default chunk bound and at the bound's edge, in chunks
     taut = reference_is_tautology(f, n)
-    at_edge = _edge([_entailment((), f)], n)
-    assert is_tautology(f, n) == taut == is_tautology(f, n, guard=at_edge)
-    assert refute_search(f, n) == taut.counterexample == refute_search(f, n, guard=at_edge)
-    guard = _edge([_entailment(hypotheses, f)], n)
-    assert consequence(hypotheses, f, n) == reference_consequence(hypotheses, f, n) \
-        == consequence(hypotheses, f, n, guard=guard)
-    guard = _edge([(f, g, ())], n)
-    assert equivalent(f, g, n) == reference_equivalent(f, g, n) == equivalent(f, g, n, guard=guard)
+    with _edge([_entailment((), f)], n):
+        chunked = is_tautology(f, n), refute_search(f, n)
+    assert is_tautology(f, n) == taut == chunked[0]
+    assert refute_search(f, n) == taut.counterexample == chunked[1]
+    with _edge([_entailment(hypotheses, f)], n):
+        chunked = consequence(hypotheses, f, n)
+    assert consequence(hypotheses, f, n) == reference_consequence(hypotheses, f, n) == chunked
+    with _edge([(f, g, ())], n):
+        chunked = equivalent(f, g, n)
+    assert equivalent(f, g, n) == reference_equivalent(f, g, n) == chunked
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -312,14 +316,15 @@ def test_a_decision_holds_one_chain_at_a_time():
 
 
 def test_a_chunked_decision_holds_one_chunk():
-    # at the guard's edge for level 12, L_9 packs the 13 nodes over the 9^5
-    # values of five names (j = 1) and L_10..L_12 over k^4 of four (j = 2);
+    # at the chunk bound's edge for level 12, L_9 packs the 13 nodes over the
+    # 9^5 values of five names (j = 1) and L_10..L_12 over k^4 of four (j = 2);
     # L_12 packed whole would be 13 ints of 12^6 fields, a 47.6 MB peak
     f = parse("(f -> e) -> (d -> c) -> (b -> a) -> (f -> e)")
-    guard = _edge([_entailment((), f)], 12)
+    edge = _edge([_entailment((), f)], 12)
     tracemalloc.start()
     try:
-        verdict = is_tautology(f, 12, guard=guard)
+        with edge:
+            verdict = is_tautology(f, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,8 +367,8 @@ def test_law_checks_and_decisions_run_one_search(monkeypatch):
 
 
 def test_a_group_past_the_guard_is_decided_slab_by_slab(monkeypatch):
-    # at the guard's edge, a group of v names whose packed tables over all of
-    # them pass the guard on L_n goes slab by slab of its first j names: one
+    # at the chunk bound's edge, a group of v names whose packed tables over
+    # all of them pass it on L_n goes slab by slab of its first j names: one
     # chunk of packed ints per prefix of their values, and still no table
     packed = []
 
@@ -396,7 +401,8 @@ def test_a_group_past_the_guard_is_decided_slab_by_slab(monkeypatch):
     for kind, args, n, j, witness in cases:
         fn, reference, equations = decide[kind]
         packed.clear()
-        verdict = fn(*args, n, guard=_edge(equations(*args), n))
+        with _edge(equations(*args), n):
+            verdict = fn(*args, n)
         v = len(_names([t for a in args for t in (a if isinstance(a, list) else [a])]))
         assert packed[-1] == (n, n ** (v - j)), kind
         assert verdict == reference(*args, n) == fn(*args, n) == Verdict(witness is None, witness)
@@ -457,12 +463,17 @@ def test_theorem_suite_tables_stay_small():
 
 
 def test_the_chain_sweep_is_bounded():
-    # the chains L_2..L_n hold sum k^2 = n(n+1)(2n+1)/6 - 1 implication entries
+    # before L_k is searched each pending group adds its predicted work,
+    # k^j ((N + 10) k^(v-j) w + 3*10^4 N), to a running count: for p -> p,
+    # one group of v = 1 name and N = 3 nodes (p, p -> p, T), so j = 0 and
+    # L_k adds 13 k w + 90000 for w = (2(k-1)).bit_length() + 1
     f = parse("p -> p")
-    within = 10 * 11 * 21 // 6 - 1
+    work = [13 * k * ((2 * (k - 1)).bit_length() + 1) + 90000 for k in range(2, 12)]
+    within = sum(work[:-1])
+    assert (within, work[-1]) == (813614, 90858)
     assert is_tautology(f, 10, guard=within).holds
-    message = (rf"^the chains L_2..L_11 hold {within + 121} table entries in all; "
-               rf"their running count passes guard {within} at level 11$")
+    message = (rf"^predicted {within + 90858} units of packed work on the chains L_2..L_11 "
+               rf"exceed guard {within}$")
     with pytest.raises(SizeGuardError, match=message):
         is_tautology(f, 11, guard=within)
     # a counterexample found within the count is still the answer
@@ -472,7 +483,27 @@ def test_the_chain_sweep_is_bounded():
 
 
 def test_the_default_guard_answers_up_to_level_390():
-    # 2^2 + ... + 390^2 = 19 849 114 entries fit TABLE_GUARD; level 391 passes it
-    assert 390 * 391 * 781 // 6 - 1 <= TABLE_GUARD < 391 * 392 * 783 // 6 - 1
-    with pytest.raises(SizeGuardError, match=rf"guard {TABLE_GUARD} at level 391$"):
-        is_tautology(parse("p -> p"), 10**20)
+    # (p -> q) | (q -> p) answers at level 390 within WORK_GUARD; twenty
+    # names and 41 nodes (20 names, 20 implications, T) answer on L_2, in
+    # 2^2 chunks of 2^18 assignments, but L_3's 3^9 chunks of 3^11 pass the
+    # guard, and are refused before they are searched
+    assert is_tautology(parse("(p -> q) | (q -> p)"), 390).holds
+    f = parse(" -> ".join(f"p{i}" for i in range(20)) + " -> p0")
+    l2 = 2**2 * (51 * 2**18 * 3 + 30000 * 41)
+    l3 = 3**9 * (51 * 3**11 * 4 + 30000 * 41)
+    assert l2 <= WORK_GUARD < l2 + l3
+    with pytest.raises(SizeGuardError, match=rf"^predicted {l2 + l3} units of packed work on "
+                                             rf"the chains L_2..L_3 exceed guard {WORK_GUARD}$"):
+        is_tautology(f, 10**20)
+
+
+def test_a_refusal_names_its_predicted_work():
+    # q -> p ~ T on L_2 is one group of v = 2 names and N = 4 nodes (q, p,
+    # q -> p, T) with j = 0 and w = 3: (4 + 10) * 2^2 * 3 + 3*10^4 * 4 units
+    with pytest.raises(SizeGuardError, match=r"^predicted 120168 units of packed work on "
+                                             r"the chains L_2..L_2 exceed guard 5$"):
+        is_tautology(parse("q -> p"), 3, guard=5)
+    assert is_tautology(parse("q -> p"), 3, guard=120168) == Verdict(False, (2, {"p": 0, "q": 1}))
+    # under the default guard a counterexample on L_2 answers at any level
+    assert refute_search(parse("p"), 10**20) == (2, {"p": 0})
+    assert consequence([parse("p -> D p")], parse("p"), 10**20) == Verdict(False, (2, {"p": 0}))
