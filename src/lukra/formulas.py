@@ -36,6 +36,7 @@ import operator
 import re
 import weakref
 from array import array
+from bisect import bisect_left
 from functools import partial
 from itertools import chain, compress, count, islice, product
 
@@ -523,6 +524,11 @@ def equation_violations(A, equations, every: bool = False,
     it is tabulated per slab, over its other variables, and the others
     once.  So a k-variable equation holds about N^(k-1) entries per
     subterm, and without `every` it stops at its first violating slab.
+    Up to 256 elements the tables are bytes and each step is a bulk
+    operation of `_TermTables` (translates, strided slices, and whole-table
+    int operations for the comparison), not a loop over entries; a law
+    whose premises fail wherever its sides differ costs each slab a few
+    of those int operations.
 
     Raises FormulaError as `_checker` does, at the first offending node
     in pre-order of the first offending equation (lhs, rhs, then the
@@ -531,6 +537,20 @@ def equation_violations(A, equations, every: bool = False,
     batch = EquationBatch(equations, A.delta is not None, A.bottom is not None)
     batch.check_guard(A.size, guard)
     return batch.violations(A, range(len(batch.plans)), every)
+
+
+def _union(x: tuple, y: tuple) -> tuple:
+    """The sorted union of the sorted name tuples x and y: each name of the
+    shorter one is placed into the longer one by bisection, so a chain of
+    implications over v names plans in O(v^2) C-level moves, not v sorts."""
+    if len(x) < len(y):
+        x, y = y, x
+    out, at = list(x), 0
+    for name in y:
+        at = bisect_left(out, name, at)
+        if at == len(out) or out[at] != name:
+            out.insert(at, name)
+    return tuple(out)
 
 
 class _Plan(Record):
@@ -578,7 +598,7 @@ class EquationBatch:
                 if cls is Imp:
                     if i not in vars_:
                         x, y = vars_[id(g.left)], vars_[id(g.right)]
-                        vars_[i] = x if x == y else tuple(sorted({*x, *y}))
+                        vars_[i] = x if x == y else _union(x, y)
                 elif cls is Var and (names is None or g.name in names):
                     vars_[i] = (g.name,)
                 elif cls is Delta and delta:
@@ -678,13 +698,24 @@ class _TermTables:
     A table is a pair (axes, data): `data` holds the values of a term
     row-major over the sorted variable names `axes`, so a term that uses no
     variable has one entry.  `data` is `bytes` when every carrier index
-    fits a byte (N <= 256), which lets a unary map over it run as
-    `bytes.translate`, and an `array` of a wider type otherwise.
+    fits a byte (N <= BYTE_CARRIER = 256), and an `array` of a wider type
+    otherwise, over which every operation maps entry by entry.
+
+    On bytes the operations are bulk: a unary map is one `bytes.translate`
+    by a 256-byte lookup table (a row or column of imp, or delta), an
+    implication whose side ranges over a prefix or suffix of the result's
+    axes is one translate per entry of that side (of a block, or of a
+    strided slice), a broadcast is a repetition or strided slice
+    assignment, and `hits` compares sides and premises as big ints.  Sides
+    over the same axes, or interleaved ones, pair up entry by entry; up to
+    16 elements each pair packs into one byte that one translate maps.
     """
+
+    BYTE_CARRIER = 256      # the largest carrier whose tables are bytes
 
     def __init__(self, A):
         self.A, self.n = A, A.size
-        self.narrow = A.size <= 256
+        self.narrow = A.size <= self.BYTE_CARRIER
         if self.narrow:
             self.make = bytes
             lift = lambda t: bytes(t).ljust(256, b"\0")  # noqa: E731
@@ -698,6 +729,11 @@ class _TermTables:
         self.top = ((), self.make([A.top]))
         self.bottom = ((), self.make([A.bottom])) if A.bottom is not None else None
         self.spreads: dict = {}     # (axes, target axes) -> index array
+        # up to 16 elements a pair (a, b) packs into the byte 16a + b: the
+        # table of a -> 16a, and imp by packed pair
+        self.packed = ((bytes(range(0, 256, 16)).ljust(256, b"\0"),
+                        b"".join(r[:16] for r in self.rows).ljust(256, b"\0"))
+                       if self.narrow and A.size <= 16 else None)
 
     def _delta(self, table):
         """The table of D applied to `table`, over the same axes."""
@@ -708,17 +744,31 @@ class _TermTables:
     def imp(self, left, right):
         """The table of left -> right, over the sorted union of their axes.
 
-        When one side's axes are a proper prefix of that union, the other
-        side splits into one block per entry of that side, and each block is
-        a unary map by that entry's row (or column) of imp.
+        On bytes, when one side's axes are a proper prefix of that union,
+        the other side splits into one block per entry of that side, and
+        each block is a unary map by that entry's row (or column) of imp;
+        when they are a proper suffix, the other side's entries at a stride
+        of that side's length are.
         """
         (la, ld), (ra, rd) = left, right
         axes = la if la == ra else tuple(sorted({*la, *ra}))
+        k = len(axes)
         if self.narrow:
-            if len(la) < len(axes) and axes[:len(la)] == la:
-                return axes, self._blocks(ld, self.rows, self.spread(right, axes))
-            if len(ra) < len(axes) and axes[:len(ra)] == ra:
-                return axes, self._blocks(rd, self.cols, self.spread(left, axes))
+            if len(la) < k:
+                if axes[:len(la)] == la:
+                    return axes, self._blocks(ld, self.rows, self.spread(right, axes))
+                if axes[k - len(la):] == la:
+                    return axes, self._strided(ld, self.rows, self.spread(right, axes))
+            if len(ra) < k:
+                if axes[:len(ra)] == ra:
+                    return axes, self._blocks(rd, self.cols, self.spread(left, axes))
+                if axes[k - len(ra):] == ra:
+                    return axes, self._strided(rd, self.cols, self.spread(left, axes))
+            if self.packed is not None:
+                sixteen, pairs = self.packed
+                ld, rd = self.spread(left, axes), self.spread(right, axes)
+                packed = int.from_bytes(ld.translate(sixteen), "big") | int.from_bytes(rd, "big")
+                return axes, packed.to_bytes(len(ld), "big").translate(pairs)
         return axes, self.make(map(operator.getitem,
                                    map(self.A.imp.__getitem__, self.spread(left, axes)),
                                    self.spread(right, axes)))
@@ -728,6 +778,15 @@ class _TermTables:
         """Block j of `data` (one per entry) translated by tables[entries[j]]."""
         m = len(data) // len(entries)
         return b"".join(data[j * m:(j + 1) * m].translate(tables[c]) for j, c in enumerate(entries))
+
+    @staticmethod
+    def _strided(entries, tables, data) -> bytes:
+        """The entries of `data` at j, j + m, j + 2m, ..., for each entry j
+        of the m `entries`, translated by tables[entries[j]]."""
+        m, out = len(entries), bytearray(len(data))
+        for j, c in enumerate(entries):
+            out[j::m] = data[j::m].translate(tables[c])
+        return bytes(out)
 
     def spread(self, table, target):
         """The data of `table` broadcast from its axes to `target`, a
@@ -739,6 +798,16 @@ class _TermTables:
         k = len(target) - len(axes)
         if target[k:] == axes:
             return data * self.n ** k
+        if self.narrow and target[:len(axes)] == axes:
+            # each entry repeated r times in a row: r strided copies of
+            # `data`, or one run per entry, whichever loop is shorter
+            r = self.n ** k
+            if r > len(data):
+                return b"".join([bytes((d,)) * r for d in data])
+            out = bytearray(len(data) * r)
+            for j in range(r):
+                out[j::r] = data
+            return bytes(out)
         index = self.spreads.get((axes, target))
         if index is None:
             n = self.n
@@ -759,15 +828,40 @@ class _TermTables:
     def hits(self, space, plan, value):
         """The indices, increasing, of the assignments over `space` (as
         `spread` takes it) at which the premises of `plan` hold and its
-        sides differ, from the tables `value` of its nodes."""
+        sides differ, from the tables `value` of its nodes.
+
+        On bytes each pair of tables is one big-endian int and their XOR is
+        nonzero in exactly the bytes where they differ, so the sides' XOR
+        with the premises' OR of XORs turns into one byte mask; a law whose
+        premises hold at no assignment where its sides differ yields
+        nothing after a few whole-table int operations.
+        """
         left, right = (self.spread(value[id(t)], space) for t in (plan.lhs, plan.rhs))
         if left == right:
             return ()
-        hits = map(operator.ne, left, right)
+        if not self.narrow:
+            hits = map(operator.ne, left, right)
+            for pair in plan.premises:
+                a, b = (self.spread(value[id(t)], space) for t in pair)
+                hits = map(operator.and_, hits, map(operator.eq, a, b))
+            return compress(count(), hits)
+        size = len(left)
+        ones = int.from_bytes(b"\1" * size, "big")
+        low7 = ones * 0x7F
+        # 1 in each byte of v that is nonzero: its top bit or the carry of
+        # its low seven bits plus 0x7F, which stays in the byte
+        nonzero = lambda v: (((v & low7) + low7 | v) >> 7) & ones  # noqa: E731
+        mask = nonzero(int.from_bytes(left, "big") ^ int.from_bytes(right, "big"))
+        fails = 0
         for pair in plan.premises:
             a, b = (self.spread(value[id(t)], space) for t in pair)
-            hits = map(operator.and_, hits, map(operator.eq, a, b))
-        return compress(count(), hits)
+            if a != b:
+                fails |= int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+        if fails:
+            mask &= ~nonzero(fails)
+        if not mask:
+            return ()
+        return compress(count(), mask.to_bytes(size, "big"))
 
 
 def _digits(h, n, width) -> tuple[int, ...]:

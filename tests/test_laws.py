@@ -1,6 +1,8 @@
+import random
 import re
 import tracemalloc
 from itertools import islice, product as iter_product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from lukra.formulas import (
     Var,
     equation_violations,
     eval_formula,
+    _TermTables,
     parse,
     variables,
 )
@@ -354,21 +357,23 @@ small_algebras = st.one_of(
 
 
 @st.composite
-def equations_over(draw, delta, bottom):
-    """(names, lhs, rhs, premises) in the signature of an algebra: premises,
-    unused and repeated names, and laws over no variable at all."""
-    atoms = [Var(x) for x in NAMES[:3]] + [TOP] + ([BOT] if bottom else [])
+def equations_over(draw, delta, bottom, names=NAMES[:3], repeat=True):
+    """(names, lhs, rhs, premises) in the signature of an algebra over some
+    of `names`: premises that hold everywhere or nowhere, unused names,
+    repeated ones with `repeat`, and laws over no variable at all."""
+    atoms = [Var(x) for x in names] + [TOP] + ([BOT] if bottom else [])
     law_terms = st.recursive(
         st.sampled_from(atoms),
         lambda inner: st.one_of(st.builds(Imp, inner, inner),
                                 *([st.builds(Delta, inner)] if delta else [])),
         max_leaves=6)
     lhs, rhs = draw(law_terms), draw(law_terms)
-    premises = tuple(draw(st.lists(st.tuples(law_terms, law_terms), max_size=2)))
+    premises = tuple(draw(st.lists(st.tuples(law_terms, law_terms)
+                                   | law_terms.map(lambda t: (t, t)), max_size=2)))
     used = set().union(*(variables(t) for pair in [(lhs, rhs), *premises] for t in pair))
     names = list(draw(st.permutations(sorted(used | set(draw(st.lists(
-        st.sampled_from(NAMES[:3]), max_size=1)))))))
-    if names and draw(st.booleans()):
+        st.sampled_from(names), max_size=1)))))))
+    if repeat and names and draw(st.booleans()):
         names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
     return tuple(names), lhs, rhs, premises
 
@@ -386,3 +391,85 @@ def test_slabs_match_the_sweep_on_small_algebras(data):
     found = EquationBatch(equations, delta, bottom).violations(A, which, every)
     assert found == [list(islice(reference_violations(A, Law("R", *equations[i])),
                                  None if every else 1)) for i in which]
+
+
+def seeded_table(n, seed, delta, bottom):
+    """Any in-range tables of n elements, from a seeded generator: too many
+    cells for hypothesis to draw one by one."""
+    rng = random.Random(seed)
+    row = lambda: [rng.randrange(n) for _ in range(n)]  # noqa: E731
+    imp, top = [row() for _ in range(n)], rng.randrange(n)
+    bot = rng.randrange(n) if bottom else None
+    if bot is not None:
+        imp[bot] = [top] * n
+    return FiniteAlgebra(size=n, imp=imp, top=top, delta=row() if delta else None, bottom=bot)
+
+
+def seeded_tables(sizes):
+    return st.builds(seeded_table, sizes, st.integers(0, 2**32), st.booleans(), st.booleans())
+
+
+# the sweep takes up to 40^2 assignments an equation here
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_slabs_match_the_sweep_on_larger_tables(data):
+    A = data.draw(seeded_tables(st.integers(17, 40)))
+    equations = data.draw(st.lists(equations_over(A.delta is not None, A.bottom is not None,
+                                                  NAMES[:2], repeat=False),
+                                   min_size=1, max_size=3))
+    found = equation_violations(A, equations, every=True)
+    assert found == [list(reference_violations(A, Law("R", *e))) for e in equations]
+
+
+# ---------------------------------------------------------------------------
+# `_TermTables`' bulk operations on byte tables against its entry-by-entry
+# path, which carriers of more than 256 elements take.
+# ---------------------------------------------------------------------------
+
+def on_the_map_path(run):
+    """`run()` with every carrier's tables mapped entry by entry."""
+    with mock.patch.object(_TermTables, "BYTE_CARRIER", 0):
+        return run()
+
+
+# three names put the slab tables over one or two axes, so implications
+# meet sides over prefixes, suffixes and the same axes, and broadcasts to
+# a target that starts with a table's axes; at 255 elements and more,
+# two names, none repeated, keep each equation to N^2 entries a node
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_byte_tables_match_the_map_path(data):
+    n = data.draw(st.sampled_from([1, 2, 255, 256, 257]) | st.integers(3, 40))
+    chains = st.builds(make_chain, st.just(n), with_delta=st.booleans(),
+                       with_bottom=st.booleans())
+    A = data.draw(seeded_tables(st.just(n)) | chains if n > 1 else seeded_tables(st.just(n)))
+    small = n <= 40
+    equations = data.draw(st.lists(equations_over(A.delta is not None, A.bottom is not None,
+                                                  NAMES[:3] if small else NAMES[:2], small),
+                                   min_size=1, max_size=4))
+    found = equation_violations(A, equations, every=True)
+    assert found == on_the_map_path(lambda: equation_violations(A, equations, every=True))
+
+
+_y, _z = Var("y"), Var("z")
+_yz, _zy = Imp(_y, _z), Imp(_z, _y)
+# over x, y, z with x unused, so every table is over (y, z) or less and kept
+# across the slabs of x: sides over (y) and (z), a prefix and a suffix of
+# (y, z), on the left and on the right, sides over the same axes, and
+# premises broadcast from (y) and (z), holding everywhere or not
+SHAPES = [(("x", "y", "z"), Imp(_y, _yz), Imp(_z, _yz), ()),
+          (("x", "y", "z"), Imp(_yz, _y), Imp(_yz, _z), ((Imp(_yz, _zy), Imp(_zy, _yz)),)),
+          (("x", "y", "z"), Imp(_y, _y), Imp(_z, _z), ((_yz, TOP),)),
+          (("x", "y", "z"), Delta(_zy), Imp(_zy, _y), ((_yz, _yz), (Delta(_y), _z)))]
+
+
+# past 40 elements only the least violation is compared: it lies in the
+# first slab of x unless the law holds
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 40, 255, 256, 257])
+def test_byte_tables_match_the_map_path_on_prefix_suffix_and_same_axes(n):
+    A = seeded_table(n, n, delta=True, bottom=False)
+    every = n <= 40
+    found = equation_violations(A, SHAPES, every)
+    assert found == on_the_map_path(lambda: equation_violations(A, SHAPES, every))
+    if n >= 16:
+        assert all(found)
