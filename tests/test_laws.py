@@ -357,11 +357,11 @@ small_algebras = st.one_of(
 
 
 @st.composite
-def equations_over(draw, delta, bottom, names=NAMES[:3], repeat=True):
+def equations_over(draw, delta, bottom, pool=NAMES[:3], repeat=True):
     """(names, lhs, rhs, premises) in the signature of an algebra over some
-    of `names`: premises that hold everywhere or nowhere, unused names,
-    repeated ones with `repeat`, and laws over no variable at all."""
-    atoms = [Var(x) for x in names] + [TOP] + ([BOT] if bottom else [])
+    of the names in `pool`: premises, some holding everywhere, unused
+    names, repeated ones with `repeat`, and laws over no variable at all."""
+    atoms = [Var(x) for x in pool] + [TOP] + ([BOT] if bottom else [])
     law_terms = st.recursive(
         st.sampled_from(atoms),
         lambda inner: st.one_of(st.builds(Imp, inner, inner),
@@ -372,7 +372,7 @@ def equations_over(draw, delta, bottom, names=NAMES[:3], repeat=True):
                                    | law_terms.map(lambda t: (t, t)), max_size=2)))
     used = set().union(*(variables(t) for pair in [(lhs, rhs), *premises] for t in pair))
     names = list(draw(st.permutations(sorted(used | set(draw(st.lists(
-        st.sampled_from(names), max_size=1)))))))
+        st.sampled_from(pool), max_size=1)))))))
     if repeat and names and draw(st.booleans()):
         names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
     return tuple(names), lhs, rhs, premises
