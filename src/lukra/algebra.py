@@ -283,12 +283,6 @@ class _Packing:
             self.CC = self.CC << shift | (high - size) * ones  # high - 1 - mm: x > mm sets the top bit
         self.H = self.ONE << self.s                            # the top bit of every field
 
-    def pack(self, vector) -> int:
-        out = 0
-        for a, sh in zip(vector, range(self.w * (self.count - 1), -1, -self.w)):
-            out |= a << sh
-        return out
-
     def unpack(self, p: int) -> tuple[int, ...]:
         fmask = (1 << self.w) - 1
         return tuple((p >> sh) & fmask for sh in range(self.w * (self.count - 1), -1, -self.w))
@@ -320,14 +314,16 @@ class _Packing:
         a ^ b plus high - 1 reaches the top bit."""
         return ((u ^ v) + self.H - self.ONE) & self.H
 
-    def digit(self, stride: int) -> int:
-        """A variable's table on one run of the chain L_k: field j holds the
-        digit (j // stride) mod k, the variable's value at assignment j, in
-        lexicographic order, when `stride` is its place value."""
-        (k, count), = self.runs
-        width = self.w * stride
-        period = _tiled(0, width, k, _tiled(1, self.w, stride))
-        return _tiled(period, width * k, count // (stride * k))
+    def digit(self, i: int) -> int:
+        """Variable i's table on every run: field h of a run of k^v fields
+        of L_k holds digit i of h in base k, the most significant first, its
+        value at assignment h of L_k^v in lexicographic order (i < v)."""
+        w, out = self.w, 0
+        for k, count in self.runs:
+            stride = count // k ** (i + 1)     # the place value of digit i
+            period = _tiled(0, w * stride, k, _tiled(1, w, stride))
+            out = out << w * count | _tiled(period, w * stride * k, k ** i)
+        return out
 
 
 def trivial_algebra() -> FiniteAlgebra:
@@ -433,10 +429,14 @@ def min_n(A: FiniteAlgebra) -> int | None:
     """Least n >= 2 such that (x ->_{n-1} y) v x = top everywhere.
 
     Searched up to carrier size + 1; None when nothing passes (possible
-    only for tables outside the n-valued classes).
+    only for tables outside the n-valued classes).  At level n, rows[x][y]
+    holds x ->_{n-1} y, one lookup a pair from the level before.
     """
+    rows = [range(A.size)] * A.size
+    joins = [[A.join(a, x) == A.top for a in range(A.size)] for x in range(A.size)]
     for n in range(2, A.size + 2):
-        if least_witness(A.size, 2, lambda x, y: A.join(imp_k(A, x, y, n - 1), x) == A.top) is None:
+        rows = [list(map(step.__getitem__, row)) for step, row in zip(A.imp, rows)]
+        if all(all(map(join.__getitem__, row)) for join, row in zip(joins, rows)):
             return n
     return None
 

@@ -517,7 +517,9 @@ def equation_violations(A, equations, every: bool = False,
     Before any table is built, the entries the slab-by-slab search holds
     at once are predicted (every table kept across slabs, one slab table
     of each other subterm, and each equation's sides and premises spread
-    over its slab); more than `guard` of them raise SizeGuardError.
+    over its slab); more than `guard` of them raise SizeGuardError.  With
+    `every`, each violating assignment kept adds its positions to that
+    count, and SizeGuardError is raised as soon as it passes `guard`.
 
     The equations over the same names are searched together, slab by slab
     of their first variable (`EquationBatch._search`): a subterm that uses
@@ -535,8 +537,7 @@ def equation_violations(A, equations, every: bool = False,
     premise pairs).
     """
     batch = EquationBatch(equations, A.delta is not None, A.bottom is not None)
-    batch.check_guard(A.size, guard)
-    return batch.violations(A, range(len(batch.plans)), every)
+    return batch.violations(A, range(len(batch.plans)), every, guard)
 
 
 def _union(x: tuple, y: tuple) -> tuple:
@@ -612,10 +613,11 @@ class EquationBatch:
         return _Plan(names=tuple(names), nodes=tuple(nodes.values()), lhs=lhs, rhs=rhs,
                      premises=tuple(zip(terms[2::2], terms[3::2])))
 
-    def check_guard(self, n: int, guard: int) -> None:
-        """Raise SizeGuardError when the plans' tables on an n-element
-        carrier, predicted as `equation_violations` says, exceed `guard`;
-        a plan's slab name is names[0] unless a later position binds it."""
+    def check_guard(self, n: int, guard: int) -> int:
+        """The table entries the plans hold at once on an n-element carrier,
+        predicted as `equation_violations` says; more than `guard` raise
+        SizeGuardError.  A plan's slab name is names[0] unless a later
+        position binds it."""
         vars_, axes = self.vars, {}
         for plan in self.plans:
             names = plan.names
@@ -629,13 +631,24 @@ class EquationBatch:
         if entries > guard:
             raise SizeGuardError(f"predicted {_count_text(entries)} table entries "
                                  f"held at once exceed guard {guard}")
+        return entries
 
-    def violations(self, A, which, every: bool = False) -> list[list[tuple[int, ...]]]:
+    def violations(self, A, which, every: bool = False,
+                   guard: int = TABLE_GUARD) -> list[list[tuple[int, ...]]]:
         """The assignments of A, an algebra of the batch's signature, that
-        violate each plan in `which`, as `equation_violations` lists them:
-        `_search` on A's value tables, slab by slab of each group's first
-        position; `check_guard` bounds the tables."""
-        tables = _TermTables(A)
+        violate each plan in `which`, as `equation_violations` lists them
+        and bounds them by `guard`: `_search` on A's value tables, slab by
+        slab of each group's first position, after `check_guard`."""
+        held, tables = self.check_guard(A.size, guard), _TermTables(A)
+        hits = tables.hits
+        if every:   # each witness kept holds its positions too
+            def hits(space, plan, value):
+                nonlocal held
+                for h in tables.hits(space, plan, value):
+                    if (held := held + len(plan.names)) > guard:
+                        raise SizeGuardError(f"{_count_text(held)} table entries and witness "
+                                             f"positions held at once exceed guard {guard}")
+                    yield h
         make, carrier = tables.make, range(A.size)
         chosen, found = set(which), {}
         for names, (members, _) in self.groups.items():
@@ -646,7 +659,7 @@ class EquationBatch:
                     members, A.size, min(1, len(names)),
                     lambda name, i: ((name,), make(carrier)), lambda c: ((), make([c])),
                     (tables.imp, tables._delta, tables.top, tables.bottom),
-                    partial(tables.hits, space[1:]), every)))
+                    partial(hits, space[1:]), every)))
         return [found[i] for i in which]
 
     def _search(self, which, size, j, var, const, ops, hits,
@@ -705,10 +718,10 @@ class _TermTables:
     by a 256-byte lookup table (a row or column of imp, or delta), an
     implication whose side ranges over a prefix or suffix of the result's
     axes is one translate per entry of that side (of a block, or of a
-    strided slice), a broadcast is a repetition or strided slice
-    assignment, and `hits` compares sides and premises as big ints.  Sides
-    over the same axes, or interleaved ones, pair up entry by entry; up to
-    16 elements each pair packs into one byte that one translate maps.
+    strided slice), a broadcast repeats the data or each of its entries,
+    and `hits` compares sides and premises as big ints.  Sides over the
+    same axes, or interleaved ones, pair up entry by entry on every
+    carrier, through the rows of imp.
     """
 
     BYTE_CARRIER = 256      # the largest carrier whose tables are bytes
@@ -729,11 +742,6 @@ class _TermTables:
         self.top = ((), self.make([A.top]))
         self.bottom = ((), self.make([A.bottom])) if A.bottom is not None else None
         self.spreads: dict = {}     # (axes, target axes) -> index array
-        # up to 16 elements a pair (a, b) packs into the byte 16a + b: the
-        # table of a -> 16a, and imp by packed pair
-        self.packed = ((bytes(range(0, 256, 16)).ljust(256, b"\0"),
-                        b"".join(r[:16] for r in self.rows).ljust(256, b"\0"))
-                       if self.narrow and A.size <= 16 else None)
 
     def _delta(self, table):
         """The table of D applied to `table`, over the same axes."""
@@ -750,25 +758,16 @@ class _TermTables:
         when they are a proper suffix, the other side's entries at a stride
         of that side's length are.
         """
-        (la, ld), (ra, rd) = left, right
+        la, ra = left[0], right[0]
         axes = la if la == ra else tuple(sorted({*la, *ra}))
         k = len(axes)
         if self.narrow:
-            if len(la) < k:
-                if axes[:len(la)] == la:
-                    return axes, self._blocks(ld, self.rows, self.spread(right, axes))
-                if axes[k - len(la):] == la:
-                    return axes, self._strided(ld, self.rows, self.spread(right, axes))
-            if len(ra) < k:
-                if axes[:len(ra)] == ra:
-                    return axes, self._blocks(rd, self.cols, self.spread(left, axes))
-                if axes[k - len(ra):] == ra:
-                    return axes, self._strided(rd, self.cols, self.spread(left, axes))
-            if self.packed is not None:
-                sixteen, pairs = self.packed
-                ld, rd = self.spread(left, axes), self.spread(right, axes)
-                packed = int.from_bytes(ld.translate(sixteen), "big") | int.from_bytes(rd, "big")
-                return axes, packed.to_bytes(len(ld), "big").translate(pairs)
+            for (sa, sd), other, maps in ((left, right, self.rows), (right, left, self.cols)):
+                if len(sa) < k:
+                    if axes[:len(sa)] == sa:
+                        return axes, self._blocks(sd, maps, self.spread(other, axes))
+                    if axes[k - len(sa):] == sa:
+                        return axes, self._strided(sd, maps, self.spread(other, axes))
         return axes, self.make(map(operator.getitem,
                                    map(self.A.imp.__getitem__, self.spread(left, axes)),
                                    self.spread(right, axes)))
@@ -799,15 +798,9 @@ class _TermTables:
         if target[k:] == axes:
             return data * self.n ** k
         if self.narrow and target[:len(axes)] == axes:
-            # each entry repeated r times in a row: r strided copies of
-            # `data`, or one run per entry, whichever loop is shorter
+            # each entry repeated r times in a row: one run per entry
             r = self.n ** k
-            if r > len(data):
-                return b"".join([bytes((d,)) * r for d in data])
-            out = bytearray(len(data) * r)
-            for j in range(r):
-                out[j::r] = data
-            return bytes(out)
+            return b"".join([bytes((d,)) * r for d in data])
         index = self.spreads.get((axes, target))
         if index is None:
             n = self.n

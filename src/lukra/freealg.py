@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import product as iter_product
 from math import comb, log10
 from operator import itemgetter
 
@@ -197,23 +196,17 @@ def _build_free(n: int, m: int) -> FreeAlgebra:
     """The unguarded construction behind build_free.
 
     Elements are packed ints (see `algebra._Packing`), one run of k^m
-    coordinates per chain L_k, so one implication over all coordinates is
-    a handful of int operations.  The closure is
+    coordinates per chain L_k, the valuations of the generators into L_k
+    in lexicographic order: generator i is `_Packing.digit(i)`, the table
+    the logic decisions take for a variable.  One implication over all
+    coordinates is a handful of int operations.  The closure is
     `algebra.subuniverse` over `_Packing.imps`, whose discovery-order rows
     are the table, every ordered pair computed once; the table is then
     permuted into sorted order.  The result is checked for nothing here;
     tests confirm it satisfies the variety checks and the structure lemmas.
     """
-    coord_sizes = []
-    gen_vectors = [[] for _ in range(m)]
-    for k in range(2, n + 1):
-        for valuation in iter_product(range(k), repeat=m):
-            coord_sizes.append(k)
-            for i in range(m):
-                gen_vectors[i].append(valuation[i])
-    coord_sizes = tuple(coord_sizes)
     P = _Packing((k, k**m) for k in range(2, n + 1))
-    packed_gens = [P.pack(g) for g in gen_vectors]
+    packed_gens = [P.digit(i) for i in range(m)]
     # discovery order: top first, then the generators
     elems, rows, delta, _ = subuniverse([P.MM, *packed_gens], P.imps, P.delta)
     size = len(elems)
@@ -241,7 +234,7 @@ def _build_free(n: int, m: int) -> FreeAlgebra:
     return FreeAlgebra(
         n=n, m=m, algebra=algebra,
         generators=tuple(rank[elems.index(p)] for p in packed_gens),
-        coord_sizes=coord_sizes,
+        coord_sizes=tuple(k for k, count in P.runs for _ in range(count)),
         vectors=tuple(P.unpack(elems[old]) for old in order),
     )
 

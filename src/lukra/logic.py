@@ -138,7 +138,7 @@ def _decide(equations, n: int, guard: int) -> list[Verdict]:
                   if (pending := [i for i in members if out[i].holds])]
         if not groups:
             break
-        w = (2 * (k - 1)).bit_length() + 1
+        w = _Packing([(k, 1)]).w     # the field width on L_k
         depths = [next((j for j in range(v) if N * k ** (v - j) <= TABLE_GUARD), v)
                   for v, N, _ in groups]
         work += sum(k ** j * ((N + 10) * k ** (v - j) * w + 30000 * N)
@@ -169,7 +169,7 @@ def _least_violations(batch, k: int, which, j: int) -> list[list[tuple[int, ...]
             mask &= ~P.differ(value[id(a)], value[id(b)])
         return [(P.w * P.count - mask.bit_length()) // P.w] if mask else []
 
-    return batch._search(which, k, j, lambda name, i: P.digit(k ** (v - 1 - i)),
+    return batch._search(which, k, j, lambda name, i: P.digit(i - j),
                          lambda c: c * P.ONE, (P.imp, P.delta, P.MM, 0), hits)
 
 

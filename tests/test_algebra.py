@@ -464,7 +464,7 @@ def test_packed_chains_match_chain_arithmetic_field_by_field():
     P = _Packing(runs)
     assert P.w == 7
     assert _fields(P, P.MM) == [k - 1 for k in sizes]
-    assert _fields(P, _pack(P, sizes)) == sizes and P.pack(sizes) == _pack(P, sizes)
+    assert _fields(P, _pack(P, sizes)) == sizes
     assert P.unpack(_pack(P, sizes)) == tuple(sizes)
     for _ in range(20):
         u = [rng.randrange(k) for k in sizes]
@@ -473,8 +473,8 @@ def test_packed_chains_match_chain_arithmetic_field_by_field():
 
 
 def test_packed_digit_tables():
-    # on L_k^v, assignment j gives the variable of place value `stride` the
-    # digit (j // stride) mod k
+    # on L_k^v, assignment j gives variable i, of place value k^(v-1-i),
+    # the digit (j // k^(v-1-i)) mod k
     for k in WIDTH_EDGES:
         for v in range(1, 4):
             if k ** v > 20000:
@@ -482,4 +482,19 @@ def test_packed_digit_tables():
             P = _Packing([(k, k ** v)])
             for i in range(v):
                 stride = k ** (v - 1 - i)
-                assert _fields(P, P.digit(stride)) == [(j // stride) % k for j in range(k ** v)]
+                assert _fields(P, P.digit(i)) == [(j // stride) % k for j in range(k ** v)]
+
+
+def test_packed_digit_tables_on_many_runs():
+    # runs of k^v fields of L_k; with v = m for k = 2..n, as `build_free(n,
+    # m)` packs, field h of the run of L_k holds digit i of h, coordinate i
+    # of the h-th valuation of the m generators into L_k in lexicographic order
+    shapes = [[(k, m) for k in range(2, n + 1)]
+              for n, m in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)]]
+    shapes += [[(k, 1) for k in WIDTH_EDGES], [(k, 2) for k in WIDTH_EDGES[:9]],
+               [(129, 1), (2, 3), (17, 2), (3, 3)]]
+    for shape in shapes:
+        P = _Packing((k, k ** v) for k, v in shape)
+        for i in range(min(v for _, v in shape)):
+            want = [h[i] for k, v in shape for h in iter_product(range(k), repeat=v)]
+            assert _fields(P, P.digit(i)) == want and P.digit(i) == _pack(P, want)

@@ -14,6 +14,7 @@ from lukra.algebra import (
     SizeGuardError,
     imp_k,
     is_isomorphic,
+    least_witness,
     make_chain,
     min_n,
     product,
@@ -572,6 +573,15 @@ def reference_min_n(A):
     return None
 
 
+def least_witness_min_n(A):
+    """Oracle: min_n as a `least_witness` sweep of x ->_{n-1} y from
+    scratch at each level, quartic in the carrier."""
+    for n in range(2, A.size + 2):
+        if least_witness(A.size, 2, lambda x, y: A.join(imp_k(A, x, y, n - 1), x) == A.top) is None:
+            return n
+    return None
+
+
 def reference_quotient(A, F):
     """Oracle: quotient with the loops of its well-definedness checks and
     of congruence_of's equivalence and reflexivity check (F must be an
@@ -729,6 +739,26 @@ def test_min_n_matches_its_loop(random_delta_algebras):
     levels = [min_n(A) for A in random_delta_algebras]
     assert levels == [reference_min_n(A) for A in random_delta_algebras]
     assert None in levels and len(set(levels)) >= 4
+
+
+def test_min_n_matches_its_least_witness_sweep():
+    # chains, products of chains, each of them with one imp entry changed
+    # (ten times), and seeded tables of 1-9 elements; most of the changed
+    # and seeded tables are outside the variety
+    rng = random.Random(34)
+    algebras = [make_chain(k) for k in range(2, 13)]
+    algebras += [product([make_chain(a), make_chain(b)])
+                 for a, b in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (5, 2)]]
+    algebras += [product([make_chain(2)] * 3), product([make_chain(3), make_chain(2)] * 2)]
+    for A in list(algebras):
+        for _ in range(10):
+            imp = [list(row) for row in A.imp]
+            imp[rng.randrange(A.size)][rng.randrange(A.size)] = rng.randrange(A.size)
+            algebras.append(FiniteAlgebra(size=A.size, imp=imp, top=A.top))
+    algebras += [random_algebra(rng, rng.randint(1, 9)) for _ in range(300)]
+    levels = [min_n(A) for A in algebras]
+    assert levels == [least_witness_min_n(A) for A in algebras]
+    assert None in levels and len(set(levels)) >= 12
 
 
 def outcome(run, *args):

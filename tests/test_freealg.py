@@ -134,19 +134,20 @@ def test_packed_implication_and_delta():
     # their maxima and every field sees every value pair, 0 and mm included
     sizes = (6, 2, 5, 3, 4, 2, 6, 3)
     P = _Packing((k, 1) for k in sizes)
+    pack = lambda vector: int("".join(f"{a:0{P.w}b}" for a in vector), 2)  # noqa: E731
     pairs = [[(a, b) for a in range(k) for b in range(k)] for k in sizes]
     rounds = max(map(len, pairs))
     for r in range(rounds):
         u = tuple(ps[r % len(ps)][0] for ps in pairs)
         v = tuple(ps[r % len(ps)][1] for ps in pairs)
         want = tuple(min(k - 1, k - 1 - a + b) for a, b, k in zip(u, v, sizes))
-        assert P.unpack(P.imps(P.pack(u), (P.pack(v),))[0][0]) == want
+        assert P.unpack(P.imps(pack(u), (pack(v),))[0][0]) == want
         want = tuple(k - 1 if a == k - 1 else 0 for a, k in zip(u, sizes))
-        assert P.unpack(P.delta(P.pack(u))) == want
+        assert P.unpack(P.delta(pack(u))) == want
     # int order is the order of the vectors
     rng = random.Random(5)
     vecs = [tuple(rng.randrange(k) for k in sizes) for _ in range(200)]
-    assert sorted(vecs) == sorted(vecs, key=P.pack)
+    assert sorted(vecs) == sorted(vecs, key=pack)
     assert P.unpack(P.MM) == tuple(k - 1 for k in sizes)
 
 

@@ -344,6 +344,22 @@ def test_the_guard_predicts_pinned_entries():
     assert _predicted(batch, 45) == 24707
 
 
+def test_the_guard_counts_every_witness_kept():
+    # x -> y ~ y over the positions (x, y, x) fails at almost every (y, x)
+    # of a seeded 100-element table, and with `every` each failure is kept
+    # for each of the 100 values of the unbound first x: about 10^6
+    # witnesses, whose 3 positions each count with the predicted tables
+    A = seeded_table(100, 84, delta=False, bottom=False)
+    x, y = Var("x"), Var("y")
+    equations = [(("x", "y", "x"), Imp(x, y), y, ())]
+    kept = len(equation_violations(A, equations, every=True)[0])
+    total = EquationBatch(equations, False, False).check_guard(100, TABLE_GUARD) + 3 * kept
+    assert kept > 900000 and total <= TABLE_GUARD
+    with pytest.raises(SizeGuardError, match=rf"^{total} table entries and witness positions "
+                                             rf"held at once exceed guard {total - 1}$"):
+        equation_violations(A, equations, every=True, guard=total - 1)
+
+
 # `EquationBatch.violations`, the slab-by-slab search every law check
 # takes, on small carriers against the per-assignment sweep.
 # ---------------------------------------------------------------------------
@@ -463,6 +479,17 @@ SHAPES = [(("x", "y", "z"), Imp(_y, _yz), Imp(_z, _yz), ()),
           (("x", "y", "z"), Delta(_zy), Imp(_zy, _y), ((_yz, _yz), (Delta(_y), _z)))]
 
 
+_x = Var("x")
+_xy, _xz = Imp(_x, _y), Imp(_x, _z)
+# over w, x, y, z with w unused, so every table is over (x, y, z) or less:
+# broadcasts to a target that starts with a table's axes, from (x) with
+# runs of N^2 entries, more than its N, and from (x, y) with runs of N,
+# fewer than its N^2
+SHAPES4 = [(("w", "x", "y", "z"), Imp(_xy, _z), Imp(_x, _yz), ()),
+           (("w", "x", "y", "z"), _x, Imp(_xy, _xz), ((Imp(_xy, _z), Imp(_xy, _z)),)),
+           (("w", "x", "y", "z"), Delta(_xy), Imp(_xz, _x), ((Delta(_x), _xy),))]
+
+
 # past 40 elements only the least violation is compared: it lies in the
 # first slab of x unless the law holds
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 40, 255, 256, 257])
@@ -471,5 +498,15 @@ def test_byte_tables_match_the_map_path_on_prefix_suffix_and_same_axes(n):
     every = n <= 40
     found = equation_violations(A, SHAPES, every)
     assert found == on_the_map_path(lambda: equation_violations(A, SHAPES, every))
+    if n >= 16:
+        assert all(found)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 40])
+def test_byte_tables_match_the_map_path_on_four_names(n):
+    A = seeded_table(n, n, delta=True, bottom=False)
+    every = n <= 16
+    found = equation_violations(A, SHAPES4, every)
+    assert found == on_the_map_path(lambda: equation_violations(A, SHAPES4, every))
     if n >= 16:
         assert all(found)
