@@ -18,7 +18,6 @@ order; `CheckReport`, the outcome of every check, lives here so that
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import compress, product as iter_product
 
@@ -128,6 +127,8 @@ class FiniteAlgebra(Record):
         }
 
     def to_json(self, **kwargs) -> str:
+        import json
+
         return json.dumps(self.to_dict(), **kwargs)
 
     @staticmethod
@@ -158,6 +159,8 @@ class FiniteAlgebra(Record):
 
     @staticmethod
     def from_json(text: str) -> "FiniteAlgebra":
+        import json
+
         return FiniteAlgebra.from_dict(json.loads(text))
 
 

@@ -15,18 +15,17 @@ internal.  --help prints every paragraph above this one.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import os
-import re
 import sys
 import types
 
 from . import algebra as alg
 from .algebra import AlgebraError, FiniteAlgebra, InternalConsistencyError
 
-# Every verb reads and writes JSON and most read an algebra; each handler
-# imports the rest of what it runs, so a job loads only its own modules.
+# Most verbs read an algebra; each handler imports the rest of what it runs,
+# and json loads only to read a JSON file or to write a report leaf that
+# _chunks does not write itself, so a job loads only its own modules.
 
 OK, PROPERTY_FALSE, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -59,6 +58,9 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str):
+    import json
+    import re
+
     text = _read_text(path)
     depth = 0
     for bracket in re.findall(r"[\[\]{}]", re.sub(r'"(?:[^"\\]|\\.)*"', "", text)):
@@ -75,18 +77,31 @@ def _load_algebra(path: str) -> FiniteAlgebra:
     return FiniteAlgebra.from_dict(_load_json(path))
 
 
+def _string(s) -> str:
+    """json.dumps(s) for a report key or string leaf: a str of printable
+    ASCII free of '"' and '\\' is quoted here, anything else is json's."""
+    if type(s) is str and s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+
+    return json.dumps(s)
+
+
 def _chunks(value, pad: str = "\n"):
     """The text of json.dumps(value, indent=2, sort_keys=True), in pieces.
 
     `pad` is the newline and indent of value's own level.  Non-empty lists,
-    tuples and str-keyed dicts are written here, a list of ints in one piece;
-    everything else is json.dumps'ed and re-indented.
+    tuples and str-keyed dicts are written here, a list of ints in one piece,
+    and so are the leaves a report is made of: None, bools, exact ints, empty
+    lists, tuples and dicts, and strings (and keys) of printable ASCII free of
+    '"' and '\\'.  Any other leaf is json.dumps'ed and re-indented, and only
+    then is json imported.
     """
     inner = pad + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         sep = "{"
         for key in sorted(value):
-            yield sep + inner + json.dumps(key) + ": "
+            yield sep + inner + _string(key) + ": "
             yield from _chunks(value[key], inner)
             sep = ","
         yield pad + "}"
@@ -100,14 +115,26 @@ def _chunks(value, pad: str = "\n"):
             yield from _chunks(item, inner)
             sep = ","
         yield pad + "]"
+    elif value is None or type(value) is bool:
+        yield "null" if value is None else "true" if value else "false"
+    elif type(value) is int:
+        yield str(value)
+    elif isinstance(value, str):
+        yield _string(value)
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        yield "{}" if isinstance(value, dict) else "[]"
     else:
+        import json
+
         yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _emit(report: dict, args) -> None:
     """Write the report as json.dumps(report, indent=2, sort_keys=True) would,
-    chunk by chunk, so the whole text is never held.  A report that fails to
-    serialize, or a failed write, removes the partly written --out file."""
+    chunk by chunk, so the whole text is never held.  The chunks come from
+    _chunks, so a report of plain leaves is written without importing json.
+    A report that fails to serialize, or a failed write, removes the partly
+    written --out file."""
     if args.out is None:
         sys.stdout.writelines(_chunks(report))
         sys.stdout.write("\n")

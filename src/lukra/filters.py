@@ -11,6 +11,8 @@ embedding) read one enumerated list.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .algebra import (
     AlgebraError,
     CheckReport,
@@ -83,17 +85,48 @@ def is_implicative_filter(A: FiniteAlgebra, S) -> bool:
 
 
 def filter_generated(A: FiniteAlgebra, S) -> tuple[int, ...]:
-    """Least implicative filter containing S (fixpoint of MP closure)."""
-    members = _members(A, S) | {A.top}
-    changed = True
-    while changed:
-        changed = False
-        for x in tuple(members):
-            row = A.imp[x]
-            for y in range(A.size):
-                if y not in members and row[y] in members:
-                    members.add(y)
-                    changed = True
+    """Least implicative filter containing S (its MP closure)."""
+    return _closure(_imp_index(A), (), _members(A, S) | {A.top})
+
+
+def _imp_index(A: FiniteAlgebra):
+    """The pairs (x, y) of imp grouped twice, as (rows, by_value): rows[x]
+    maps each value v of row x to the y with x -> y = v, and by_value[z]
+    maps each x to the y with x -> y = z; each map is a (keys, ys) pair."""
+    rows, by_value = [], [{} for _ in range(A.size)]
+    for x, row in enumerate(A.imp):
+        groups: dict[int, list[int]] = {}
+        for y, v in enumerate(row):
+            groups.setdefault(v, []).append(y)
+        rows.append(groups)
+        for v, ys in groups.items():
+            by_value[v][x] = ys
+    return [[(tuple(g), tuple(g.values())) for g in index] for index in (rows, by_value)]
+
+
+def _closure(index, closed, new) -> tuple[int, ...]:
+    """The MP closure of `closed` and `new`, sorted, where `closed` is
+    MP-closed already (a filter, or empty) and `index` is the _imp_index
+    of their algebra.
+
+    Only the elements that join the set are looked at, each once: a new z
+    brings in every y with z -> y in the set and every y with x -> y = z for
+    an x in the set.  A pair (x, y) with x and x -> y in the set but y
+    outside it has one of the two still to be looked at, so the set is
+    closed when none is left.
+    """
+    rows, by_value = index
+    members = set(closed)
+    todo = [z for z in set(new) if z not in members]
+    members.update(todo)
+    while todo:
+        z = todo.pop()
+        got = set()
+        for keys, ys in (rows[z], by_value[z]):
+            got.update(*compress(ys, map(members.__contains__, keys)))
+        got -= members
+        members |= got
+        todo.extend(got)
     return tuple(sorted(members))
 
 
@@ -111,23 +144,37 @@ def all_filters(A: FiniteAlgebra, guard: int | None = FILTER_GUARD) -> list[tupl
     are refused unless `guard` is None.
 
     Breadth-first join-closure of the principal filters from the least
-    filter, the MP closure of {top}: a filter F is reached by joining in
-    <x> for the elements x of F one at a time, and every set listed is an
-    MP closure, so a filter, also outside the variety.
+    filter, the MP closure of {top}, and every set listed is an MP closure,
+    so a filter, also outside the variety.  A filter F is joined only with
+    the least principal filters not inside F: a filter H above F holds some
+    such <x>, so F < F v <x> <= H, and H is reached.  A join closes from F,
+    which is closed already, so only the elements of <x> outside F and what
+    they bring in are looked at.
     """
     if guard is not None and A.size > guard:
         raise SizeGuardError(
             f"filter enumeration on {A.size} elements exceeds guard {guard}; "
             "pass guard=None (or raise the guard) to override"
         )
-    principal = sorted({filter_generated(A, (x,)) for x in range(A.size)})
-    found = [filter_generated(A, ())]
+    index = _imp_index(A)
+    least = _closure(index, (), (A.top,))
+    # <x> holds each y with x -> y = top, and so <y>: it closes from the
+    # largest such <y> found, those with the fewest elements above first
+    generated: dict[int, tuple[int, ...]] = {}
+    for x in sorted(range(A.size), key=lambda x: len(A.above[x])):
+        start = max((generated.get(y, least) for y in A.above[x]), key=len, default=least)
+        generated[x] = _closure(index, start, (x,))
+    principal = sorted(set(generated.values()))
+    sets = [frozenset(p) for p in principal]
+    inside = [[j for j, q in enumerate(sets) if q < p] for p in sets]
+    found = [least]
     seen = set(found)
     for f in found:
         members = set(f)
-        for p in principal:
-            if not members.issuperset(p):
-                g = filter_generated(A, members.union(p))
+        outside = [not members.issuperset(p) for p in sets]
+        for p, out, below in zip(principal, outside, inside):
+            if out and not any(map(outside.__getitem__, below)):
+                g = _closure(index, members, p)
                 if g not in seen:
                     seen.add(g)
                     found.append(g)

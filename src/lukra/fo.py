@@ -44,7 +44,6 @@ from .formulas import (
     Imp,
     Node,
     Top,
-    _NAME_RE,
     _Parser,
     postorder,
 )
@@ -321,7 +320,7 @@ class _FirstOrder(_Parser):
             return None
         self.next()
         var = self.next()
-        if not _NAME_RE.fullmatch(var):
+        if not (var.isascii() and var.isidentifier()):
             where = self.tokens[self.pos - 1][1]
             raise FOError(f"bad quantifier variable {var!r} at position {where}")
         return partial(FForall if tok == "forall" else FExists, var)
@@ -340,9 +339,11 @@ class _FirstOrder(_Parser):
         (function, arguments so far)."""
         apps = []
         while True:
-            if tok is None and not _NAME_RE.fullmatch(tok := self.next()):
-                where = self.tokens[self.pos - 1][1]
-                raise FOError(f"bad term {tok!r} at position {where}")
+            if tok is None:
+                tok = self.next()
+                if not (tok.isascii() and tok.isidentifier()):
+                    where = self.tokens[self.pos - 1][1]
+                    raise FOError(f"bad term {tok!r} at position {where}")
             if self.peek() == "(":
                 self.next()
                 apps.append((tok, []))

@@ -35,7 +35,6 @@ from __future__ import annotations
 import operator
 import re
 import weakref
-from array import array
 from bisect import bisect_left
 from functools import partial
 from itertools import chain, compress, count, islice, product
@@ -271,7 +270,6 @@ def _breakdown(pattern, target, subst) -> tuple:
 _TOKEN_RE = re.compile(
     r"\s*(->\[\s*\d+\s*\]|->|\||&|~|\(|\)|[A-Za-z_][A-Za-z0-9_]*|\S)"
 )
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # Largest k accepted in `a ->[k] b` and by `imp_k`: the sugar expands to k
 # nested implications, so k bounds the size of the term.
@@ -354,7 +352,7 @@ class _Parser:
                 continue
             if tok == "T" or tok == "F":
                 out = TOP if tok == "T" else BOT
-            elif _NAME_RE.fullmatch(tok):
+            elif tok.isascii() and tok.isidentifier():
                 out = self.name(tok)
             else:
                 where = self.tokens[self.pos - 1][1]
@@ -727,6 +725,8 @@ class _TermTables:
     BYTE_CARRIER = 256      # the largest carrier whose tables are bytes
 
     def __init__(self, A):
+        from array import array     # only law checks load it
+
         self.A, self.n = A, A.size
         self.narrow = A.size <= self.BYTE_CARRIER
         if self.narrow:
@@ -803,6 +803,8 @@ class _TermTables:
             return b"".join([bytes((d,)) * r for d in data])
         index = self.spreads.get((axes, target))
         if index is None:
+            from array import array
+
             n = self.n
             stride = {a: n ** (len(axes) - 1 - j) for j, a in enumerate(axes)}
             # grown innermost axis first as a typed array: a list of ints

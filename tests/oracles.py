@@ -5,6 +5,7 @@ lives next to the tests rather than in the package.
 """
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from lukra.formulas import (
     Imp,
     Top,
     Var,
-    _NAME_RE,
     _Parser,
     and_,
     imp_k as formula_imp_k,
@@ -40,6 +40,10 @@ from lukra.formulas import (
 )
 from lukra.freealg import FreeAlgebra
 from lukra.proofs import ByAxiom
+
+# the parsers' name token as a regex, independent of the
+# `tok.isascii() and tok.isidentifier()` test the library makes
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def congruences(A: FiniteAlgebra, respect_delta: bool = True) -> list[Congruence]:
@@ -101,6 +105,40 @@ def is_implicative_filter(A: FiniteAlgebra, S) -> bool:
         for x in members
         for y in range(A.size)
     )
+
+
+def filter_generated(A: FiniteAlgebra, S) -> tuple[int, ...]:
+    """Oracle: the least implicative filter containing S as the whole MP
+    fixpoint, each pass over every member's row (the closure
+    `filters.filter_generated` made before it closed incrementally)."""
+    members = _members(A, S) | {A.top}
+    changed = True
+    while changed:
+        changed = False
+        for x in tuple(members):
+            row = A.imp[x]
+            for y in range(A.size):
+                if y not in members and row[y] in members:
+                    members.add(y)
+                    changed = True
+    return tuple(sorted(members))
+
+
+def all_filters(A: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Oracle: every implicative filter, sorted, as `filters.all_filters`
+    found them before: every filter found joined with every principal
+    filter not inside it, each join the whole fixpoint of the union."""
+    principal = sorted({filter_generated(A, (x,)) for x in range(A.size)})
+    found = [filter_generated(A, ())]
+    seen = set(found)
+    for f in found:
+        for p in principal:
+            if not set(f).issuperset(p):
+                g = filter_generated(A, {*f, *p})
+                if g not in seen:
+                    seen.add(g)
+                    found.append(g)
+    return sorted(found)
 
 
 def k_weak_mp_closed(A: FiniteAlgebra, F, k: int) -> bool:

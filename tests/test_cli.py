@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import gc
 import hashlib
 import io
@@ -663,10 +664,21 @@ def test_streamed_report_matches_json_dumps(value):
     assert _emitted(value) == _dumped(value)
 
 
+class Exit(enum.IntEnum):
+    OK = 0
+    INTERNAL = 3
+
+
 @pytest.mark.parametrize("value", [
     {}, [], (), {"a": {}, "b": [], "c": ()}, [1, True, 2], [False], [10**40, -10**35],
     {"ké\n\"": "→\x01"}, {1: "a", 2: [3]}, {(1, 2): 0}, {1: 0, "1": 0}, [0.5, 1e300],
     [float("nan"), float("inf")], {"x": [object()]}, [10**5000],
+    # on both sides of the writer's own rule: the empty string and the ends
+    # of printable ASCII are written by _chunks, while a control character,
+    # a line separator, a lone surrogate, an escaped key and an int subclass
+    # (whose str may differ from json's) go to json.dumps
+    "\x7f", "\u2028", "\ud800", "", " ~", ["", "a b", "\x7f"], Exit.INTERNAL, [Exit.OK, 1],
+    {"\x7f": 0, "\u2028": 1, "\ud800": 2, "": 3, 'a"b': 4, "a\\b": 5, "é": 6, "\n": 7},
 ])
 def test_streamed_report_matches_json_dumps_on_edge_values(value):
     assert _emitted(value) == _dumped(value)
@@ -720,14 +732,19 @@ def test_unserializable_report_exits_3_and_leaves_no_file(capsys, monkeypatch, t
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# The modules a job loads after start-up that the tests watch, printed as
+# "<exit code> <name> ...".  The harness itself imports nothing the job might
+# load (json included), so it sees every one of them.
 LOADED_AFTER_MAIN = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import contextlib, io
 from lukra.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m in ("argparse", "dataclasses", "fractions", "gettext", "locale")
-                               or m.split(".")[0] == "lukra")]))
+print(code, *sorted(m for m in set(sys.modules) - before
+                    if m in ("argparse", "array", "dataclasses", "fractions", "gettext", "json",
+                             "locale") or m.split(".")[0] == "lukra"))
 """
 
 # every job loads these; no job loads argparse, gettext or locale, and no
@@ -735,20 +752,31 @@ print(json.dumps([code, sorted(m for m in sys.modules
 CORE = ["lukra", "lukra.algebra", "lukra.cli", "lukra.records"]
 
 
-# one job per group and exit code, with its exit code and the modules it loads
+def _loaded(argv, env) -> tuple[int, list[str]]:
+    """The exit code of a job in a fresh process and the watched modules it loaded."""
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
+                          capture_output=True, text=True, env=env, timeout=30, check=True)
+    code, *names = done.stdout.split()
+    return int(code), names
+
+
+# one job per group and exit code, with its exit code and the modules it
+# loads: lukra's by their names in the package, json only where a JSON file
+# is read, array only for the law checks
 JOBS = pytest.mark.parametrize("argv, code, loaded", [
     (["logic", "taut", "--n", "3", "--formula", "p -> p"], 0, ["formulas", "logic"]),
     (["free", "size", "--n", "2", "--m", "1"], 0, ["freealg"]),
-    (["algebra", "homs", "--from", "@l3", "--to", "@l3"], 0, []),
-    (["filters", "list", "--in", "@l3"], 0, ["filters"]),
+    (["algebra", "homs", "--from", "@l3", "--to", "@l3"], 0, ["json"]),
+    (["filters", "list", "--in", "@l3"], 0, ["filters", "json"]),
     (["logic", "fo-eval", "--structure", "@s", "--formula", "forall x P(x)"], 1,
-     ["fo", "formulas"]),
+     ["fo", "formulas", "json"]),
     (["logic", "prove-check", "--system", "n", "--n", "3",
       "--in", str(FIXTURES / "proofs" / "lh20_n3.proof")], 0, ["formulas", "logic", "proofs"]),
-    (["algebra", "check", "--in", "@l3", "--suite", "--quasi"], 0, ["formulas", "laws"]),
+    (["algebra", "check", "--in", "@l3", "--suite", "--quasi"], 0,
+     ["array", "formulas", "json", "laws"]),
     (["algebra", "chain", "--n", "3"], 0, []),
     (["logic", "taut", "--n", "3", "--formula", "p ->"], 2, ["formulas", "logic"]),
-    (["filters", "classify", "--in", "@no-such-file"], 2, ["filters"]),
+    (["filters", "classify", "--in", "@no-such-file"], 2, ["filters", "json"]),
 ], ids=["taut", "free-size", "homs", "filters-list", "fo-eval", "prove-check",
         "algebra-check", "algebra-chain", "taut-unparsable", "classify-missing-file"])
 
@@ -768,9 +796,42 @@ def _job(tmp_path, argv):
 @JOBS
 def test_each_verb_loads_fo_and_proofs_only_for_itself(tmp_path, argv, code, loaded):
     argv, env = _job(tmp_path, argv)
-    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
-                          capture_output=True, text=True, env=env, timeout=30, check=True)
-    assert json.loads(done.stdout) == [code, sorted(CORE + [f"lukra.{m}" for m in loaded])]
+    assert _loaded(argv, env) == (code, sorted(
+        CORE + [m if m in ("array", "json") else f"lukra.{m}" for m in loaded]))
+
+
+# every verb once: the ones that read a JSON file (an algebra, or fo-eval's
+# structure) load json, and the others write their reports without it
+@pytest.mark.parametrize("argv", [
+    ["algebra", "chain", "--n", "3", "--delta"],
+    ["algebra", "check", "--in", "@l3"],
+    ["algebra", "delta", "--in", "@l3"],
+    ["algebra", "product", "--in", "@l3", "--in", "@l3"],
+    ["algebra", "homs", "--from", "@l3", "--to", "@l3", "--epi"],
+    ["filters", "list", "--in", "@l3"],
+    ["filters", "maximal", "--in", "@l3"],
+    ["filters", "quotient", "--in", "@l3", "--filter", "2"],
+    ["filters", "subdirect", "--in", "@l3"],
+    ["filters", "classify", "--in", "@l3"],
+    ["free", "build", "--n", "2", "--m", "1"],
+    ["free", "size", "--n", "3", "--m", "2", "--mode", "literal"],
+    ["free", "verify", "--n", "2", "--m", "2"],
+    ["logic", "taut", "--n", "4", "--formula", "p | ~p"],
+    ["logic", "conseq", "--n", "3", "--formula", "q", "--hyp", "p", "--hyp", "p -> q"],
+    ["logic", "prove-check", "--system", "bot", "--in",
+     str(FIXTURES / "proofs" / "crisp_delta_p.proof")],
+    ["logic", "refute", "--formula", "p | ~p", "--max-n", "4"],
+    ["logic", "fo-eval", "--structure", "@s", "--formula", "exists x P(x)"],
+    ["logic", "theorem-suite", "--n", "3"],
+    ["logic", "hierarchy", "--n", "3"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_only_jobs_that_read_json_load_json(tmp_path, argv):
+    reads_json = any(a.startswith("@") for a in argv)
+    argv, env = _job(tmp_path, argv)
+    code, names = _loaded(argv, env)
+    assert code in (0, 1)
+    assert ("json" in names) == reads_json
+    assert ("array" in names) == (argv[:2] == ["algebra", "check"])
 
 
 # -- the process entry: run() freezes the heap, main() does not ----------------
@@ -991,9 +1052,7 @@ def test_main_builds_a_parser_only_off_a_jobs_path(monkeypatch, capsys):
 
 def test_help_loads_argparse(tmp_path):
     _, env = _job(tmp_path, [])
-    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, "--help"],
-                          capture_output=True, text=True, env=env, timeout=30, check=True)
-    code, loaded = json.loads(done.stdout)
+    code, loaded = _loaded(["--help"], env)
     assert code == 0 and {"argparse", "gettext", "locale"} <= set(loaded)
 
 

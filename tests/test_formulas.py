@@ -69,6 +69,15 @@ def test_parse_errors_carry_position():
         parse("(p -> q")
 
 
+@settings(max_examples=300)
+@given(st.text(max_size=6) | st.sampled_from(["_", "a1", "1a", "é", "ℌ", "x\u0300", "ǅ", "a b"]))
+def test_a_name_is_an_ascii_identifier(tok):
+    # the parsers test a name token with str.isidentifier; on ASCII that
+    # reads the language of the regex [A-Za-z_][A-Za-z0-9_]*, and no
+    # other string passes either test
+    assert (tok.isascii() and tok.isidentifier()) == bool(oracles._NAME_RE.fullmatch(tok))
+
+
 def test_iterated_implication_is_bounded_before_expansion():
     f, depth = parse(f"p ->[{IMP_K_LIMIT}] q"), 0
     while isinstance(f, Imp):
